@@ -1,27 +1,28 @@
 // End-to-end replay wall-clock throughput: how fast the *simulator* replays a figure-scale
-// workload, serial vs sharded. This is the harness-performance companion to the per-op
-// microbenchmarks — ns/op of the whole replay loop (trace decode, clock merge, access
-// pipeline, histogramming), not of one isolated structure — so regressions in the replay
-// engine itself are tracked across PRs, not just hot-path structure regressions.
+// workload, per-op reference path vs channel engine. This is the harness-performance
+// companion to the per-op microbenchmarks — ns/op of the whole replay loop (trace decode,
+// clock merge, access pipeline, histogramming), not of one isolated structure — so
+// regressions in the replay engine itself are tracked across PRs, not just hot-path
+// structure regressions.
 //
-// Compared configurations, all replaying the identical trace on identical racks:
-//   serial-1shard     — the per-op reference path (use_channels = false: global min-heap,
-//                       one virtual Access per op — the pre-channel serial engine).
-//   sharded-{1,2,4,8} — the AccessChannel engine at increasing shard counts (results are
-//                       bit-identical to serial by construction; only wall-clock moves).
+// Compared configurations, both replaying the identical trace on identical racks:
+//   serial-1shard  — the per-op reference path (use_channels = false: every op through
+//                    the drain, one virtual Access per op — the pre-channel engine).
+//   sharded-1shard — the AccessChannel engine (results are bit-identical to serial by
+//                    construction; only wall-clock moves).
+// Replay runs on one host thread, and more shards only partition the same sequential
+// work, so multi-shard points are not produced: they measured a worker pool that lost to
+// one shard on every series and has been removed.
 //
 // Appends `FigReplayWallclock/*` entries (ns/op over total replayed ops) to
 // BENCH_microbench.json, plus a dimensionless `drain_serialized_fraction` row for the
 // coherence-bound series: the fraction of serialized-drain ops the directory-region
-// ownership split could NOT retire owner-parallel (lower is better; the gate catches it
-// creeping back up). `--shards=N` runs one extra sharded point. Scale the trace with
-// MIND_BENCH_SCALE.
-#include <algorithm>
+// ownership split could NOT retire in owner sub-rounds (lower is better; the gate catches
+// it creeping back up). Scale the trace with MIND_BENCH_SCALE.
 #include <chrono>
 #include <cstdio>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -36,12 +37,12 @@ struct Timed {
   uint64_t parallel_hits = 0;
   uint64_t grouped_ops = 0;
   uint64_t drained_ops = 0;
-  uint64_t owner_drained = 0;  // Subset of drained_ops retired owner-parallel.
+  uint64_t owner_drained = 0;  // Subset of drained_ops retired in owner sub-rounds.
 
   // Fraction of drained (serialized-phase) ops that still had to execute one at a time
   // through the global merge step after directory-region ownership carved out the
-  // owner-parallel phases. Shard-count invariant (the drain composition is bit-identical
-  // across shard counts), so any sharded run reports the same number.
+  // owner sub-rounds. Shard-count invariant (the drain composition is bit-identical
+  // across shard counts).
   [[nodiscard]] double SerializedFraction() const {
     return drained_ops == 0
                ? 0.0
@@ -61,7 +62,7 @@ void CollectShards(ReplayEngine& engine, Timed* out) {
   out->registry_text = os.str();
 }
 
-// Headline series: the shape sharded replay targets — multi-blade, cache-resident
+// Headline series: the shape channel replay targets — multi-blade, cache-resident
 // per-blade working sets with an occasional cross-blade coherence event (the Fig. 5 right
 // "scalable" regime: native-KVS-like partitioned state, TF-like private compute). Once
 // warm, >99% of ops are blade-local hits, so the harness — not the simulated switch — is
@@ -80,10 +81,9 @@ WorkloadSpec HotSpec() {
   return s;
 }
 
-// Counterpoint series: TF is coherence-dense (an invalidation or upgrade crosses shard
-// ownership every few tens of globally-ordered ops), so the serialized drain dominates
-// and sharding cannot help much — reported so the trajectory tracks both regimes
-// honestly.
+// Counterpoint series: TF is coherence-dense (an invalidation or upgrade crosses blades
+// every few tens of globally-ordered ops), so the serialized drain dominates and channels
+// cannot help much — reported so the trajectory tracks both regimes honestly.
 WorkloadSpec CoherenceBoundSpec() {
   return TfSpec(/*blades=*/8, /*threads_per_blade=*/1, bench::ScaledOps(150'000));
 }
@@ -132,11 +132,9 @@ Timed RunSerial(const WorkloadTraces& traces, SystemFactory make_system) {
   return out;
 }
 
-Timed RunSharded(const WorkloadTraces& traces, int shards, SystemFactory make_system) {
+Timed RunChannels(const WorkloadTraces& traces, SystemFactory make_system) {
   auto sys = make_system();
-  ReplayOptions opts;
-  opts.shards = shards;
-  ReplayEngine engine(sys.get(), &traces, opts);
+  ReplayEngine engine(sys.get(), &traces);
   (void)engine.Setup();
   const auto t0 = std::chrono::steady_clock::now();
   Timed out;
@@ -150,21 +148,20 @@ Timed RunSharded(const WorkloadTraces& traces, int shards, SystemFactory make_sy
 }  // namespace
 }  // namespace mind
 
-int main(int argc, char** argv) {
+int main() {
   using namespace mind;
   std::vector<bench::BenchResult> results;
 
   auto run_series = [&](const std::string& tag, const WorkloadTraces& traces,
-                        const std::vector<int>& shard_points, SystemFactory make_system) {
+                        SystemFactory make_system) {
     const uint64_t ops = traces.TotalOps();
-    std::printf("\nReplay wall-clock throughput — %s (%s), %llu ops, %d blades, "
-                "%u host cores\n",
+    std::printf("\nReplay wall-clock throughput — %s (%s), %llu ops, %d blades\n",
                 tag.c_str(), traces.name.c_str(), static_cast<unsigned long long>(ops),
-                traces.num_blades, std::thread::hardware_concurrency());
+                traces.num_blades);
     std::printf("(simulator performance; simulated-time results are bit-identical across "
                 "rows)\n");
     TablePrinter table({"config", "wall ms", "ns/op", "Mops/s wall", "parallel hits",
-                        "grouped", "owner-par drain", "sim ms"});
+                        "grouped", "owner drain", "sim ms"});
     table.PrintHeader();
     Timed last;
     auto add = [&](const std::string& name, Timed t) {
@@ -179,23 +176,20 @@ int main(int argc, char** argv) {
       last = std::move(t);
     };
     add("serial-1shard", RunSerial(traces, make_system));
-    for (const int shards : shard_points) {
-      add("sharded-" + std::to_string(shards) + "shard",
-          RunSharded(traces, shards, make_system));
-    }
+    add("sharded-1shard", RunChannels(traces, make_system));
     // Every per-run counter this table summarizes is also published through the unified
-    // registry; one snapshot per series (the last sharded point) keeps the full detail
-    // in the log without hand-rolled counter prints.
-    std::printf("registry snapshot (%s, final sharded run):\n%s", tag.c_str(),
+    // registry; one snapshot per series (the channel run) keeps the full detail in the
+    // log without hand-rolled counter prints.
+    std::printf("registry snapshot (%s, channel run):\n%s", tag.c_str(),
                 last.registry_text.c_str());
     if (tag == "tf_coherence_bound") {
       // The region-ownership payoff metric on the drain-dominated series: the fraction of
       // serialized-phase ops that still retired one at a time through the global merge
       // step. Lower is better, so the trajectory gate (fail above 1.25x baseline) catches
-      // a change that quietly re-serializes owner-parallel work. Deterministic for a fixed
-      // trace scale and shard-count invariant (see SerializedFraction).
-      std::printf("drain serialized fraction: %.3f (owner-parallel retired %llu of %llu "
-                  "drained ops)\n",
+      // a change that quietly re-serializes owner sub-round work. Deterministic for a
+      // fixed trace scale and shard-count invariant (see SerializedFraction).
+      std::printf("drain serialized fraction: %.3f (owner sub-rounds retired %llu of "
+                  "%llu drained ops)\n",
                   last.SerializedFraction(),
                   static_cast<unsigned long long>(last.owner_drained),
                   static_cast<unsigned long long>(last.drained_ops));
@@ -205,24 +199,17 @@ int main(int argc, char** argv) {
     }
   };
 
-  std::vector<int> shard_points = {1, 2, 4, 8};
-  if (const int extra = bench::ShardsFromArgs(argc, argv, 0);
-      extra > 0 && std::find(shard_points.begin(), shard_points.end(), extra) ==
-                       shard_points.end()) {
-    shard_points.push_back(extra);
-  }
   {
     const WorkloadTraces traces = GenerateTraces(HotSpec());
-    run_series("blade_resident", traces, shard_points, MakeMind8);
+    run_series("blade_resident", traces, MakeMind8);
   }
   {
     const WorkloadTraces traces = GenerateTraces(CoherenceBoundSpec());
-    run_series("tf_coherence_bound", traces, shard_points, MakeMind8);
+    run_series("tf_coherence_bound", traces, MakeMind8);
   }
   {
-    // 4 blades: shard counts past 4 clamp to 4, so the series stops there.
     const WorkloadTraces traces = GenerateTraces(GamContendedSpec());
-    run_series("gam_contended", traces, {1, 2, 4}, MakeGam4);
+    run_series("gam_contended", traces, MakeGam4);
   }
   bench::AppendTrajectoryEntry(results, "fig-replay-wallclock");
   return 0;

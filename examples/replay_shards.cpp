@@ -2,11 +2,10 @@
 // rack with N replay shards (`--shards=N`, default 1), and print the merged report plus
 // the per-shard breakdown.
 //
-// Replay results are bit-identical for every shard count — sharding changes how fast the
-// simulator runs, never what it computes. Try `--shards=1` and `--shards=4` and compare
-// the reported makespan, counters and latency percentiles: they match exactly, while the
-// wall-clock drops on multi-core hosts (and even single-core hosts gain from the batched
-// fast path).
+// Replay results are bit-identical for every shard count — shards only partition the
+// blades the channel rounds visit in turn on the one replay thread, never what the
+// simulator computes. Try `--shards=1` and `--shards=4` and compare the reported
+// makespan, counters and latency percentiles: they match exactly.
 #include <chrono>
 #include <cstdio>
 
@@ -113,8 +112,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(sr.drained_ops),
                 static_cast<unsigned long long>(sr.owner_drained), ToMillis(sr.makespan));
   }
-  // Drain ops that were owner-homed blade-local hits retired in owner-parallel phases
-  // instead of one at a time through the global merge (src/workload/region_ownership.h).
+  // Drain ops that were owner-homed blade-local hits retired in owner sub-rounds instead
+  // of one at a time through the global merge (src/workload/region_ownership.h).
   std::printf("owner-parallel drain: %llu of %llu drained ops (%.1f%%)\n",
               static_cast<unsigned long long>(owner_drained),
               static_cast<unsigned long long>(drained),

@@ -1,7 +1,6 @@
 #include "src/baselines/fastswap.h"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
 #include <vector>
 
@@ -33,12 +32,9 @@ Result<ThreadId> FastSwapSystem::RegisterThread(ComputeBladeId blade) {
 }
 
 // Ownership-aware drain over the swap-cache hit path (contract notes in fastswap.h).
-// Single blade means a single shard and sequential phases; scratch still isolates the
-// counters so the engine's fold discipline is uniform across systems.
 class FastSwapSystem::OwnerDrain final : public OwnerDrainOps {
  public:
-  OwnerDrain(FastSwapSystem* sys, int num_shards)
-      : sys_(sys), scratch_(static_cast<size_t>(num_shards)) {}
+  explicit OwnerDrain(FastSwapSystem* sys) : sys_(sys) {}
 
   MIND_PARALLEL_PHASE [[nodiscard]] bool Eligible(ThreadId /*tid*/, ComputeBladeId /*blade*/,
                                                   VirtAddr va, AccessType /*type*/,
@@ -52,43 +48,13 @@ class FastSwapSystem::OwnerDrain final : public OwnerDrainOps {
   MIND_SERIALIZED_PATH [[nodiscard]] SimTime MinEligibleCost() const override {
     return sys_->lat().local_cache_hit;
   }
-  MIND_PARALLEL_PHASE AccessResult AccessOwned(int shard, ThreadId /*tid*/,
-                                               ComputeBladeId /*blade*/, VirtAddr va,
-                                               AccessType type, SimTime now) override {
-    Scratch& sc = scratch_[static_cast<size_t>(shard)];
-    ++sc.total_accesses;
-    DramCache::Frame* frame = sys_->cache_->Lookup(PageNumber(va));
-    assert(frame != nullptr);  // Guaranteed by Eligible under the phase discipline.
-    if (type == AccessType::kWrite) {
-      frame->dirty = true;
-    }
-    ++sc.local_hits;
-    AccessResult res;
-    res.local_hit = true;
-    res.latency = sys_->lat().local_cache_hit;
-    res.completion = now + res.latency;
-    return res;
-  }
-  MIND_SERIALIZED_PATH void Fold() override {
-    for (Scratch& sc : scratch_) {
-      sys_->counters_.total_accesses += sc.total_accesses;
-      sys_->counters_.local_hits += sc.local_hits;
-      sc = {};
-    }
-  }
 
  private:
-  struct Scratch {
-    uint64_t total_accesses = 0;
-    uint64_t local_hits = 0;
-  };
-
   FastSwapSystem* sys_;
-  std::vector<Scratch> scratch_;
 };
 
-std::unique_ptr<OwnerDrainOps> FastSwapSystem::OpenOwnerDrain(int num_shards) {
-  return std::make_unique<OwnerDrain>(this, num_shards);
+std::unique_ptr<OwnerDrainOps> FastSwapSystem::OpenOwnerDrain(int /*num_shards*/) {
+  return std::make_unique<OwnerDrain>(this);
 }
 
 MIND_SERIALIZED_PATH AccessResult FastSwapSystem::Access(ThreadId tid, ComputeBladeId blade,

@@ -68,9 +68,8 @@ class FastSwapSystem final : public MemorySystem {
 
   // Ownership-aware drain contract (OwnerDrainOps, memory_system.h): any cached page is a
   // fixed-latency read-write hit, so eligibility is just presence (with prefetching off).
-  // Single compute blade — every region is home, one shard, so owner phases are never
-  // threaded here; the contract still lets single-shard replay retire hit bursts without
-  // the per-op heap churn of the serialized merge step.
+  // Single compute blade, so every region is home: the contract lets replay retire hit
+  // bursts as owner sub-rounds instead of one serialized merge step per op.
   std::unique_ptr<OwnerDrainOps> OpenOwnerDrain(int num_shards) override;
 
   bool SetPrefetchPolicy(PrefetchPolicy policy) override {

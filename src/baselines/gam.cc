@@ -1,7 +1,6 @@
 #include "src/baselines/gam.h"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
 #include <vector>
 
@@ -61,8 +60,8 @@ SimTime GamSystem::PsoReadBarrier(ThreadId tid, uint64_t page, SimTime now) {
   // that identity — plus the pruning side effect.
   const SimTime barrier = PsoPeekBarrier(tid, page, now);
   if (auto it = pending_writes_.find(tid); it != pending_writes_.end()) {
-    // Prune in place but never erase the map entry: channel commits for different blades
-    // run concurrently, and a structural map mutation here would race their lookups.
+    // Prune in place but never erase the map entry: channel groups cache pointers to the
+    // threads' vectors (pso_pending_), which erasing the entry would leave dangling.
     // Each thread only ever mutates its own vector.
     std::erase_if(it->second,
                   [barrier](const PendingWrite& w) { return w.completion <= barrier; });
@@ -98,14 +97,10 @@ SimTime GamSystem::EnterLibrary(ThreadId tid, ComputeBladeId blade, uint64_t pag
 }
 
 // Ownership-aware drain over the GAM hit path (contract notes in gam.h; engine-side
-// discipline in memory_system.h). AccessOwned replays the serial hit path exactly —
-// EnterLibrary (PSO read barrier + FIFO lock + local library work), LRU touch, dirty bit
-// — with counters absorbed by per-shard scratch; same-blade threads share a shard, so
-// the blade's lock queue advances in the same relative order serial replay produces.
+// discipline in memory_system.h).
 class GamSystem::OwnerDrain final : public OwnerDrainOps {
  public:
-  OwnerDrain(GamSystem* sys, int num_shards)
-      : sys_(sys), scratch_(static_cast<size_t>(num_shards)) {}
+  explicit OwnerDrain(GamSystem* sys) : sys_(sys) {}
 
   MIND_PARALLEL_PHASE [[nodiscard]] bool Eligible(ThreadId /*tid*/, ComputeBladeId blade,
                                                   VirtAddr va, AccessType type,
@@ -120,46 +115,13 @@ class GamSystem::OwnerDrain final : public OwnerDrainOps {
   MIND_SERIALIZED_PATH [[nodiscard]] SimTime MinEligibleCost() const override {
     return sys_->config_.lock_service + sys_->lat().gam_local_access;
   }
-  MIND_PARALLEL_PHASE AccessResult AccessOwned(int shard, ThreadId tid, ComputeBladeId blade,
-                                               VirtAddr va, AccessType type,
-                                               SimTime now) override {
-    Scratch& sc = scratch_[static_cast<size_t>(shard)];
-    ++sc.total_accesses;
-    const uint64_t page = PageNumber(va);
-    const SimTime t = sys_->EnterLibrary(tid, blade, page, type, now);
-    DramCache::Frame* frame = sys_->blades_[blade].cache->Lookup(page);
-    assert(frame != nullptr);  // Guaranteed by Eligible under the phase discipline.
-    if (type == AccessType::kWrite) {
-      frame->dirty = true;
-    }
-    ++sc.local_hits;
-    AccessResult res;
-    res.local_hit = true;
-    res.latency = t - now;  // Includes any PSO read-barrier stall, as the serial hit does.
-    res.completion = t;
-    res.breakdown.fault = t - now;
-    return res;
-  }
-  MIND_SERIALIZED_PATH void Fold() override {
-    for (Scratch& sc : scratch_) {
-      sys_->counters_.total_accesses += sc.total_accesses;
-      sys_->counters_.local_hits += sc.local_hits;
-      sc = {};
-    }
-  }
 
  private:
-  struct Scratch {
-    uint64_t total_accesses = 0;
-    uint64_t local_hits = 0;
-  };
-
   GamSystem* sys_;
-  std::vector<Scratch> scratch_;
 };
 
-std::unique_ptr<OwnerDrainOps> GamSystem::OpenOwnerDrain(int num_shards) {
-  return std::make_unique<OwnerDrain>(this, num_shards);
+std::unique_ptr<OwnerDrainOps> GamSystem::OpenOwnerDrain(int /*num_shards*/) {
+  return std::make_unique<OwnerDrain>(this);
 }
 
 MIND_SERIALIZED_PATH AccessResult GamSystem::Access(ThreadId tid, ComputeBladeId blade, VirtAddr va,

@@ -86,9 +86,8 @@ class GamSystem final : public MemorySystem {
   // Ownership-aware drain contract (OwnerDrainOps, memory_system.h): eligible ops are
   // blade-confined library hits — the blade's own cache + FIFO lock plus the thread's PSO
   // pending-store list, which the read barrier prunes in place without ever erasing the
-  // map entry (and hits never record pending stores) — so owner-parallel execution for
-  // different blades is race-free. Every eligible op pays at least the serialized lock
-  // slice plus the local library work.
+  // map entry (and hits never record pending stores). Every eligible op pays at least the
+  // serialized lock slice plus the local library work.
   std::unique_ptr<OwnerDrainOps> OpenOwnerDrain(int num_shards) override;
 
   bool SetPrefetchPolicy(PrefetchPolicy policy) override {

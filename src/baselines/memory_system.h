@@ -8,9 +8,9 @@
 // The data-plane boundary is batch-first: besides the per-op Access (the serialized
 // reference path every system must implement), a system can hand out AccessChannel objects
 // (src/core/access_channel.h) — per-(thread, blade) batched submit/complete channels the
-// replay engine drives concurrently, one shard per blade group. All three in-tree systems
-// implement channels; the default opt-out (OpenChannel returning null) routes every op
-// through the serialized drain, which is always correct, at single-thread speed.
+// replay engine drives ahead of global order, one shard per blade group. All three
+// in-tree systems implement channels; the default opt-out (OpenChannel returning null)
+// routes every op through the serialized drain, which is always correct, at per-op speed.
 #ifndef MIND_SRC_BASELINES_MEMORY_SYSTEM_H_
 #define MIND_SRC_BASELINES_MEMORY_SYSTEM_H_
 
@@ -67,53 +67,43 @@ struct SystemCounters {
   }
 };
 
-// Ownership-aware drain contract backing the replay engine's owner-parallel drain
-// phases (ISSUE 7; src/workload/region_ownership.h has the region->owner map itself).
+// Ownership-aware drain contract backing the replay engine's owner drain sub-rounds
+// (src/workload/region_ownership.h has the region->owner map itself).
 //
 // The engine partitions each serialized drain into sub-rounds: it classifies every
 // unfinished thread's next op through Eligible, derives a safety horizon H_safe from the
 // classification (min over threads of `clock` for ineligible tops and `clock +
-// MinEligibleCost + think` for eligible ones), and lets each shard retire its own
-// threads' eligible ops with start clocks strictly below H_safe concurrently — no
-// barrier between intra-shard ops. Everything else (faults, invalidation waves, splits,
-// epoch/sampler boundaries, regions owned by another shard) falls through to a serialized
-// merge step that executes the exact global (clock, thread) minimum via Access.
+// MinEligibleCost + think` for eligible ones), and retires every eligible op with a start
+// clock strictly below H_safe through Access, in global (clock, thread) order, without
+// re-scanning between them. Everything else (faults, invalidation waves, splits,
+// epoch/sampler boundaries, regions homed at another blade) falls through to a merge step
+// that executes the exact global (clock, thread) minimum via Access.
 //
 // The contract every implementation must honor:
-//   * Eligible is non-mutating and may run concurrently with AccessOwned calls of OTHER
-//     blades. It must accept only ops whose entire execution touches state confined to
-//     the accessing blade plus the accessing thread — in-tree that means local cache
-//     hits with prefetching off (hits never evict, never draw fault-plane randomness,
-//     and never touch the fabric or any directory), under a consistency model whose
-//     read barrier is thread-confined.
-//   * AccessOwned(shard, ...) executes one Eligible-approved op on behalf of `shard`,
-//     bit-identical in outcome (latency, completion, side effects) to what Access would
-//     produce at the same clock, but without touching cross-blade structures: global
-//     memo arrays are skipped (pure memoization, outcome-invariant) and counters go to
-//     per-shard scratch. Calls for different shards may run concurrently; the engine
-//     guarantees same-blade threads always share a shard, so per-blade state (cache LRU,
-//     FIFO locks) is only ever mutated in shard-local (clock, thread) order — the same
-//     relative order serial replay produces.
+//   * Eligible is non-mutating. It must accept only ops whose entire execution touches
+//     state confined to the accessing blade plus the accessing thread — in-tree that
+//     means local cache hits with prefetching off (hits never evict, never draw
+//     fault-plane randomness, and never touch the fabric or any directory), under a
+//     consistency model whose read barrier is thread-confined. Retiring such an op
+//     leaves every other thread's verdict exact, so the engine re-classifies only the
+//     retiring thread.
 //   * MinEligibleCost lower-bounds the thread-visible latency of ANY eligible op: the
-//     engine's H_safe lookahead is sound exactly because an op retired inside a phase
+//     engine's H_safe lookahead is sound exactly because an op retired inside a sub-round
 //     advances its thread's clock by at least this much.
 //   * NextSerialBoundary is the earliest time-driven global event (e.g. a bounded-
 //     splitting epoch boundary) that Access would run implicitly; ops at or past it are
-//     never phase-eligible, so the event fires on the serialized step exactly as under
-//     serial replay. Scheduled fault-plane events are clamped by the engine itself via
+//     never eligible, so the event fires on a merge step exactly as under serial replay.
+//     Scheduled fault-plane events are clamped by the engine itself via
 //     NextScheduledFaultAt.
-//   * Fold merges the per-shard scratch counters into the system's own counters; the
-//     engine calls it after every threaded phase barrier. Sequential phase execution
-//     (one worker, or a single shard) goes through plain Access instead and never needs
-//     folding.
+//   * AccessOwned and Fold are never called: sub-rounds retire through Access. They stay
+//     declared so that existing decorators which forward them keep compiling.
 class OwnerDrainOps {
  public:
   virtual ~OwnerDrainOps() = default;
 
-  // Phase tags (docs/determinism.md): Eligible/AccessOwned run inside owner-parallel
-  // phases; Fold and NextSerialBoundary run only at phase barriers / sub-round scans on
-  // the serialized path. Every override must restate its tag (tools/detlint.py enforces
-  // contract totality).
+  // Phase tags (docs/determinism.md): Eligible is tagged for the stricter context;
+  // MinEligibleCost and NextSerialBoundary run on the serialized drain. Every override
+  // must restate its tag (tools/detlint.py enforces contract totality).
   MIND_PARALLEL_PHASE [[nodiscard]] virtual bool Eligible(ThreadId tid, ComputeBladeId blade,
                                                           VirtAddr va, AccessType type,
                                                           SimTime now) const = 0;
@@ -121,9 +111,18 @@ class OwnerDrainOps {
   MIND_SERIALIZED_PATH [[nodiscard]] virtual SimTime NextSerialBoundary() const {
     return FaultPlane::kNever;
   }
-  MIND_PARALLEL_PHASE virtual AccessResult AccessOwned(int shard, ThreadId tid,
-                                                       ComputeBladeId blade, VirtAddr va,
-                                                       AccessType type, SimTime now) = 0;
+  // Never called (see above); returns kUnavailable.
+  MIND_PARALLEL_PHASE virtual AccessResult AccessOwned(int /*shard*/, ThreadId /*tid*/,
+                                                       ComputeBladeId /*blade*/,
+                                                       VirtAddr /*va*/,
+                                                       AccessType /*type*/,
+                                                       SimTime /*now*/) {
+    AccessResult r;
+    r.status =
+        Status(ErrorCode::kUnavailable, "OwnerDrainOps::AccessOwned is never called");
+    return r;
+  }
+  // Never called (see above).
   MIND_SERIALIZED_PATH virtual void Fold() {}
 };
 
@@ -165,8 +164,8 @@ class MemorySystem {
   //
   // Opens the submit/complete channel for one registered (thread, blade) pair; see
   // src/core/access_channel.h for the full classify/commit contract, including the
-  // per-2MB-region validity stamps and the phase discipline under which channel calls for
-  // different blades may run concurrently. Returning null opts the system out: the engine
+  // per-2MB-region validity stamps and the phase discipline under which channel calls run
+  // ahead of global order. Returning null opts the system out: the engine
   // then drives every op of that thread through Access on the serialized drain, which is
   // always correct (and is also the engine's reference mode for conformance testing).
   virtual std::unique_ptr<AccessChannel> OpenChannel(ThreadId /*tid*/,
@@ -190,11 +189,11 @@ class MemorySystem {
   // trailing epoch boundaries run exactly as they would under serial replay.
   MIND_SERIALIZED_PATH virtual void AdvanceTo(SimTime /*now*/) {}
 
-  // --- Owner-parallel coherence drains (src/workload/region_ownership.h) ---
+  // --- Ownership-aware coherence drains (src/workload/region_ownership.h) ---
   //
-  // Opens the ownership-aware drain contract for an N-shard replay; see OwnerDrainOps
-  // below. Returning null opts the system out: every drained op then takes the fully
-  // serialized merge step, which is always correct (and is the pre-ownership behavior).
+  // Opens the ownership-aware drain contract (OwnerDrainOps above); `num_shards` is
+  // informational. Returning null opts the system out: every drained op then takes the
+  // merge step, which is always correct.
   virtual std::unique_ptr<OwnerDrainOps> OpenOwnerDrain(int /*num_shards*/) {
     return nullptr;
   }

@@ -4,7 +4,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "src/baselines/memory_system.h"
 #include "src/core/mind.h"
@@ -54,14 +53,13 @@ class MindSystem final : public MemorySystem {
   MIND_SERIALIZED_PATH void AdvanceTo(SimTime now) override { rack_->AdvanceTo(now); }
 
   // Ownership-aware drain contract (OwnerDrainOps, memory_system.h) over the rack's
-  // owner-hit path: eligible ops are blade-confined TSO local hits, each costing exactly
+  // owner-hit check: eligible ops are blade-confined TSO local hits, each costing exactly
   // local_cache_hit; the next bounded-splitting epoch boundary is the rack's serialized
   // boundary (scheduled fault drains are clamped by the engine via NextScheduledFaultAt).
-  std::unique_ptr<OwnerDrainOps> OpenOwnerDrain(int num_shards) override {
+  std::unique_ptr<OwnerDrainOps> OpenOwnerDrain(int /*num_shards*/) override {
     class Drain final : public OwnerDrainOps {
      public:
-      Drain(Rack* rack, ProtDomainId pdid, int num_shards)
-          : rack_(rack), pdid_(pdid), scratch_(static_cast<size_t>(num_shards)) {}
+      Drain(Rack* rack, ProtDomainId pdid) : rack_(rack), pdid_(pdid) {}
 
       MIND_PARALLEL_PHASE [[nodiscard]] bool Eligible(ThreadId tid, ComputeBladeId blade,
                                                       VirtAddr va, AccessType type,
@@ -74,25 +72,12 @@ class MindSystem final : public MemorySystem {
       MIND_SERIALIZED_PATH [[nodiscard]] SimTime NextSerialBoundary() const override {
         return rack_->NextSplittingEpochEnd();
       }
-      MIND_PARALLEL_PHASE AccessResult AccessOwned(int shard, ThreadId tid,
-                                                   ComputeBladeId blade, VirtAddr va,
-                                                   AccessType type, SimTime now) override {
-        return rack_->AccessOwnedHit(AccessRequest{tid, blade, pdid_, va, type, now},
-                                     &scratch_[static_cast<size_t>(shard)]);
-      }
-      MIND_SERIALIZED_PATH void Fold() override {
-        for (Rack::OwnerHitScratch& s : scratch_) {
-          rack_->FoldOwnerHits(s);
-          s = {};
-        }
-      }
 
      private:
       Rack* rack_;
       ProtDomainId pdid_;
-      std::vector<Rack::OwnerHitScratch> scratch_;
     };
-    return std::make_unique<Drain>(rack_.get(), pdid_, num_shards);
+    return std::make_unique<Drain>(rack_.get(), pdid_);
   }
 
   bool SetPrefetchPolicy(PrefetchPolicy policy) override {

@@ -1,8 +1,8 @@
 // Dynamic mirror of the MIND_SERIALIZED_PATH / MIND_PARALLEL_PHASE static contract
 // (src/common/thread_annotations.h, docs/determinism.md).
 //
-// The replay engine brackets every parallel phase execution (channel scan/commit, owner-
-// parallel drain sub-rounds) in a ParallelPhaseScope. Serialized-only primitives — above
+// The replay engine brackets every parallel phase execution (channel scan/commit) in a
+// ParallelPhaseScope. Serialized-only primitives — above
 // all Rng draws — assert MIND_ASSERT_SERIALIZED_CONTEXT() at their entry, so a contract
 // violation that slips past tools/detlint.py (e.g. a draw behind a function pointer the
 // linter cannot follow) still dies loudly in any debug/sanitizer build instead of

@@ -22,10 +22,11 @@
 // peeked run over *private* regions of the same blade — the fix for the coherence-dense
 // sharded-replay regression (see ROADMAP "finer sharded-replay invalidation").
 //
-// Thread safety (the sharded-replay engine's phase discipline):
-//   * Submit/RunValid/Commit may run concurrently with the same calls on channels of OTHER
-//     blades, but never concurrently with Access/AdvanceTo, with control-plane calls, or
-//     with calls on a channel of the same blade.
+// Phase discipline (docs/determinism.md): the engine calls Submit/RunValid/Commit ahead
+// of global order, in channel rounds between serialized drains.
+//   * Commit may only touch state of the channel's blade and thread, so commits of
+//     different blades within one round commute with each other and with the round's
+//     position relative to other blades' coherence events below the horizon.
 //   * Neither Submit nor Commit may bump the system's SystemCounters: the engine accounts
 //     committed channel ops itself (total_accesses + local_hits), and the merged report
 //     adds them to the system's serialized-phase counter delta.
@@ -126,11 +127,10 @@ class AccessChannel {
 //     queue over the merged stream and advances the blade's FIFO resource once per batch,
 //     so grouped ops report exact latencies instead of op-at-a-time commit-finalization.
 //
-// The same phase discipline as AccessChannel applies: group calls for different blades
-// may run concurrently; a group call may only touch state owned by its blade plus
-// member-thread-private state, and never bumps SystemCounters (the engine accounts
-// committed ops itself). Groups support up to kMaxGroupLanes members; the engine falls
-// back to per-thread commits beyond that.
+// The same phase discipline as AccessChannel applies: a group call may only touch state
+// owned by its blade plus member-thread-private state, and never bumps SystemCounters
+// (the engine accounts committed ops itself). Groups support up to kMaxGroupLanes
+// members; the engine falls back to per-thread commits beyond that.
 
 // One member thread's slice of a group commit round. The engine fills the top block from
 // the member's submitted-run state; CommitMerged writes the bottom block back.

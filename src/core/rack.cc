@@ -407,7 +407,7 @@ bool Rack::TryLocalHit(const AccessRequest& req, SimTime now, AccessResult* res,
   return true;
 }
 
-// Owner-parallel drain support (contract notes in rack.h). Eligibility is the hit
+// Owner drain support (contract notes in rack.h). Eligibility is the hit
 // condition of Access step 1 re-stated over the read-only cache probe, further restricted
 // to configurations where the whole hit is blade/thread-confined: TSO (the PSO read
 // barrier mutates the shared pending-writes map), prefetching off (installs and window
@@ -425,27 +425,6 @@ MIND_PARALLEL_PHASE bool Rack::OwnerHitEligible(const AccessRequest& req) const 
     return false;
   }
   return req.type == AccessType::kRead || frame->writable;
-}
-
-MIND_PARALLEL_PHASE AccessResult Rack::AccessOwnedHit(const AccessRequest& req,
-                                                      OwnerHitScratch* scratch) {
-  ++scratch->total_accesses;
-  // Lookup (not the pipeline memo) so LRU recency moves exactly as the serial hit path
-  // would; the memo and PopulatePipeline are skipped per the channel contract — pure
-  // memoization, outcome-invariant. Epoch/drain pumping is skipped too: the engine only
-  // schedules owner hits strictly below every time-driven boundary, where the pumps are
-  // no-ops.
-  DramCache::Frame* frame = compute_blades_[req.blade]->cache().Lookup(PageNumber(req.va));
-  assert(frame != nullptr);  // Guaranteed by OwnerHitEligible under the phase discipline.
-  if (req.type == AccessType::kWrite) {
-    frame->dirty = true;
-  }
-  ++scratch->local_hits;
-  AccessResult res;
-  res.local_hit = true;
-  res.latency = lat_.local_cache_hit;  // TSO: no barrier displacement by construction.
-  res.completion = req.now + res.latency;
-  return res;
 }
 
 // AccessChannel over the blade-local hit path (see the contract notes in rack.h). Submit

@@ -78,9 +78,8 @@ class Rack {
   // Submit classifies a run as pure blade-local hits without mutating anything: the
   // accepted prefix is exactly the ops for which Access would return at step 0/1 (local
   // DRAM hit), with exact per-op latencies, tagged-frame-pointer commit tokens and the end
-  // clock. Safe to call concurrently with channels of different blades while no
-  // Access/control-plane call runs: it only reads the blade's cache index, the protection
-  // table and the channel thread's PSO pending-write list. Commit applies those hits' side
+  // clock. It only reads the blade's cache index, the protection table and the channel
+  // thread's PSO pending-write list. Commit applies those hits' side
   // effects — LRU recency and dirty bits — touching only the blade's own cache. The
   // pipeline memo and PSO pruning are deliberately skipped: both are pure memoization
   // whose absence never changes an access outcome, so channel-driven and serial replay
@@ -156,40 +155,14 @@ class Rack {
   // and may turn them into misses.
   [[nodiscard]] SimTime NextScheduledFaultAt() const { return fault_plane_.NextDrainAt(); }
 
-  // --- Owner-parallel drain support (OwnerDrainOps contract, memory_system.h) ---
-  //
-  // The owner-parallel hit path mirrors the channel contract above: a blade-confined
-  // local hit executed without the pipeline/translation memos (pure memoization, outcome-
-  // invariant) and without touching RackStats, so shards may run AccessOwnedHit for
-  // *different* blades concurrently while per-shard scratch absorbs the counters.
-
-  // Per-shard counter scratch for owner-parallel hits; folded via FoldOwnerHits.
-  struct OwnerHitScratch {
-    uint64_t total_accesses = 0;
-    uint64_t local_hits = 0;
-  };
+  // --- Owner drain support (OwnerDrainOps contract, memory_system.h) ---
 
   // True iff Access(req) would retire as a blade-local cache hit whose execution touches
-  // only req.blade's cache plus req.tid's state: TSO (the PSO read barrier erases pending-
-  // write map entries, which is thread-confined but not concurrency-safe against the map's
-  // other entries... see rack.cc), prefetching off (installs/re-arms mutate per-blade
-  // tables at arbitrary points), the frame present with a passing domain check, and
-  // writable when the op writes. Non-mutating; no epoch/drain pumping.
+  // only req.blade's cache plus req.tid's state: TSO (the PSO read barrier mutates the
+  // rack-wide pending-writes map; see rack.cc), prefetching off (installs/re-arms mutate
+  // per-blade tables at arbitrary points), the frame present with a passing domain
+  // check, and writable when the op writes. Non-mutating; no epoch/drain pumping.
   MIND_PARALLEL_PHASE [[nodiscard]] bool OwnerHitEligible(const AccessRequest& req) const;
-
-  // Executes one OwnerHitEligible-approved hit: LRU touch + dirty bit on req.blade's
-  // cache only, latency = local_cache_hit, counters into `scratch`. Bit-identical in
-  // outcome to Access at the same clock (the skipped memo priming and scheduled-event
-  // pumps are outcome-invariant below the engine's safety horizon).
-  MIND_PARALLEL_PHASE AccessResult AccessOwnedHit(const AccessRequest& req,
-                                                  OwnerHitScratch* scratch);
-
-  // Merges a shard's scratch counters into RackStats (serialized; engine calls it at
-  // phase barriers).
-  MIND_SERIALIZED_PATH void FoldOwnerHits(const OwnerHitScratch& scratch) {
-    stats_.total_accesses += scratch.total_accesses;
-    stats_.local_hits += scratch.local_hits;
-  }
 
   // Earliest bounded-splitting epoch boundary Access would run implicitly — the rack's
   // NextSerialBoundary for the owner drain (ops at or past it stay serialized so the

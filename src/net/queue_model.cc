@@ -1,7 +1,6 @@
 #include "src/net/queue_model.h"
 
 #include <algorithm>
-#include <vector>
 
 namespace mind {
 
@@ -37,82 +36,6 @@ class PassThroughModel final : public QueueModel {
   }
 };
 
-// Bounded free-interval list on the server timeline (Graphite's history-list shape).
-// Finite free intervals record gaps earlier allocations left behind; `tail_` is the time
-// after which the server is entirely free. A request takes the earliest interval that
-// fits at or after its arrival — short control messages backfill gaps in front of queued
-// page transfers instead of serializing behind them.
-class HistoryListQueueModel final : public QueueModel {
- public:
-  HistoryListQueueModel(SimTime window_ns, uint32_t depth)
-      : QueueModel(window_ns), depth_(depth == 0 ? 1 : depth) {}
-
-  [[nodiscard]] size_t free_intervals() const { return free_.size(); }
-
- protected:
-  Grant DoAcquire(SimTime arrival, SimTime service) override {
-    Expire();
-    // Earliest fit across the finite free intervals (kept sorted by start).
-    for (size_t i = 0; i < free_.size(); ++i) {
-      Interval& iv = free_[i];
-      const SimTime start = std::max(iv.start, arrival);
-      if (start + service > iv.end) {
-        continue;
-      }
-      const SimTime finish = start + service;
-      // Split the interval around the allocation; empty pieces vanish.
-      const Interval left{iv.start, start};
-      const Interval right{finish, iv.end};
-      free_.erase(free_.begin() + static_cast<ptrdiff_t>(i));
-      auto at = free_.begin() + static_cast<ptrdiff_t>(i);
-      if (right.end > right.start) {
-        at = free_.insert(at, right);
-      }
-      if (left.end > left.start) {
-        free_.insert(at, left);
-      }
-      Bound();
-      return Grant{start, finish, start - arrival};
-    }
-    // No gap fits: allocate from the free tail, recording the skipped gap (if any) as a
-    // new finite interval for later backfill.
-    const SimTime start = std::max(arrival, tail_);
-    if (start > tail_) {
-      free_.push_back(Interval{tail_, start});  // Starts past every finite interval.
-    }
-    tail_ = start + service;
-    Bound();
-    return Grant{start, start + service, start - arrival};
-  }
-
- private:
-  struct Interval {
-    SimTime start;
-    SimTime end;  // Half-open [start, end).
-  };
-
-  // Window expiry: a free interval wholly before the window floor can never serve a
-  // request inside the window the simulation is still advancing through.
-  void Expire() {
-    const SimTime floor = WindowFloor();
-    std::erase_if(free_, [floor](const Interval& iv) { return iv.end <= floor; });
-    if (tail_ < floor) {
-      tail_ = floor;
-    }
-  }
-
-  // History bound: drop the oldest gaps first (Graphite's bounded history list).
-  void Bound() {
-    while (free_.size() > depth_) {
-      free_.erase(free_.begin());
-    }
-  }
-
-  size_t depth_;
-  std::vector<Interval> free_;  // Sorted by start; disjoint.
-  SimTime tail_ = 0;            // Free for all t >= tail_ beyond the listed gaps.
-};
-
 // Windowed M/G/1 wait estimate: rho from the sliding demand window, mean service from
 // the same window, wait ≈ rho·S̄ / (2·(1 − rho)). rho is clamped below 1 so a saturated
 // window yields a large-but-finite (and deterministic) penalty instead of a singularity.
@@ -143,8 +66,6 @@ std::unique_ptr<QueueModel> MakeQueueModel(const FabricConfig& config) {
   switch (config.queue_model) {
     case QueueModelKind::kFifo:
       return std::make_unique<FifoQueueModel>(config.window_ns);
-    case QueueModelKind::kHistoryList:
-      return std::make_unique<HistoryListQueueModel>(config.window_ns, config.history_depth);
     case QueueModelKind::kWindowedMG1:
       return std::make_unique<WindowedMG1QueueModel>(config.window_ns);
   }

@@ -5,14 +5,10 @@
 // a hot memory blade, invalidation-wave fan-out and prefetch traffic stealing demand
 // bandwidth were all invisible. This header makes the queueing discipline pluggable, in
 // the shape Graphite's performance models proved out for deterministic discrete-time
-// simulators (history-list and windowed-M/G/1 queue models):
+// simulators (windowed-M/G/1 queue models):
 //
 //   * kFifo        — single-server busy-until FIFO, bit-identical to the historical
 //                    FifoResource::Acquire path (the default; replay timing is unchanged).
-//   * kHistoryList — a bounded list of free intervals on the server timeline. A request
-//                    takes the earliest interval that fits at or after its arrival, so a
-//                    short control message can backfill the gap in front of a queued page
-//                    transfer instead of waiting behind it.
 //   * kWindowedMG1 — an analytical M/G/1 wait estimate from recent demand: utilization
 //                    rho over a sliding window turns into wait ≈ rho·S̄ / (2·(1 − rho)).
 //                    Requests never serialize against each other directly; the *estimate*
@@ -42,7 +38,6 @@ namespace mind {
 
 enum class QueueModelKind : uint8_t {
   kFifo = 0,
-  kHistoryList,
   kWindowedMG1,
 };
 
@@ -50,8 +45,6 @@ enum class QueueModelKind : uint8_t {
   switch (kind) {
     case QueueModelKind::kFifo:
       return "fifo";
-    case QueueModelKind::kHistoryList:
-      return "history-list";
     case QueueModelKind::kWindowedMG1:
       return "windowed-mg1";
   }
@@ -67,8 +60,6 @@ struct FabricConfig {
   // a few dozen remote fetches at paper latencies — long enough to smooth bursts, short
   // enough that pressure decays once traffic moves away.
   SimTime window_ns = 200'000;
-  // Bound on the kHistoryList free-interval list (Graphite's history depth).
-  uint32_t history_depth = 64;
 };
 
 // One service point (a port direction, or a switch pipeline stage).

@@ -4,15 +4,11 @@
 // explicitly OUTSIDE the determinism contract: profiles are never part of the
 // deterministic digest, never feed back into simulated time, and are gated
 // behind ReplayOptions::profile (off = not constructed = zero clock reads on
-// any path). The exported Perfetto track answers the ROADMAP's H_safe-quantum /
-// barrier-cost questions: how long each parallel scan/commit phase, each
-// owner-parallel drain phase, each serialized drain stretch and each phase-
-// barrier wait actually took on the host.
+// any path). The exported Perfetto track shows how long each scan/commit phase
+// and each serialized drain stretch actually took on the host.
 //
-// Storage discipline (docs/determinism.md mailbox pattern): lane s is written
-// only by the thread currently executing shard s's phase; the dedicated serial
-// lane (index num_shards) only by the coordinating thread on the serialized
-// path. Reads happen after the worker join.
+// Lane s records shard s's scan/commit phases; the dedicated serial lane (index
+// num_shards) records the serialized drain.
 #ifndef MIND_SRC_OBS_PHASE_PROFILER_H_
 #define MIND_SRC_OBS_PHASE_PROFILER_H_
 
@@ -25,13 +21,12 @@ namespace mind {
 class PhaseProfiler {
  public:
   enum class Phase : uint8_t {
-    kScan = 0,         // Parallel scan phase (channel submit/classify).
-    kCommit = 1,       // Parallel commit phase (channel/group commits).
-    kOwnerDrain = 2,   // Owner-parallel drain sub-round phase.
-    kSerialDrain = 3,  // Serialized drain stretch (global merge steps).
-    kBarrierWait = 4,  // Coordinator's wait for the slowest shard at a barrier.
+    kScan = 0,         // Scan phase (channel submit/classify).
+    kCommit = 1,       // Commit phase (channel/group commits).
+    kSerialDrain = 2,  // Serialized drain stretch (merge steps and owner sub-rounds).
+    kBarrierWait = 3,  // Never recorded: replay runs on one thread, so it reads 0.
   };
-  static constexpr int kNumPhases = 5;
+  static constexpr int kNumPhases = 4;
   static constexpr size_t kMaxIntervalsPerLane = 1 << 14;
 
   struct Interval {
@@ -86,7 +81,6 @@ class PhaseProfiler {
     switch (p) {
       case Phase::kScan: return "scan";
       case Phase::kCommit: return "commit";
-      case Phase::kOwnerDrain: return "owner-drain";
       case Phase::kSerialDrain: return "serial-drain";
       case Phase::kBarrierWait: return "barrier-wait";
     }

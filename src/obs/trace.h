@@ -57,7 +57,7 @@ enum class TraceEventKind : uint8_t {
   // --- Execution events (engine scheduling; excluded from the digest) ---
   kChannelCommit = 15,    // a=ops committed, b=shard; clock=commit horizon.
   kGroupCommit = 16,      // a=ops committed, b=lanes; blade=group blade.
-  kDrainPhase = 17,       // a=ops retired in the owner-parallel phase, b=H_safe.
+  kDrainPhase = 17,       // a=ops retired in the owner sub-round, b=H_safe.
 };
 
 // Execution events are a suffix of the kind space; everything below is semantic.

@@ -27,9 +27,9 @@
 // after arrival) / late (demand arrived while still in flight) / evicted-unused /
 // discarded-stale, from which reports derive coverage and accuracy.
 //
-// Thread safety mirrors the AccessChannel phase discipline: all state here is owned by
+// State ownership mirrors the AccessChannel phase discipline: all state here is owned by
 // one blade (BladePrefetchState) or one (thread, blade) engine, mutated only on the
-// serialized drain or in same-blade channel commits — never concurrently.
+// serialized drain or in same-blade channel commits.
 #ifndef MIND_SRC_PREFETCH_PREFETCH_H_
 #define MIND_SRC_PREFETCH_PREFETCH_H_
 

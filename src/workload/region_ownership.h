@@ -5,19 +5,16 @@
 // run-validity stamps (DramCache::RegionOf) and the bounded-splitting floor all share —
 // gets a *home compute blade*: the blade whose threads touch the region most across the
 // workload's traces (ties break toward the lower blade id, so the map is a pure function
-// of the traces). A region's owner shard under an N-shard replay is then blade-affine,
-// `home_blade % N` — exactly the blade->shard deal the engine already uses for threads,
-// so a thread and the regions it predominantly touches always land on the same shard,
-// for every shard count at once.
+// of the traces).
 //
-// The replay engine uses the map as the *eligibility gate* of its owner-parallel drain
-// phases: an op may retire inside a phase only when its region's home blade is the
-// accessing thread's blade (the accessor's shard owns the region under every shard
-// decomposition simultaneously). Cross-region effects — a thread reaching into a region
+// The replay engine uses the map as the *eligibility gate* of its owner drain
+// sub-rounds: an op may retire inside a sub-round only when its region's home blade is
+// the accessing thread's blade. Cross-region effects — a thread reaching into a region
 // homed elsewhere, faults, invalidation waves, splits — are exactly what the gate routes
-// through the serialized merge step instead. Because the gate is shard-count-invariant,
-// the phase/serial composition of a drain (and with it every drain-occupancy counter) is
-// bit-identical across 1/2/4/8 shards, which keeps the conformance oracle simple.
+// through the serialized merge step instead. Because the gate never consults the shard
+// count, the sub-round/serial composition of a drain (and with it every drain-occupancy
+// counter) is bit-identical across 1/2/4/8 shards, which keeps the conformance oracle
+// simple.
 #ifndef MIND_SRC_WORKLOAD_REGION_OWNERSHIP_H_
 #define MIND_SRC_WORKLOAD_REGION_OWNERSHIP_H_
 
@@ -86,23 +83,14 @@ class RegionOwnership {
   [[nodiscard]] size_t num_regions() const { return credited_; }
 
   // Home compute blade of the region containing `va`; -1 for a region no trace op was
-  // credited to (callers treat unknown regions as cross-shard, i.e. serialized).
+  // credited to (callers treat unknown regions as foreign, i.e. serialized).
   [[nodiscard]] int HomeBlade(VirtAddr va) const {
     const uint64_t idx = RegionOf(va) - base_region_;
     return idx < home_.size() ? home_[idx] : -1;
   }
 
-  // Owner shard under an N-shard replay: blade-affine for known regions (matching the
-  // engine's blade->shard deal), hashed for unknown ones.
-  [[nodiscard]] int OwnerShard(VirtAddr va, int num_shards) const {
-    assert(num_shards > 0);
-    const int blade = HomeBlade(va);
-    return blade >= 0 ? blade % num_shards
-                      : static_cast<int>(RegionOf(va) % static_cast<uint64_t>(num_shards));
-  }
-
-  // True when the accessor's blade owns the region under every shard decomposition at
-  // once — the shard-count-invariant eligibility gate of the owner-parallel drain.
+  // True when the accessor's blade is the region's home — the shard-count-invariant
+  // eligibility gate of the owner drain.
   [[nodiscard]] bool OwnedByAccessor(VirtAddr va, ComputeBladeId accessor_blade) const {
     return HomeBlade(va) == static_cast<int>(accessor_blade);
   }

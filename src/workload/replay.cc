@@ -3,13 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <queue>
-#include <thread>
 #include <utility>
 
-#include "src/common/mutex.h"
 #include "src/common/phase_guard.h"
-#include "src/common/thread_annotations.h"
 
 namespace mind {
 
@@ -49,8 +45,8 @@ Status ReplayEngine::Setup() {
   }
   // Directory-region ownership (src/workload/region_ownership.h): home every 2 MB region
   // at the blade whose threads touch it most. A pure function of the traces, so the map —
-  // and with it the owner-parallel drain's phase/serial composition — is identical for
-  // every shard count, threading mode and replay path.
+  // and with it the owner drain's sub-round/serial composition — is identical for every
+  // shard count and replay path.
   for (size_t t = 0; t < traces_->threads.size(); ++t) {
     for (const TraceOp& op : traces_->threads[t].ops) {
       ownership_.Credit(AddressOf(op.segment, op.page), thread_blades_[t]);
@@ -101,7 +97,7 @@ struct ThreadRt {
   SimTime clock = 0;
   uint64_t next_op = 0;
   SimTime last_start = 0;  // Start timestamp of the last executed op (trailing epochs).
-  size_t index = 0;        // Global thread index (heap tie-break, same as per-op replay).
+  size_t index = 0;        // Global thread index (drain tie-break, as in per-op replay).
   ThreadId tid = 0;
   ComputeBladeId blade = 0;
   int shard = 0;
@@ -130,15 +126,11 @@ struct ThreadRt {
 };
 
 struct ShardRt {
-  std::vector<size_t> threads;                     // Owned global thread indices.
   std::vector<std::vector<size_t>> blade_threads;  // Grouped by owned blade.
   std::vector<ChannelGroup*> blade_groups;         // Parallel to blade_threads (or null).
   std::vector<GroupLane> lanes;                    // Per-round group-commit scratch.
   SimTime barrier = kNoHorizon;  // Scan result: earliest clock this shard cannot pass.
   bool any_blocked = false;
-  uint64_t phase_retired = 0;    // Ops this shard retired in the last owner-drain phase.
-  std::vector<size_t> phase_order;  // Owner-drain scratch: eligible threads, clock order.
-  Rng rng{0};  // Per-shard stream (reserved for stochastic replay extensions).
   ShardReport report;
 };
 
@@ -169,10 +161,10 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
   // --- Observability (src/obs/) -------------------------------------------
   // Constructed per Run so repeated Runs never mix artifacts. The trace scope's control
   // sink goes to the system (serialized-path semantic events); the engine itself writes
-  // only execution events, into per-shard mailbox sinks from parallel phases and into
-  // the control sink from the serialized drain. The profiler is wall-clock and never
-  // touches simulated state; the registry is filled at the report boundary and sampled
-  // on the serialized drain path.
+  // only execution events, into per-shard mailbox sinks: shard s's from its scan/commit
+  // phases, shard 0's also from the drain's owner sub-rounds. The profiler is wall-clock
+  // and never touches simulated state; the registry is filled at the report boundary and
+  // sampled on the serialized drain path.
   trace_scope_.reset();
   profiler_.reset();
   metrics_ = std::make_unique<MetricsRegistry>();
@@ -203,7 +195,6 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
   std::vector<ThreadRt> threads(traces.threads.size());
   std::vector<ShardRt> shards(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
-    shards[s].rng = Rng(options_.seed ^ (0x9e3779b97f4a7c15ull * (s + 1)));
     shards[s].blade_threads.resize(
         static_cast<size_t>((blades_used - s + num_shards - 1) / num_shards));
   }
@@ -216,9 +207,8 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
     th.shard = static_cast<int>(th.blade) % num_shards;
     th.channel = channels[t].get();
     th.finished = traces.threads[t].ops.empty();
-    ShardRt& sh = shards[th.shard];
-    sh.threads.push_back(t);
-    sh.blade_threads[static_cast<size_t>(th.blade) / num_shards].push_back(t);
+    const size_t slot = static_cast<size_t>(th.blade) / num_shards;
+    shards[th.shard].blade_threads[slot].push_back(t);
   }
 
   // Per-blade channel groups: wherever >= 2 channel-driven threads share a blade (and the
@@ -513,17 +503,16 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
     }
   };
 
-  // --- Serialized drain & owner-parallel drain phases ---------------------
+  // --- Serialized drain ----------------------------------------------------
 
-  // Ownership-aware drain contract (OwnerDrainOps, memory_system.h): non-null when the
-  // option is on and the system implements it. The reference path opens it too (one
-  // shard, sequential phases) — reference and fast paths exercise the same
-  // ownership-partitioned drain, diverging only in execution strategy.
-  std::unique_ptr<OwnerDrainOps> owner_ops =
-      options_.owner_parallel_drain ? system->OpenOwnerDrain(num_shards) : nullptr;
+  // Ownership-aware drain contract (OwnerDrainOps, memory_system.h), or null when the
+  // system does not implement it: then every drained op is ineligible and the drain runs
+  // one merge step at a time. The reference path opens it too, so reference and fast
+  // paths run the same ownership-partitioned drain.
+  std::unique_ptr<OwnerDrainOps> owner_ops = system->OpenOwnerDrain(num_shards);
   // Lower bound on how far one eligible op advances its thread's clock; the H_safe
   // lookahead below is sound exactly because of it. Zero (degenerate zero-cost configs)
-  // collapses every sub-round to a serialized step — still correct, never parallel.
+  // collapses every sub-round to a serialized step — still correct.
   const SimTime min_step = owner_ops != nullptr ? owner_ops->MinEligibleCost() + think : 0;
 
   SimTime next_sample = sample_interval;
@@ -545,11 +534,14 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
   // Earliest time-driven global event the drain must serialize: a scheduled fault-plane
   // drain, the system's own serial boundary (e.g. a bounded-splitting epoch end) and —
   // on the reference path — the next sampler observation point. Ops at or past it are
-  // never phase-eligible, so the event fires on a serialized step exactly as under
+  // never owner-eligible, so the event fires on a serialized step exactly as under
   // per-op replay. Recomputed whenever a serialized step may have fired one.
   SimTime drain_boundary = 0;
   auto compute_boundary = [&] {
-    SimTime b = std::min(system->NextScheduledFaultAt(), owner_ops->NextSerialBoundary());
+    SimTime b = system->NextScheduledFaultAt();
+    if (owner_ops != nullptr) {
+      b = std::min(b, owner_ops->NextSerialBoundary());
+    }
     if (sampler != nullptr) {
       b = std::min(b, next_sample);
     }
@@ -560,12 +552,10 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
   // eligibility verdict — start clock below the boundary, region homed at the accessing
   // thread's blade (RegionOwnership: gate identical for every shard count), and the
   // system vouching for a blade-confined hit. Cached per thread; a stale-false verdict
-  // only costs parallelism, never correctness, and every invalidation rule below is a
-  // deterministic function of the executed-op sequence — so the drain's phase/serial
-  // composition is identical across shard counts and threading modes.
-  auto classify = [&](ThreadRt& th) {  // MIND_PARALLEL_PHASE
-    // Runs both on the serialized sub-round scan and inside owner-parallel phases
-    // (re-classification after a retired op) — tagged for the stricter context.
+  // only costs a merge step, never correctness, and every invalidation rule below is a
+  // deterministic function of the executed-op sequence — so the drain's sub-round/serial
+  // composition is identical across shard counts.
+  auto classify = [&](ThreadRt& th) {  // MIND_SERIALIZED_PATH
     if (th.drain_classified) {
       return;
     }
@@ -573,9 +563,40 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
     th.top_va = AddressOf(op.segment, op.page);
     th.top_type = op.type;
     th.drain_eligible =
-        th.clock < drain_boundary && ownership_.OwnedByAccessor(th.top_va, th.blade) &&
+        owner_ops != nullptr && th.clock < drain_boundary &&
+        ownership_.OwnedByAccessor(th.top_va, th.blade) &&
         owner_ops->Eligible(th.tid, th.blade, th.top_va, th.top_type, th.clock);
     th.drain_classified = true;
+  };
+
+  // Books one op the drain executed through Access for its thread: shard accounting,
+  // clock advance and run-cursor alignment. Shared by the merge step and the owner
+  // sub-round.
+  auto retire_drained = [&](ThreadRt& th, SimTime latency) {  // MIND_SERIALIZED_PATH
+    ShardReport& rep = shards[th.shard].report;
+    rep.latency_histogram.Record(latency);
+    rep.latency_sum += latency;
+    ++rep.drained_ops;
+    th.last_start = th.clock;
+    th.clock += latency + think;
+    if (th.buf_valid && th.buf_pos < th.buf_len) {
+      // Alignment invariant: comps[buf_pos] always classifies trace op next_op, so the
+      // op the drain just executed is positionally the run's next classified op —
+      // advance the cursor in tandem. A still-region-valid run then resumes on the
+      // fast path at the next round instead of being thrown away and reclassified
+      // (drained hits used to poison the whole submitted window). State drift is
+      // covered exactly as for commits: membership/writability/domain changes bump the
+      // stamped regions (killing the run via RunValid), while recency and dirtiness
+      // never affect classification.
+      ++th.buf_pos;
+    } else {
+      th.ran_in_drain = true;  // Past the classified prefix: the run is stale.
+    }
+    rep.makespan = std::max(rep.makespan, th.clock);
+    th.drain_classified = false;
+    if (++th.next_op >= traces.threads[th.index].ops.size()) {
+      th.finished = true;
+    }
   };
 
   // One serialized merge step: thread `t`'s next op through the reference per-op
@@ -599,280 +620,52 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
         next_sample += sample_interval;
       }
     }
-    const auto& ops = traces.threads[t].ops;
-    const TraceOp& op = ops[th.next_op];
+    const TraceOp& op = traces.threads[t].ops[th.next_op];
     const AccessResult r =
         system->Access(th.tid, th.blade, AddressOf(op.segment, op.page), op.type,
                        th.clock);
-    ShardRt& sh = shards[th.shard];
-    sh.report.latency_histogram.Record(r.latency);
-    sh.report.latency_sum += r.latency;
-    ++sh.report.drained_ops;
-    th.last_start = th.clock;
-    th.clock += r.latency + think;
-    if (th.buf_valid && th.buf_pos < th.buf_len) {
-      // Alignment invariant: comps[buf_pos] always classifies trace op next_op, so the
-      // op the drain just executed is positionally the run's next classified op —
-      // advance the cursor in tandem. A still-region-valid run then resumes on the
-      // fast path at the next round instead of being thrown away and reclassified
-      // (drained hits used to poison the whole submitted window). State drift is
-      // covered exactly as for commits: membership/writability/domain changes bump the
-      // stamped regions (killing the run via RunValid), while recency and dirtiness
-      // never affect classification.
-      ++th.buf_pos;
-    } else {
-      th.ran_in_drain = true;  // Past the classified prefix: the run is stale.
-    }
-    sh.report.makespan = std::max(sh.report.makespan, th.clock);
-    th.drain_classified = false;
-    if (++th.next_op >= ops.size()) {
-      th.finished = true;
-    }
+    retire_drained(th, r.latency);
     sample_metrics(th.clock);
     return SerialStep{r.local_hit, !r.status.ok(), r.wave_base, r.wave_end};
   };
 
-  const bool use_threads =
-      num_shards > 1 &&
-      (options_.force_threads || std::thread::hardware_concurrency() > 1);
-
-  // Owner-parallel drain phase, one shard's slice: retire the shard's threads' eligible
-  // top ops with start clocks strictly below `h_safe`, in shard-local (clock, index)
-  // order. Same-blade threads always share a shard, so every per-blade structure (cache
-  // LRU, FIFO locks) advances in exactly the relative order serial replay produces;
-  // cross-blade phase ops commute. Threaded phases execute through
-  // OwnerDrainOps::AccessOwned (per-shard counter scratch, no global memos); sequential
-  // phases — single shard, single core, or the reference path — use plain Access, whose
-  // extra memo work is pure memoization and whose epoch/drain pumps are no-ops below the
-  // boundary. Outcomes are bit-identical either way.
-  auto owner_phase_shard = [&](int s, SimTime h_safe) {  // MIND_PARALLEL_PHASE
-    ShardRt& sh = shards[s];
-    uint64_t retired = 0;
-    // Every eligible thread retires at most one op per phase: its clock advances by at
-    // least min_step, landing at or past h_safe (h_safe <= clock + min_step by
-    // construction). So one pass in (clock, index) order visits exactly the sequence the
-    // repeated global-argmin scan would — collect, sort, retire.
-    sh.phase_order.clear();
-    for (const size_t t : sh.threads) {
-      const ThreadRt& th = threads[t];
-      if (!th.finished && th.drain_eligible && th.clock < h_safe) {
-        sh.phase_order.push_back(t);
-      }
-    }
-    if (sh.phase_order.size() > 1) {
-      std::sort(sh.phase_order.begin(), sh.phase_order.end(), [&](size_t a, size_t b) {
-        return threads[a].clock != threads[b].clock ? threads[a].clock < threads[b].clock
-                                                    : threads[a].index < threads[b].index;
-      });
-    }
-    for (const size_t t : sh.phase_order) {
-      ThreadRt& th = threads[t];
-      const AccessResult r =
-          use_threads
-              ? owner_ops->AccessOwned(s, th.tid, th.blade, th.top_va, th.top_type,
-                                       th.clock)
-              // detlint: allow(parallel-serialized-call): single-shard sequential phases run
-              // reference Access; eligible ops are blade-confined hits that never draw.
-              : system->Access(th.tid, th.blade, th.top_va, th.top_type, th.clock);
-      sh.report.latency_histogram.Record(r.latency);
-      sh.report.latency_sum += r.latency;
-      ++sh.report.drained_ops;
-      ++sh.report.owner_drained;
-      th.last_start = th.clock;
-      th.clock += r.latency + think;
-      if (th.buf_valid && th.buf_pos < th.buf_len) {
-        ++th.buf_pos;  // Run-cursor alignment, exactly as on the serialized step.
-      } else {
-        th.ran_in_drain = true;
-      }
-      sh.report.makespan = std::max(sh.report.makespan, th.clock);
-      th.drain_classified = false;
-      ++retired;
-      if (++th.next_op >= traces.threads[th.index].ops.size()) {
-        th.finished = true;
-      } else {
-        // Re-classify on the fly: hits never evict, insert or fire events, so every
-        // other thread's verdict is still exact — only this thread's top changed.
-        classify(th);
-      }
-    }
-    sh.phase_retired = retired;
-  };
-
-  // --- Worker pool ---------------------------------------------------------
-
-  enum class Phase : uint8_t { kScan, kCommit, kOwnerDrain };
-  // Phase-barrier state, fully guarded by `mu` (Clang Thread Safety Analysis proves it
-  // in the CI static-analysis job; waits are manual loops because TSA analyzes predicate
-  // lambdas as functions that do not hold the caller's capability).
-  struct Sync {
-    Mutex mu;
-    CondVar work_cv;
-    CondVar done_cv;
-    uint64_t gen MIND_GUARDED_BY(mu) = 0;
-    Phase phase MIND_GUARDED_BY(mu) = Phase::kScan;
-    SimTime horizon MIND_GUARDED_BY(mu) = 0;  // Commit horizon, or owner-drain H_safe.
-    int remaining MIND_GUARDED_BY(mu) = 0;
-    bool exit MIND_GUARDED_BY(mu) = false;
-  } sync;
-
-  // Wall-clock phase mapping for the profiler (lane s written only by the thread running
-  // shard s's phase — the mailbox discipline of docs/determinism.md).
-  auto prof_phase = [](Phase p) {
-    switch (p) {
-      case Phase::kScan:
-        return PhaseProfiler::Phase::kScan;
-      case Phase::kCommit:
-        return PhaseProfiler::Phase::kCommit;
-      case Phase::kOwnerDrain:
-        return PhaseProfiler::Phase::kOwnerDrain;
-    }
-    return PhaseProfiler::Phase::kScan;
-  };
-  auto run_one = [&](int s, Phase phase, SimTime horizon) {  // MIND_PARALLEL_PHASE
-    // Dynamic half of the phase contract: while the scope is live, Rng draws assert.
-    // Sequential executions get the same bracket — phase work is draw-free by
-    // construction in every mode (eligibility gates exclude anything that could).
-    ParallelPhaseScope in_phase;
-    const uint64_t prof_start = prof != nullptr ? prof->Begin() : 0;
-    switch (phase) {
-      case Phase::kScan:
+  // Scan and commit run ahead of global order, shard after shard on this thread; each
+  // execution is bracketed as a parallel phase (docs/determinism.md) and profiled on its
+  // shard's lane.
+  auto run_phase = [&](PhaseProfiler::Phase phase,  // MIND_PARALLEL_PHASE
+                       SimTime horizon) {
+    for (int s = 0; s < num_shards; ++s) {
+      // Dynamic half of the phase contract: while the scope is live, Rng draws assert.
+      ParallelPhaseScope in_phase;
+      const uint64_t prof_start = prof != nullptr ? prof->Begin() : 0;
+      if (phase == PhaseProfiler::Phase::kScan) {
         scan_shard(s);
-        break;
-      case Phase::kCommit:
+      } else {
         commit_shard(s, horizon);
-        break;
-      case Phase::kOwnerDrain:
-        owner_phase_shard(s, horizon);
-        break;
-    }
-    if (prof != nullptr) {
-      prof->End(static_cast<size_t>(s), prof_phase(phase), prof_start);
-    }
-  };
-  std::vector<std::thread> workers;
-  if (use_threads) {
-    workers.reserve(static_cast<size_t>(num_shards) - 1);
-    for (int s = 1; s < num_shards; ++s) {
-      workers.emplace_back([&, s] {
-        uint64_t seen = 0;
-        for (;;) {
-          Phase phase;
-          SimTime horizon;
-          {
-            MutexLock lk(sync.mu);
-            while (!sync.exit && sync.gen == seen) {
-              sync.work_cv.Wait(sync.mu);
-            }
-            if (sync.exit) {
-              return;
-            }
-            seen = sync.gen;
-            phase = sync.phase;
-            horizon = sync.horizon;
-          }
-          run_one(s, phase, horizon);
-          {
-            MutexLock lk(sync.mu);
-            if (--sync.remaining == 0) {
-              sync.done_cv.NotifyOne();
-            }
-          }
-        }
-      });
-    }
-  }
-  auto run_phase = [&](Phase phase, SimTime horizon) {
-    if (!use_threads) {
-      for (int s = 0; s < num_shards; ++s) {
-        run_one(s, phase, horizon);
       }
-      return;
-    }
-    {
-      MutexLock lk(sync.mu);
-      sync.phase = phase;
-      sync.horizon = horizon;
-      sync.remaining = num_shards - 1;
-      ++sync.gen;
-    }
-    sync.work_cv.NotifyAll();
-    run_one(0, phase, horizon);
-    const uint64_t wait_start = prof != nullptr ? prof->Begin() : 0;
-    {
-      MutexLock lk(sync.mu);
-      while (sync.remaining != 0) {
-        sync.done_cv.Wait(sync.mu);
+      if (prof != nullptr) {
+        prof->End(static_cast<size_t>(s), phase, prof_start);
       }
-    }
-    if (prof != nullptr) {
-      // The coordinator's stall for the slowest shard: the barrier cost the ROADMAP's
-      // H_safe-quantum question asks about, on its own serial-lane track.
-      prof->End(prof->serial_lane(), PhaseProfiler::Phase::kBarrierWait, wait_start);
     }
   };
 
   // Serialized drain: the reference algorithm over *all* threads. In bounded mode it
-  // runs until the coherence burst passes and hands back to the parallel phase;
+  // runs until the coherence burst passes and hands back to the channel rounds;
   // unbounded it IS serial replay, with sampler observation points between ops.
-  // Correctness does not depend on the exit policy. Without an owner contract, every op
-  // takes the global min-heap one at a time (the pre-ownership drain); with one, the
-  // drain runs in sub-rounds — classify every unfinished thread's top op, derive the
-  // safety horizon H_safe = min over threads of (eligible ? clock + min_step : clock),
-  // and either retire all eligible ops below H_safe owner-parallel (their clocks
-  // provably precede every other top, and executed ops land at or past H_safe) or
-  // execute the exact global (clock, thread) minimum serially.
-  using Item = std::pair<SimTime, size_t>;
-  std::vector<Item> heap;
-  heap.reserve(threads.size());
-  const auto heap_cmp = [](const Item& a, const Item& b) { return a > b; };  // Min-heap.
-  // Sequential-mode phase scratch: eligible threads collected by the sub-round scan, so
-  // the phase retires straight off the scan instead of re-scanning every shard's threads
-  // through the worker-pool machinery (the dominant drain overhead at a few ops/phase).
-  std::vector<size_t> phase_seq;
-  phase_seq.reserve(threads.size());
+  // Correctness does not depend on the exit policy. The drain runs in sub-rounds:
+  // classify every unfinished thread's top op, derive the safety horizon H_safe = min
+  // over threads of (eligible ? clock + min_step : clock), and either retire the eligible
+  // ops below H_safe as one owner sub-round (their clocks provably precede every other
+  // top, and executed ops land at or past H_safe) or execute the exact global
+  // (clock, thread) minimum as one merge step.
+  std::vector<size_t> eligible;  // Sub-round scratch: the scan's eligible threads.
+  eligible.reserve(threads.size());
   auto drain = [&](bool bounded, uint32_t max_coherence_ops,  // MIND_SERIALIZED_PATH
                    uint32_t hit_streak_exit) {
     uint32_t coherence_ops = 0;
     uint32_t hit_streak = 0;
-    if (owner_ops == nullptr) {
-      // Pre-ownership serial drain. The min-heap buffer persists across invocations:
-      // bounded drains run once per round in coherence-dense stretches, and a fresh
-      // priority_queue per call would pay an allocation each time.
-      heap.clear();
-      for (size_t t = 0; t < threads.size(); ++t) {
-        if (!threads[t].finished) {
-          heap.emplace_back(threads[t].clock, t);
-        }
-      }
-      std::make_heap(heap.begin(), heap.end(), heap_cmp);
-      while (!heap.empty()) {
-        std::pop_heap(heap.begin(), heap.end(), heap_cmp);
-        const size_t t = heap.back().second;
-        heap.pop_back();
-        const bool hit = exec_serial(t).hit;
-        if (!threads[t].finished) {
-          heap.emplace_back(threads[t].clock, t);
-          std::push_heap(heap.begin(), heap.end(), heap_cmp);
-        }
-        if (!bounded) {
-          continue;
-        }
-        if (hit) {
-          if (++hit_streak >= hit_streak_exit) {
-            break;
-          }
-        } else {
-          hit_streak = 0;
-          if (++coherence_ops >= max_coherence_ops) {
-            break;
-          }
-        }
-      }
-      return;
-    }
-    // Owner-partitioned drain. Everything outside the drain (channel commits, scans,
-    // horizon work) may have moved caches and boundaries, so start from a clean slate.
+    // Everything outside the drain (channel commits, scans, horizon work) may have moved
+    // caches and boundaries, so start from a clean slate.
     for (ThreadRt& th : threads) {
       th.drain_classified = false;
     }
@@ -881,7 +674,7 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
       SimTime h_safe = kNoHorizon;
       SimTime min_eligible = kNoHorizon;
       size_t t_min = SIZE_MAX;
-      phase_seq.clear();
+      eligible.clear();
       for (size_t t = 0; t < threads.size(); ++t) {
         ThreadRt& th = threads[t];
         if (th.finished) {
@@ -891,92 +684,52 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
         h_safe = std::min(h_safe, th.drain_eligible ? th.clock + min_step : th.clock);
         if (th.drain_eligible) {
           min_eligible = std::min(min_eligible, th.clock);
-          phase_seq.push_back(t);
+          eligible.push_back(t);
         }
         if (t_min == SIZE_MAX || th.clock < threads[t_min].clock) {
-          t_min = t;  // Ascending t: first occurrence wins clock ties, as the heap would.
+          t_min = t;  // Ascending t: first occurrence wins clock ties.
         }
       }
       if (t_min == SIZE_MAX) {
         break;  // All threads finished.
       }
-      const bool phase_work = min_eligible < h_safe;
-      if (phase_work) {
-        uint64_t retired = 0;
-        // Bounded drains exist to ride out a coherence burst and hand back to the
-        // channels, whose batched group commits retire hits far cheaper than any drain
-        // path. An uncapped phase would retire every eligible op below H_safe —
-        // overshooting the hit-streak exit and bouncing channel-committable work into
-        // the drain — so cap the phase at the remaining streak budget and retire the
-        // capped prefix in global (clock, index) order. Cap and prefix depend only on
-        // global state, so the drain composition (and the serialized-fraction metric)
-        // stays identical across shard counts and threading modes.
+      if (min_eligible < h_safe) {
+        // Owner sub-round: retire the eligible ops below H_safe in global
+        // (clock, index) order. Bounded drains exist to ride out a coherence burst and
+        // hand back to the channels, whose batched group commits retire hits far cheaper
+        // than any drain path, so cap the sub-round at the remaining streak budget. Cap
+        // and prefix depend only on global state, so the drain composition (and the
+        // serialized-fraction metric) stays identical across shard counts.
         const uint64_t budget = bounded ? hit_streak_exit - hit_streak : UINT64_MAX;
-        bool threaded_phase = use_threads;
-        if (use_threads && bounded) {
-          size_t below = 0;
-          for (const size_t t : phase_seq) {
-            below += threads[t].clock < h_safe ? size_t{1} : size_t{0};
-          }
-          threaded_phase = below <= budget;  // Whole phase fits: keep it parallel.
+        if (eligible.size() > 1) {
+          std::sort(eligible.begin(), eligible.end(), [&](size_t a, size_t b) {
+            return threads[a].clock != threads[b].clock
+                       ? threads[a].clock < threads[b].clock
+                       : threads[a].index < threads[b].index;
+          });
         }
-        if (threaded_phase) {
-          run_phase(Phase::kOwnerDrain, h_safe);
-          owner_ops->Fold();  // Per-shard counter scratch -> system counters.
-          for (ShardRt& sh : shards) {
-            retired += sh.phase_retired;
-            sh.phase_retired = 0;
+        uint64_t retired = 0;
+        for (const size_t t : eligible) {
+          ThreadRt& th = threads[t];
+          if (th.clock >= h_safe || retired >= budget) {
+            break;  // Sorted ascending: every later entry is at or past H_safe.
           }
-        } else {
-          // Fused sequential phase: retire straight off the scan's eligible list in
-          // global (clock, index) order. Same-blade threads always share a shard, so
-          // their relative order matches the shard-local sort exactly, and cross-blade
-          // phase ops commute — bit-identical to the shard-major and threaded
-          // executions, minus the per-shard scratch/dispatch per phase.
-          if (phase_seq.size() > 1) {
-            std::sort(phase_seq.begin(), phase_seq.end(), [&](size_t a, size_t b) {
-              return threads[a].clock != threads[b].clock
-                         ? threads[a].clock < threads[b].clock
-                         : threads[a].index < threads[b].index;
-            });
-          }
-          for (const size_t t : phase_seq) {
-            ThreadRt& th = threads[t];
-            if (th.clock >= h_safe || retired >= budget) {
-              break;  // Sorted ascending: every later entry is at or past H_safe.
-            }
-            ShardRt& sh = shards[th.shard];
-            const AccessResult r =
-                system->Access(th.tid, th.blade, th.top_va, th.top_type, th.clock);
-            sh.report.latency_histogram.Record(r.latency);
-            sh.report.latency_sum += r.latency;
-            ++sh.report.drained_ops;
-            ++sh.report.owner_drained;
-            th.last_start = th.clock;
-            th.clock += r.latency + think;
-            if (th.buf_valid && th.buf_pos < th.buf_len) {
-              ++th.buf_pos;  // Run-cursor alignment, exactly as on the serialized step.
-            } else {
-              th.ran_in_drain = true;
-            }
-            sh.report.makespan = std::max(sh.report.makespan, th.clock);
-            th.drain_classified = false;
-            ++retired;
-            if (++th.next_op >= traces.threads[th.index].ops.size()) {
-              th.finished = true;
-            } else {
-              // Hits never evict, insert or fire events — only this thread's verdict
-              // moved; refresh it on the fly for the next sub-round's scan.
-              classify(th);
-            }
+          const AccessResult r =
+              system->Access(th.tid, th.blade, th.top_va, th.top_type, th.clock);
+          retire_drained(th, r.latency);
+          ++shards[th.shard].report.owner_drained;
+          ++retired;
+          if (!th.finished) {
+            // Hits never evict, insert or fire events — only this thread's verdict
+            // moved; refresh it for the next sub-round's scan.
+            classify(th);
           }
         }
         if (exec_sinks[0] != nullptr && retired != 0) [[unlikely]] {
-          // Execution event: one owner-parallel drain sub-round, stamped at its safety
-          // horizon. Deliberately NOT the control sink — the control ring must hold only
-          // the semantic stream, so drop-oldest overflow displaces the same events for
-          // every shard count; round-cadence execution events go to the shard-0 mailbox
-          // (the drain is serialized, so no phase writer is live here).
+          // Execution event: one owner sub-round, stamped at its safety horizon.
+          // Deliberately NOT the control sink — the control ring must hold only the
+          // semantic stream, so drop-oldest overflow displaces the same events for every
+          // shard count; round-cadence execution events go to the shard-0 mailbox.
           TraceEvent ev;
           ev.kind = TraceEventKind::kDrainPhase;
           ev.clock = h_safe;
@@ -985,7 +738,7 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
           exec_sinks[0]->Emit(ev);
         }
         if (bounded) {
-          // Phase ops are hits by construction; the streak accumulates in bulk (any
+          // Sub-round ops are hits by construction; the streak accumulates in bulk (any
           // deterministic, layout-invariant policy preserves bit-identity of results).
           hit_streak += static_cast<uint32_t>(std::min<uint64_t>(retired, UINT32_MAX));
           if (hit_streak >= hit_streak_exit) {
@@ -1035,7 +788,7 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
           drain_boundary = fresh;
         }
         // A hit below the boundary fires nothing and never evicts or inserts — only the
-        // executed thread's verdict (cleared inside exec_serial) went stale.
+        // executed thread's verdict (cleared by retire_drained) went stale.
         if (bounded) {
           if (step.hit) {
             if (++hit_streak >= hit_streak_exit) {
@@ -1052,9 +805,7 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
     }
   };
 
-  // Serialized drain stretches record on the profiler's serial lane; nested
-  // owner-parallel sub-rounds still record on their shard lanes (the serial-drain
-  // interval contains them — see docs/observability.md).
+  // Serialized drain stretches record on the profiler's serial lane.
   auto timed_drain = [&](bool bounded, uint32_t max_coherence_ops,  // MIND_SERIALIZED_PATH
                          uint32_t hit_streak_exit) {
     const uint64_t drain_start = prof != nullptr ? prof->Begin() : 0;
@@ -1071,18 +822,18 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
 
     // Adaptive drain exit policy (deterministic, hence result-invariant — the drain is
     // always in exact global order): on coherence-dense stretches, rounds commit almost
-    // nothing and the scan/commit/barrier machinery is pure overhead, so each
-    // unproductive round lets the next drain run geometrically longer — both more
-    // coherence ops and a longer hit streak before it hands back — keeping the engine on
-    // the near-serial drain until real blade-local runs reappear; one productive round
-    // snaps the policy back to the configured bounds.
+    // nothing and the scan/commit machinery is pure overhead, so each unproductive round
+    // lets the next drain run geometrically longer — both more coherence ops and a
+    // longer hit streak before it hands back — keeping the engine on the near-serial
+    // drain until real blade-local runs reappear; one productive round snaps the policy
+    // back to the configured bounds.
     uint32_t drain_coherence_budget = options_.drain_max_coherence_ops;
     uint32_t drain_streak_exit = options_.drain_hit_streak_exit;
     constexpr uint32_t kMaxCoherenceBudget = 4096;
     constexpr uint32_t kMaxStreakExit = 64;
 
     for (;;) {
-      run_phase(Phase::kScan, 0);
+      run_phase(PhaseProfiler::Phase::kScan, 0);
       SimTime horizon = kNoHorizon;
       bool any_blocked = false;
       for (const ShardRt& sh : shards) {
@@ -1098,7 +849,7 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
       for (const ShardRt& sh : shards) {
         committed_before += sh.report.parallel_hits;
       }
-      run_phase(Phase::kCommit, horizon);
+      run_phase(PhaseProfiler::Phase::kCommit, horizon);
       bool all_finished = true;
       for (const ThreadRt& th : threads) {
         if (!th.finished) {
@@ -1128,16 +879,6 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
           drain_streak_exit = options_.drain_hit_streak_exit;
         }
       }
-    }
-  }
-  if (use_threads) {
-    {
-      MutexLock lk(sync.mu);
-      sync.exit = true;
-    }
-    sync.work_cv.NotifyAll();
-    for (std::thread& w : workers) {
-      w.join();
     }
   }
 

@@ -1,28 +1,29 @@
 // Trace replay engine: the memory-access emulator of §7, built on AccessChannels.
 //
-// ReplayEngine replays system-independent traces against any MemorySystem. Compute blades
-// are partitioned across N shards, each with its own logical-clock frontier, RNG stream,
-// latency histogram and counter block, and replay alternates between a parallel phase
-// (shards drive blade-local runs through the per-(thread, blade) AccessChannel
-// submit/complete contract — see src/core/access_channel.h) and a serialized drain
-// (coherence events — faults, invalidation waves, directory transitions, splitting epochs —
-// execute through per-op Access on one thread in global timestamp order). The handoff
-// between the two is a bounded epoch barrier: each round, every shard scans forward to the
-// timestamp of its first non-local op (or a bounded window), the minimum across shards
-// becomes the commit horizon H, and only ops starting strictly before H commit, in
-// per-blade (clock, thread) order. Because a channel-accepted op neither reads nor writes
-// anything a cross-shard coherence event can change (cache membership, permissions and PSO
-// barriers are only mutated by the serialized drain, and submitted runs are revalidated
-// against per-2MB-region version stamps), the merged result is bit-identical to
-// single-threaded per-op replay — same makespan, counters and latency histogram for 1, 2
-// or N shards, threads or no threads.
+// ReplayEngine replays system-independent traces against any MemorySystem, entirely on
+// the calling thread. Compute blades are partitioned across N shards, each with its own
+// latency histogram and counter block, and replay alternates between channel rounds
+// (each shard in turn drives blade-local runs through the per-(thread, blade)
+// AccessChannel submit/complete contract — see src/core/access_channel.h) and a
+// serialized drain (coherence events — faults, invalidation waves, directory
+// transitions, splitting epochs — execute through per-op Access in global timestamp
+// order). The handoff between the two is a bounded epoch horizon: each round, every
+// shard scans forward to the timestamp of its first non-local op (or a bounded window),
+// the minimum across shards becomes the commit horizon H, and only ops starting strictly
+// before H commit, in per-blade (clock, thread) order. Because a channel-accepted op
+// neither reads nor writes anything a cross-blade coherence event can change (cache
+// membership, permissions and PSO barriers are only mutated by the serialized drain, and
+// submitted runs are revalidated against per-2MB-region version stamps), the merged
+// result is bit-identical to per-op replay — same makespan, counters and latency
+// histogram for 1, 2 or N shards.
 //
 // Serial replay is the degenerate case of the same loop: one shard, same channels, same
-// drain. Two situations force the pure per-op reference path (every op through Access on
-// the global min-heap): a non-null sampler, which needs exact globally-ordered observation
-// points, and ReplayOptions::use_channels = false, the conformance baseline the channel
-// contract is tested against. An optional sampler observes the system at fixed
-// simulated-time intervals (used for the directory-occupancy time series of Fig. 8 left).
+// drain. Two situations force the pure per-op reference path (every op through the
+// drain in global (clock, thread) order): a non-null sampler, which needs exact
+// globally-ordered observation points, and ReplayOptions::use_channels = false, the
+// conformance baseline the channel contract is tested against. An optional sampler
+// observes the system at fixed simulated-time intervals (used for the
+// directory-occupancy time series of Fig. 8 left).
 #ifndef MIND_SRC_WORKLOAD_REPLAY_H_
 #define MIND_SRC_WORKLOAD_REPLAY_H_
 
@@ -33,7 +34,6 @@
 
 #include "src/baselines/memory_system.h"
 #include "src/common/histogram.h"
-#include "src/common/rng.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/phase_profiler.h"
 #include "src/obs/trace_scope.h"
@@ -87,7 +87,8 @@ struct ReplayReport {
 };
 
 struct ReplayOptions {
-  // Replay shards; clamped to [1, blades driven by the trace].
+  // Replay shards: a partition of the blades that the channel rounds visit in turn;
+  // clamped to [1, blades driven by the trace]. Results are bit-identical for any count.
   int shards = 1;
   // Drive blade-local runs through the systems' AccessChannels. Off = the per-op serial
   // reference path (every op through Access in exact global order) that the channel
@@ -102,33 +103,15 @@ struct ReplayOptions {
   // semantic: results are bit-identical on or off. Off = per-thread channel commits (the
   // plain-channel conformance path).
   bool use_channel_groups = true;
-  // Spawn worker threads even when the host reports a single hardware thread (TSan and
-  // scheduling tests). By default threads are used only for shards > 1 on multi-core
-  // hosts; results are bit-identical either way — threading is an execution strategy,
-  // never a semantic.
-  bool force_threads = false;
   // Per-thread run scan window per round: bounds submit-buffer memory and the wasted
-  // rescan when another shard's coherence event cuts the horizon short.
+  // rescan when another blade's coherence event cuts the horizon short.
   uint32_t scan_window_ops = 2048;
-  // Serialized-drain exit policy: hand back to the parallel phase after this many
+  // Serialized-drain exit policy: hand back to the channel rounds after this many
   // coherence (non-hit) ops, or as soon as this many consecutive hits show that a
   // blade-local run has resumed. Any deterministic policy preserves bit-identity; these
-  // only trade barrier crossings against serialized hit work.
+  // only trade channel rounds against serialized hit work.
   uint32_t drain_max_coherence_ops = 64;
   uint32_t drain_hit_streak_exit = 2;
-  // Partition the serialized drain itself by directory-region ownership
-  // (src/workload/region_ownership.h): whenever every unfinished thread's next op below
-  // the global safety horizon is an owner-homed blade-local hit (OwnerDrainOps,
-  // memory_system.h), the shards retire those ops concurrently — intra-shard without
-  // barriers — instead of one at a time through the global min-heap. Cross-region
-  // effects, faults, waves and every time-driven boundary still serialize. Like channels
-  // and groups, an execution strategy, never a semantic: results are bit-identical on or
-  // off, for every shard count, and the reference path engages it too. Off = the pure
-  // pre-ownership serial drain (the comparison baseline).
-  bool owner_parallel_drain = true;
-  // Base seed for the per-shard RNG streams (stream s draws from seed ^ f(s); reserved
-  // for stochastic replay extensions such as jittered think times).
-  uint64_t seed = 1;
   // Prefetch policy applied to the system at Setup (MemorySystem::SetPrefetchPolicy).
   // kNone — the default — leaves the system untouched, so replay stays bit-identical to
   // the pre-prefetch engine for every shard count. With a real policy, replay is
@@ -149,10 +132,10 @@ struct ReplayOptions {
 // Per-shard accounting, exposed for tests and perf analysis. The merged ReplayReport is
 // the sum/max over these plus the system's serialized-phase counter delta.
 struct ShardReport {
-  uint64_t parallel_hits = 0;  // Ops committed on the shard's concurrent channel path.
+  uint64_t parallel_hits = 0;  // Ops committed on the shard's channel path.
   uint64_t grouped_ops = 0;    // Subset of parallel_hits committed via per-blade groups.
   uint64_t drained_ops = 0;    // This shard's ops executed by the serialized drain.
-  uint64_t owner_drained = 0;  // Subset of drained_ops retired in owner-parallel phases.
+  uint64_t owner_drained = 0;  // Subset of drained_ops retired in owner sub-rounds.
   SimTime makespan = 0;
   uint64_t latency_sum = 0;
   Histogram latency_histogram;
@@ -174,9 +157,9 @@ class ReplayEngine {
   // segment's bandwidth across memory blades instead of pinning it to one).
   Status Setup();
 
-  // Replays the traces. A non-null sampler needs exact global-order observation points,
-  // so it forces the per-op reference path (documented fallback); otherwise the channel
-  // rounds run, with worker threads when shards > 1 (see ReplayOptions::force_threads).
+  // Replays the traces on the calling thread. A non-null sampler needs exact global-order
+  // observation points, so it forces the per-op reference path (documented fallback);
+  // otherwise the channel rounds run.
   ReplayReport Run(Sampler sampler = nullptr, SimTime sample_interval = 10 * kMillisecond);
 
   // VA of `page` within `segment` after Setup (tests poke at specific addresses).

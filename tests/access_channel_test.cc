@@ -478,32 +478,6 @@ TEST(ChannelGroup, GamContendedBladeCommitsExactLatencies) {
   EXPECT_EQ(pg.completion, ps.completion);
 }
 
-// Group commits under real worker threads (the TSan-exercised path): bit-identity and
-// group engagement must both hold when shards run their blades' merges concurrently.
-TEST(ChannelGroup, ForcedWorkerThreadsCommitGroups) {
-  const WorkloadTraces traces = GenerateTraces(CoherenceSpec(4, 2));
-  auto ref_sys = std::make_unique<MindSystem>(ConformanceRackConfig());
-  ReplayOptions ref_opts;
-  ref_opts.use_channels = false;
-  ReplayEngine ref(ref_sys.get(), &traces, ref_opts);
-  ASSERT_TRUE(ref.Setup().ok());
-  const ReplayReport want = ref.Run();
-
-  auto sys = std::make_unique<MindSystem>(ConformanceRackConfig());
-  ReplayOptions opts;
-  opts.shards = 4;
-  opts.force_threads = true;
-  ReplayEngine engine(sys.get(), &traces, opts);
-  ASSERT_TRUE(engine.Setup().ok());
-  const ReplayReport got = engine.Run();
-  ExpectReportsIdentical(want, got);
-  uint64_t grouped = 0;
-  for (const ShardReport& sr : engine.shard_reports()) {
-    grouped += sr.grouped_ops;
-  }
-  EXPECT_GT(grouped, 0u);
-}
-
 // ValidMask delivers per-member verdicts from one validation pass per blade: a wave into
 // one member's stamped region clears only that member's bit.
 TEST(ChannelGroup, MindValidMaskIsPerMember) {

@@ -244,15 +244,14 @@ TEST(FaultConformance, MindFullFaultStormIsModeInvariant) {
   ExpectFaultConformance(make, traces, want);
 }
 
-// --- The owner-parallel drain under fault schedules ----------------------------------------
+// --- The owner drain under fault schedules ------------------------------------------
 
 TEST(FaultConformance, OwnerParallelDrainInvariantUnderFaults) {
-  // The region-ownership drain partition (ReplayOptions::owner_parallel_drain) against
-  // three fault schedules — fault-free, 0.5% seeded loss, and a mid-replay scheduled
-  // blade drain — at 1/2/4/8 shards, groups on and off, plus the owner-off baseline.
-  // Every time-driven boundary serializes through the drain safety horizon
+  // The region-ownership drain partition against three fault schedules — fault-free,
+  // 0.5% seeded loss, and a mid-replay scheduled blade drain — at 1/2/4/8 shards, groups
+  // on and off. Every time-driven boundary serializes through the drain safety horizon
   // (NextScheduledFaultAt clamps it), so the results and the drain composition
-  // (owner-parallel subset included) are bit-identical across the whole matrix.
+  // (owner-drained subset included) are bit-identical across the whole matrix.
   const WorkloadTraces traces = GenerateTraces(CoherenceSpec(4));
   const SimTime makespan =
       SerialReference([] { return std::make_unique<MindSystem>(FaultRackConfig(0.0)); },
@@ -298,12 +297,6 @@ TEST(FaultConformance, OwnerParallelDrainInvariantUnderFaults) {
         }
       }
     }
-    // Owner-off baseline: the pre-ownership serial drain under the same schedule.
-    auto sys = make();
-    ReplayOptions off;
-    off.shards = 4;
-    off.owner_parallel_drain = false;
-    ExpectReportsIdentical(want, RunReplay(sys.get(), traces, off));
   }
 }
 

@@ -304,31 +304,6 @@ TEST(PrefetchEndToEnd, GamIssuesBehindTheLibraryLock) {
   EXPECT_GT(got.PrefetchCoverage(), 0.3);
 }
 
-// Prefetch state under real worker threads (TSan coverage): engines and per-blade
-// tables are only ever touched by their own blade's channel commits or the serialized
-// drain, so sharded replay with prefetching on must be race-free and deterministic.
-TEST(PrefetchEndToEnd, ShardedReplayWithThreadsIsDeterministic) {
-  const WorkloadTraces traces = GenerateTraces(StreamSpec(4, Pattern::kSequential));
-  auto run = [&](int shards) {
-    MindSystem sys(SmallRack(4));
-    ReplayOptions opts;
-    opts.shards = shards;
-    opts.force_threads = true;
-    opts.prefetch = PrefetchPolicy::kMajorityStride;
-    ReplayEngine engine(&sys, &traces, opts);
-    EXPECT_TRUE(engine.Setup().ok());
-    return engine.Run();
-  };
-  const ReplayReport a = run(4);
-  const ReplayReport b = run(4);
-  EXPECT_GT(a.prefetch.useful, 0u);
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.counters.local_hits, b.counters.local_hits);
-  EXPECT_EQ(a.prefetch.issued, b.prefetch.issued);
-  EXPECT_EQ(a.prefetch.useful, b.prefetch.useful);
-  EXPECT_TRUE(a.latency_histogram == b.latency_histogram);
-}
-
 TEST(PrefetchEndToEnd, PointerChaseProducesNoStrideSpeculation) {
   const WorkloadTraces traces = GenerateTraces(StreamSpec(1, Pattern::kPointerChase));
   MindSystem sys(SmallRack(1));

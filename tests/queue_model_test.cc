@@ -1,5 +1,5 @@
 // Unit tests for src/net/queue_model.h: kFifo equivalence with FifoResource,
-// history-list backfill + window expiry, windowed-M/G/1 load response, and the
+// windowed-M/G/1 load response, and the
 // determinism contract — replay stays bit-identical across the execution matrix with a
 // non-trivial queue model enabled under a live fault schedule.
 #include <gtest/gtest.h>
@@ -18,12 +18,10 @@
 namespace mind {
 namespace {
 
-FabricConfig Config(QueueModelKind kind, SimTime window = 200'000,
-                    uint32_t depth = 64) {
+FabricConfig Config(QueueModelKind kind, SimTime window = 200'000) {
   FabricConfig c;
   c.queue_model = kind;
   c.window_ns = window;
-  c.history_depth = depth;
   return c;
 }
 
@@ -60,61 +58,6 @@ TEST(QueueModel, FifoStageModelIsPassThrough) {
   }
   // Demand is still recorded: occupancy feedback works under the default too.
   EXPECT_GT(stage->Utilization(), 0.0);
-}
-
-// --- History list: backfill + window expiry --------------------------------------------
-
-TEST(QueueModel, HistoryListBackfillsGapFifoCannot) {
-  const auto hist = MakeQueueModel(Config(QueueModelKind::kHistoryList));
-  const auto fifo = MakeQueueModel(Config(QueueModelKind::kFifo));
-  // A page transfer arriving at t=50 leaves the interval [0, 50) free.
-  (void)hist->Acquire(/*arrival=*/50, /*service=*/100);
-  (void)fifo->Acquire(/*arrival=*/50, /*service=*/100);
-  // A short control message arriving at t=0 fits in front of it.
-  const auto h = hist->Acquire(/*arrival=*/0, /*service=*/40);
-  const auto f = fifo->Acquire(/*arrival=*/0, /*service=*/40);
-  EXPECT_EQ(h.start, 0u);
-  EXPECT_EQ(h.wait, 0u);
-  EXPECT_EQ(f.start, 150u);  // Busy-until FIFO queues it behind the page.
-  EXPECT_EQ(f.wait, 150u);
-}
-
-TEST(QueueModel, HistoryListSerializesWhenNoGapFits) {
-  const auto hist = MakeQueueModel(Config(QueueModelKind::kHistoryList));
-  const auto a = hist->Acquire(/*arrival=*/0, /*service=*/100);
-  const auto b = hist->Acquire(/*arrival=*/0, /*service=*/100);
-  EXPECT_EQ(a.start, 0u);
-  EXPECT_EQ(b.start, 100u);  // No gap in front: behaves like FIFO.
-  EXPECT_EQ(b.wait, 100u);
-}
-
-TEST(QueueModel, HistoryListWindowExpiry) {
-  // Small window: demand and free-interval history older than it must be forgotten.
-  const auto hist = MakeQueueModel(Config(QueueModelKind::kHistoryList,
-                                          /*window=*/1'000));
-  for (int i = 0; i < 8; ++i) {
-    (void)hist->Acquire(static_cast<SimTime>(i) * 10, /*service=*/100);
-  }
-  EXPECT_GT(hist->Utilization(), 0.0);
-  EXPECT_GT(hist->QueueDepth(), 0u);
-  // Jump far past the window: old demand expires and the tail is reachable again.
-  const auto late = hist->Acquire(/*arrival=*/1'000'000, /*service=*/10);
-  EXPECT_EQ(late.wait, 0u);
-  EXPECT_EQ(hist->QueueDepth(), 1u);  // Only the late request remains in the window.
-  EXPECT_EQ(hist->demand_sum(), 10u);
-}
-
-TEST(QueueModel, HistoryListBoundsFreeIntervals) {
-  // Punch many disjoint gaps with a tiny depth bound: the list must stay bounded and the
-  // model must keep granting (dropped gaps degrade to tail allocation, never crash).
-  const auto hist = MakeQueueModel(Config(QueueModelKind::kHistoryList,
-                                          /*window=*/10'000'000, /*depth=*/4));
-  for (int i = 0; i < 200; ++i) {
-    (void)hist->Acquire(static_cast<SimTime>(i) * 1'000, /*service=*/10);
-  }
-  const auto g = hist->Acquire(/*arrival=*/200'000, /*service=*/10);
-  EXPECT_GE(g.start, 200'000u);
-  EXPECT_EQ(g.finish, g.start + 10);
 }
 
 // --- Windowed M/G/1: analytical load response ------------------------------------------

@@ -1,7 +1,7 @@
 // Determinism tests for the channel-based replay engine: replaying the same trace with 1,
-// 2, 4 or 8 shards — threads or no threads, any scan window, any drain policy — must
-// produce results bit-identical to the per-op reference path (use_channels = false: every
-// op through MemorySystem::Access on the global min-heap): same makespan, same counter
+// 2, 4 or 8 shards — any scan window, any drain policy — must produce results
+// bit-identical to the per-op reference path (use_channels = false: every op through
+// MemorySystem::Access in global (clock, thread) order): same makespan, same counter
 // block, same latency histogram (every bucket), same throughput. The epoch-barrier merge
 // design makes this a hard invariant, not a tolerance. Cross-system conformance of the
 // AccessChannel contract itself (MIND, GAM, FastSwap) lives in access_channel_test.cc.
@@ -149,17 +149,6 @@ TEST(ShardedReplay, BitIdenticalUnderPso) {
   }
 }
 
-TEST(ShardedReplay, BitIdenticalWithForcedWorkerThreads) {
-  // Real worker threads even on single-core CI hosts; this is the TSan-exercised path.
-  const RackConfig config = TestRackConfig(4);
-  const WorkloadTraces traces = GenerateTraces(CoherenceHeavySpec(4));
-  const ReplayReport want = SerialReference(traces, config);
-  ReplayOptions opts;
-  opts.shards = 4;
-  opts.force_threads = true;
-  ExpectReportsIdentical(want, RunSharded(traces, config, opts));
-}
-
 TEST(ShardedReplay, BitIdenticalUnderStressedRoundMachinery) {
   // Tiny scan windows and a one-op drain maximize rounds and barrier crossings; the
   // result must not move.
@@ -184,9 +173,9 @@ TEST(ShardedReplay, BitIdenticalWithStoredPayloads) {
   ExpectReportsIdentical(want, RunSharded(traces, config, opts));
 }
 
-// Forwards every MemorySystem call but inherits the default (null) OpenChannel: the
-// opt-out contract must route every op through the serialized drain and still match the
-// per-op reference exactly.
+// Forwards every MemorySystem call but inherits the default (null) OpenChannel and
+// OpenOwnerDrain: the opt-out contracts must route every op through the serialized
+// drain's per-op merge step and still match the per-op reference exactly.
 class NoChannelSystem final : public MemorySystem {
  public:
   explicit NoChannelSystem(MemorySystem* inner) : inner_(inner) {}
@@ -229,10 +218,13 @@ TEST(ShardedReplay, SystemWithoutChannelsSerializes) {
   const ReplayReport got = sharded.Run();
   ExpectReportsIdentical(want, got);
   uint64_t parallel = 0;
+  uint64_t owner_drained = 0;
   for (const ShardReport& sr : sharded.shard_reports()) {
     parallel += sr.parallel_hits;
+    owner_drained += sr.owner_drained;
   }
   EXPECT_EQ(parallel, 0u);
+  EXPECT_EQ(owner_drained, 0u);  // No owner contract: every drained op is ineligible.
 }
 
 TEST(ShardedReplay, SamplerFallsBackToReferencePath) {
@@ -267,15 +259,14 @@ TEST(ShardedReplay, ShardCountClampsToBlades) {
   EXPECT_EQ(engine.effective_shards(), 2);
 }
 
-// --- Directory-region ownership: the owner-parallel drain ---------------------------------
+// --- Directory-region ownership: the owner drain ------------------------------------
 //
-// ReplayOptions::owner_parallel_drain partitions the serialized drain itself by
-// 2 MB-region ownership (src/workload/region_ownership.h): whenever every unfinished
-// thread's next op below the global safety horizon is an owner-homed blade-local hit,
-// shards retire those ops concurrently instead of one at a time through the global
-// min-heap. Like channels and groups it is an execution strategy, never a semantic —
-// these tests pin the bit-identity, the engagement, and the shard-count invariance of
-// the drain composition.
+// The serialized drain is partitioned by 2 MB-region ownership
+// (src/workload/region_ownership.h): whenever every unfinished thread's next op below
+// the global safety horizon is an owner-homed blade-local hit, the drain retires those
+// ops in one sub-round instead of one merge step at a time. Like channels and groups it
+// is an execution strategy, never a semantic — these tests pin the bit-identity, the
+// engagement, and the shard-count invariance of the drain composition.
 
 uint64_t SumOwnerDrained(const std::vector<ShardReport>& reports) {
   uint64_t n = 0;
@@ -297,7 +288,7 @@ TEST(OwnershipDrain, ConformanceMatrixBitIdenticalAndEngaged) {
   // 1/2/4/8 shards x groups on/off, all against the serial reference. The eligibility
   // gate never consults the shard count (OwnedByAccessor compares the accessor blade to
   // the region home), so the drain composition — how many ops drained, and how many of
-  // those retired owner-parallel — must be identical across every cell of the matrix.
+  // those retired in owner sub-rounds — must be identical across every matrix cell.
   const RackConfig config = TestRackConfig(8);
   const WorkloadTraces traces = GenerateTraces(HitHeavySpec(8));
   const ReplayReport want = SerialReference(traces, config);
@@ -315,7 +306,7 @@ TEST(OwnershipDrain, ConformanceMatrixBitIdenticalAndEngaged) {
       ExpectReportsIdentical(want, RunSharded(traces, config, opts, &shard_reports));
       const uint64_t owner = SumOwnerDrained(shard_reports);
       const uint64_t drained = SumDrained(shard_reports);
-      EXPECT_GT(owner, 0u);  // The owner-parallel phases actually engage.
+      EXPECT_GT(owner, 0u);  // The owner sub-rounds actually engage.
       EXPECT_LE(owner, drained);
       if (first) {
         owner_expected = owner;
@@ -329,35 +320,10 @@ TEST(OwnershipDrain, ConformanceMatrixBitIdenticalAndEngaged) {
   }
 }
 
-TEST(OwnershipDrain, DisabledDrainIsBitIdenticalBaseline) {
-  // owner_parallel_drain = false is the pre-ownership serial drain: same results, zero
-  // owner-parallel ops — on the channel path and on the per-op reference path alike.
-  const RackConfig config = TestRackConfig(8);
-  const WorkloadTraces traces = GenerateTraces(HitHeavySpec(8));
-  const ReplayReport want = SerialReference(traces, config);
-  for (const int shards : {1, 4}) {
-    SCOPED_TRACE(shards);
-    ReplayOptions opts;
-    opts.shards = shards;
-    opts.owner_parallel_drain = false;
-    std::vector<ShardReport> shard_reports;
-    ExpectReportsIdentical(want, RunSharded(traces, config, opts, &shard_reports));
-    EXPECT_EQ(SumOwnerDrained(shard_reports), 0u);
-  }
-  MindSystem sys(config);
-  ReplayOptions ref;
-  ref.use_channels = false;
-  ref.owner_parallel_drain = false;
-  ReplayEngine engine(&sys, &traces, ref);
-  ASSERT_TRUE(engine.Setup().ok());
-  ExpectReportsIdentical(want, engine.Run());
-  EXPECT_EQ(SumOwnerDrained(engine.shard_reports()), 0u);
-}
-
 TEST(OwnershipDrain, ReferencePathEngagesOwnerParallelDrain) {
   // use_channels = false drains every op, and the ownership partition must ride along
-  // there too (single shard, sequential owner phases): most of a hit-heavy trace retires
-  // in owner-parallel phases instead of the per-op min-heap.
+  // there too: most of a hit-heavy trace retires in owner sub-rounds instead of per-op
+  // merge steps.
   const RackConfig config = TestRackConfig(8);
   const WorkloadTraces traces = GenerateTraces(HitHeavySpec(8));
   MindSystem sys(config);
@@ -371,20 +337,6 @@ TEST(OwnershipDrain, ReferencePathEngagesOwnerParallelDrain) {
   EXPECT_EQ(sr.drained_ops, report.total_ops);  // Reference path: everything drains.
   EXPECT_GT(sr.owner_drained, 0u);
   EXPECT_LE(sr.owner_drained, sr.drained_ops);
-}
-
-TEST(OwnershipDrain, ForcedWorkerThreadsExerciseOwnerPhases) {
-  // Threaded owner phases (AccessOwned + per-shard scratch + Fold) even on single-core
-  // hosts — the TSan-exercised variant of the owner-parallel drain.
-  const RackConfig config = TestRackConfig(8);
-  const WorkloadTraces traces = GenerateTraces(HitHeavySpec(8));
-  const ReplayReport want = SerialReference(traces, config);
-  ReplayOptions opts;
-  opts.shards = 8;
-  opts.force_threads = true;
-  std::vector<ShardReport> shard_reports;
-  ExpectReportsIdentical(want, RunSharded(traces, config, opts, &shard_reports));
-  EXPECT_GT(SumOwnerDrained(shard_reports), 0u);
 }
 
 // A wave owned by one shard invalidating runs submitted on another: thread 0 (blade 0)

@@ -2,8 +2,8 @@
 // invalidation waves, directory splits/merges, fault timeouts/resets, drains, prefetch
 // lifecycle — is recorded only on serialized paths, so its canonical byte serialization
 // (TraceScope::SemanticBytes) must be BIT-IDENTICAL across 1/2/4/8 shards, channel groups
-// on/off, worker threads on/off and the per-op reference path, for the same seed and
-// fault schedule, on all three systems. And tracing must be a pure observer: every
+// on/off and the per-op reference path, for the same seed and fault schedule, on all
+// three systems. And tracing must be a pure observer: every
 // counter block and the latency histogram must be bit-identical with tracing on vs off.
 // Unit tests of the sink/merge/export machinery live in observability_test.cc.
 #include <gtest/gtest.h>
@@ -75,19 +75,17 @@ void ExpectReportsIdentical(const ReplayReport& want, const ReplayReport& got) {
 struct Mode {
   bool reference = false;
   bool groups = true;
-  bool threads = false;
   int shards = 1;
 };
 
 std::vector<Mode> DeterminismMatrix() {
   return {
-      Mode{/*reference=*/true, true, false, 1},
-      Mode{false, /*groups=*/true, false, 1},
-      Mode{false, /*groups=*/true, false, 2},
-      Mode{false, /*groups=*/true, false, 4},
-      Mode{false, /*groups=*/true, false, 8},
-      Mode{false, /*groups=*/false, false, 4},
-      Mode{false, /*groups=*/true, /*threads=*/true, 4},
+      Mode{/*reference=*/true, true, 1},
+      Mode{false, /*groups=*/true, 1},
+      Mode{false, /*groups=*/true, 2},
+      Mode{false, /*groups=*/true, 4},
+      Mode{false, /*groups=*/true, 8},
+      Mode{false, /*groups=*/false, 4},
   };
 }
 
@@ -105,12 +103,10 @@ void ExpectSemanticStreamInvariant(const SystemFactory& make,
       continue;  // `want` already is the reference run.
     }
     SCOPED_TRACE(::testing::Message()
-                 << (m.groups ? "groups" : "plain") << "/" << m.shards << "shards"
-                 << (m.threads ? "/threads" : ""));
+                 << (m.groups ? "groups" : "plain") << "/" << m.shards << "shards");
     ReplayOptions opts;
     opts.shards = m.shards;
     opts.use_channel_groups = m.groups;
-    opts.force_threads = m.threads;
     const TracedRun got = RunTraced(make, traces, opts);
     ExpectReportsIdentical(want.report, got.report);
     EXPECT_EQ(want.semantic_events, got.semantic_events);

@@ -7,9 +7,10 @@ The replay engine's determinism contract (docs/determinism.md) has two halves:
     replay executes those in exact global (clock, thread) order for every shard
     count, so the draw/mutation sequence is invariant across 1/2/4/8 shards,
     channel groups on/off, and the per-op reference mode.
-  * PARALLEL phases (channel Submit/Commit rounds, owner-drain sub-rounds) may
-    only touch blade-/thread-/shard-confined state; counters go to per-shard
-    scratch mailboxes that Fold into the system at phase barriers.
+  * PARALLEL phases (channel Submit/Commit rounds and group merges, which run
+    ahead of global order on the replay thread) may only touch blade-/thread-/
+    shard-confined state; counters go to the engine's per-shard report blocks,
+    never to a system's global counter block.
 
 Functions state which half they belong to with MIND_SERIALIZED_PATH /
 MIND_PARALLEL_PHASE (src/common/thread_annotations.h). Lambdas carry the tag as
@@ -34,7 +35,7 @@ DetLint walks the call graph from every parallel-phase root and rejects:
                             (hash order is not deterministic across libstdc++
                             versions/ASLR; collect+sort instead)
   untagged-contract         a definition of a phase-contract method (Access,
-                            Submit, Commit, Eligible, AccessOwned, Fold, ...)
+                            Submit, Commit, Eligible, ...)
                             that does not restate its phase tag
 
 Escapes (put the marker comment line directly above the offending line):
@@ -685,8 +686,9 @@ class RuleEngine:
                         "parallel-counter", fn.path, lineno,
                         "'%s' (parallel-phase-reachable) mutates global "
                         "counter receiver '%s%s'; parallel phases must write "
-                        "per-shard scratch and Fold at the barrier (or "
-                        "declare '// detlint: mailbox(%s)')" %
+                        "per-shard report blocks and leave global counters to "
+                        "the serialized drain (or declare "
+                        "'// detlint: mailbox(%s)')" %
                         (fn.name, prefix, recv, recv))
 
     def run_all(self):
