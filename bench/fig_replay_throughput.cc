@@ -35,7 +35,6 @@ struct Timed {
   std::string registry_text;  // Unified metrics snapshot (src/obs/metrics_registry.h).
   double wall_ns = 0.0;
   uint64_t parallel_hits = 0;
-  uint64_t grouped_ops = 0;
   uint64_t drained_ops = 0;
   uint64_t owner_drained = 0;  // Subset of drained_ops retired in owner sub-rounds.
 
@@ -53,7 +52,6 @@ struct Timed {
 void CollectShards(ReplayEngine& engine, Timed* out) {
   for (const ShardReport& sr : engine.shard_reports()) {
     out->parallel_hits += sr.parallel_hits;
-    out->grouped_ops += sr.grouped_ops;
     out->drained_ops += sr.drained_ops;
     out->owner_drained += sr.owner_drained;
   }
@@ -90,9 +88,8 @@ WorkloadSpec CoherenceBoundSpec() {
 
 // Channel-group series: GAM with heavy intra-blade contention — 4 threads per blade all
 // queue on the per-blade library lock, so per-thread channels can only lower-bound hit
-// latencies and (pre-groups) every committed op paid a virtual Commit +
-// FifoResource::Acquire round-trip. The per-blade ChannelGroup replays the merged lock
-// queue once per round instead; this series is the regression guard for that path.
+// latencies. The per-blade ChannelGroup replays the merged lock queue once per round;
+// this series is the regression guard for that path.
 WorkloadSpec GamContendedSpec() {
   WorkloadSpec s;
   s.name = "gam-contended";
@@ -161,14 +158,14 @@ int main() {
     std::printf("(simulator performance; simulated-time results are bit-identical across "
                 "rows)\n");
     TablePrinter table({"config", "wall ms", "ns/op", "Mops/s wall", "parallel hits",
-                        "grouped", "owner drain", "sim ms"});
+                        "owner drain", "sim ms"});
     table.PrintHeader();
     Timed last;
     auto add = [&](const std::string& name, Timed t) {
       const double ns_per_op = t.wall_ns / static_cast<double>(ops);
       table.PrintRow(name, TablePrinter::Fmt(t.wall_ns / 1e6, 1),
                      TablePrinter::Fmt(ns_per_op, 1), TablePrinter::Fmt(1e3 / ns_per_op, 2),
-                     t.parallel_hits, t.grouped_ops,
+                     t.parallel_hits,
                      std::to_string(t.owner_drained) + "/" + std::to_string(t.drained_ops),
                      TablePrinter::Fmt(ToMillis(t.report.makespan), 2));
       results.push_back(

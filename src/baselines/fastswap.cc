@@ -341,19 +341,6 @@ class FastSwapSystem::Channel final : public AccessChannel {
     return out;
   }
 
-  MIND_PARALLEL_PHASE [[nodiscard]] bool RunValid() const override {
-    return stamps_.Valid(*sys_->cache_);
-  }
-
-  MIND_PARALLEL_PHASE void Commit(Completion* completions, size_t n,
-                                  SimTime /*clock*/) override {
-    DramCache& cache = *sys_->cache_;
-    for (size_t i = 0; i < n; ++i) {
-      ApplyCommitToken(cache, completions[i],
-                       [&](uint64_t page) { sys_->prefetch_.OnPrefetchedTouch(page); });
-    }
-  }
-
  private:
   friend class FastSwapSystem::Group;
 

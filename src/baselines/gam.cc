@@ -14,7 +14,6 @@ GamSystem::GamSystem(GamConfig config)
               config.fabric),
       fault_plane_(config.fault) {
   blades_.resize(static_cast<size_t>(config_.num_compute_blades));
-  blade_thread_counts_.resize(static_cast<size_t>(config_.num_compute_blades), 0);
   for (auto& b : blades_) {
     b.cache = std::make_unique<DramCache>(config_.compute_cache_bytes >> kPageShift,
                                           /*store_data=*/false);
@@ -31,7 +30,6 @@ Result<ThreadId> GamSystem::RegisterThread(ComputeBladeId blade) {
   if (blade >= config_.num_compute_blades) {
     return Status(ErrorCode::kInvalidArgument, "no such blade");
   }
-  ++blade_thread_counts_[blade];  // Channels check this for submit-time latency finality.
   return next_tid_++;
 }
 
@@ -56,20 +54,6 @@ SimTime GamSystem::FlushToMemory(uint64_t page, ComputeBladeId from, SimTime t) 
 }
 
 SimTime GamSystem::PsoReadBarrier(ThreadId tid, uint64_t page, SimTime now) {
-  // Same value as the read-only peek — channel Submit's latency simulation depends on
-  // that identity — plus the pruning side effect.
-  const SimTime barrier = PsoPeekBarrier(tid, page, now);
-  if (auto it = pending_writes_.find(tid); it != pending_writes_.end()) {
-    // Prune in place but never erase the map entry: channel groups cache pointers to the
-    // threads' vectors (pso_pending_), which erasing the entry would leave dangling.
-    // Each thread only ever mutates its own vector.
-    std::erase_if(it->second,
-                  [barrier](const PendingWrite& w) { return w.completion <= barrier; });
-  }
-  return barrier;
-}
-
-SimTime GamSystem::PsoPeekBarrier(ThreadId tid, uint64_t page, SimTime now) const {
   auto it = pending_writes_.find(tid);
   if (it == pending_writes_.end()) {
     return now;
@@ -80,6 +64,11 @@ SimTime GamSystem::PsoPeekBarrier(ThreadId tid, uint64_t page, SimTime now) cons
       barrier = std::max(barrier, w.completion);
     }
   }
+  // Prune in place but never erase the map entry: channel groups cache pointers to the
+  // threads' vectors (pso_pending_), which erasing the entry would leave dangling. Each
+  // thread only ever mutates its own vector.
+  std::erase_if(it->second,
+                [barrier](const PendingWrite& w) { return w.completion <= barrier; });
   return barrier;
 }
 
@@ -89,9 +78,6 @@ SimTime GamSystem::EnterLibrary(ThreadId tid, ComputeBladeId blade, uint64_t pag
     now = PsoReadBarrier(tid, page, now);
   }
   // Library fast path: permission check + lock on *every* access (GAM has no MMU help).
-  // detlint: allow(parallel-serialized-call): this is the per-blade FifoResource library
-  // lock (blade-confined under the group/drain phase discipline), not the fabric's
-  // serialized QueueModel::Acquire — the regex frontend matches by name only.
   const auto grant = blades_[blade].lock.Acquire(now, config_.lock_service);
   return grant.finish + lat().gam_local_access;
 }
@@ -593,21 +579,14 @@ class GamSystem::Channel final : public AccessChannel {
     const SimTime service = sys_->config_.lock_service;
     const SimTime local_work = sys_->lat().gam_local_access;
     stamps_.Clear();
-    think_ = think;
-    // With one registered thread on the blade, nothing but this channel ever moves the
-    // blade's library lock, so the simulated queue below is exact and latencies are final
-    // at Submit. Under intra-blade contention latencies depend on how same-blade threads
-    // interleave — which only the commit pass (per-blade group merge, or op-by-op
-    // Commit) knows — so the contended branch classifies ONLY: hit checks and region
-    // stamps, plus a queue-free latency lower bound for the end-clock horizon (the PSO
-    // barrier and other threads' lock holds can only push real latencies later). Per-op
-    // latencies stay unwritten; the commit pass writes the exact values.
-    const bool sole_thread = sys_->blade_thread_counts_[blade_] == 1;
+    // Hit latency includes the library lock's FIFO queueing, which depends on how
+    // same-blade threads interleave — known only to the group commit, which replays the
+    // lock queue over the merged stream and writes the exact latencies. Submit therefore
+    // classifies ONLY: hit checks and region stamps, plus a lower bound on the end clock
+    // for the epoch-barrier horizon (the PSO barrier and other threads' lock holds can
+    // only push real latencies later). Per-op latencies stay unwritten.
     SimTime busy = blade.lock.busy_until();
-    bool uniform = true;
-    SimTime first_latency = 0;
     SubmitResult out;
-    out.latency_final = sole_thread;
     size_t i = 0;
     for (; i < n; ++i) {
       const uint64_t page = PageNumber(ops[i].va);
@@ -622,56 +601,13 @@ class GamSystem::Channel final : public AccessChannel {
       stamps_.Add(cache, DramCache::RegionOf(page));
       completions[i].token.bits =
           reinterpret_cast<uintptr_t>(frame) | static_cast<uintptr_t>(is_write);
-      if (!sole_thread) {
-        // Contended blade, classification only: queue-free latency lower bound, no PSO
-        // peek, latency field left unwritten (see the loop header comment).
-        const SimTime start = std::max(clock, busy);
-        busy = start + service;
-        clock = (busy + local_work) + think;
-        continue;
-      }
-      SimTime arrival = clock;
-      if (!is_write) {
-        arrival = sys_->PsoPeekBarrier(tid_, page, arrival);
-      }
-      const SimTime start = std::max(arrival, busy);
+      const SimTime start = std::max(clock, busy);
       busy = start + service;
-      const SimTime latency = (busy + local_work) - clock;
-      if (i == 0) {
-        first_latency = latency;
-      } else {
-        uniform &= latency == first_latency;
-      }
-      completions[i].latency = latency;
-      clock += latency + think;
+      clock = (busy + local_work) + think;
     }
     out.accepted = i;
     out.end_clock = clock;
-    out.uniform_latency =
-        sole_thread && uniform && i > 0 && first_latency != 0 ? first_latency : 0;
-    return out;
-  }
-
-  MIND_PARALLEL_PHASE [[nodiscard]] bool RunValid() const override {
-    return stamps_.Valid(*sys_->blades_[blade_].cache);
-  }
-
-  MIND_PARALLEL_PHASE void Commit(Completion* completions, size_t n, SimTime clock) override {
-    BladeState& blade = sys_->blades_[blade_];
-    for (size_t i = 0; i < n; ++i) {
-      const uint64_t tagged = completions[i].token.bits;
-      const auto* frame = reinterpret_cast<DramCache::Frame*>(tagged & ~uint64_t{1});
-      const bool is_write = (tagged & 1) != 0;
-      // Replays the serial hit path through the shared library-entry helper: real PSO
-      // barrier (pruning), real FIFO lock acquisition, LRU touch, dirty bit.
-      const SimTime lib_done = sys_->EnterLibrary(
-          tid_, blade_, frame->page, is_write ? AccessType::kWrite : AccessType::kRead,
-          clock);
-      ApplyCommitToken(*blade.cache, completions[i],
-                       [&](uint64_t page) { blade.prefetch.OnPrefetchedTouch(page); });
-      completions[i].latency = lib_done - clock;
-      clock += completions[i].latency + think_;
-    }
+    return out;  // uniform_latency stays 0: the group commit writes per-op latencies.
   }
 
  private:
@@ -680,7 +616,6 @@ class GamSystem::Channel final : public AccessChannel {
   GamSystem* sys_;
   ThreadId tid_;
   ComputeBladeId blade_;
-  SimTime think_ = 0;               // Recorded at Submit; Commit replays per-op clocks.
   DramCache::RegionStamps stamps_;  // Dependency footprint of the last submitted run.
 };
 
@@ -692,16 +627,14 @@ std::unique_ptr<AccessChannel> GamSystem::OpenChannel(ThreadId tid, ComputeBlade
 }
 
 // Per-blade ChannelGroup over the GAM library (contract in access_channel.h, merge
-// machinery in channel_group.h). This is the group layer's biggest winner: under
-// intra-blade contention a per-thread Submit can only lower-bound hit latencies (the
-// FIFO library lock's queueing delay depends on how same-blade threads interleave), so
-// the per-thread path finalizes op by op through Commit — one virtual call and one
-// FifoResource::Acquire per op. The group knows the whole interleaving: it replays the
-// lock queue across the merged (clock, thread) stream in one pass — arrival (post
-// PSO-read-barrier, with the same pruning EnterLibrary performs), start = max(arrival,
-// busy), busy += service — writes the exact latency into each completion, and advances
-// the blade's lock once per batch with the aggregate stats the per-op Acquires would
-// have recorded.
+// machinery in channel_group.h). A per-thread Submit can only lower-bound hit latencies
+// (the FIFO library lock's queueing delay depends on how same-blade threads interleave);
+// the group knows the whole interleaving. It replays the lock queue across the merged
+// (clock, thread) stream in one pass — arrival (post PSO-read-barrier, with the same
+// pruning EnterLibrary performs), start = max(arrival, busy), busy += service — writes the
+// exact latency into each completion, and advances the blade's lock once per batch with
+// the aggregate stats the per-op Acquires would have recorded. Exact for any member
+// count, a sole thread included.
 class GamSystem::Group final : public ChannelGroup {
  public:
   Group(GamSystem* sys, ComputeBladeId blade) : sys_(sys), blade_(blade) {}

@@ -69,18 +69,17 @@ class GamSystem final : public MemorySystem {
   // Batched channel contract: a GAM cache hit touches only the blade's own cache, its
   // per-blade library lock and the thread's PSO pending-store list, so it classifies onto
   // the concurrent fast path. Hit latency includes the lock's FIFO queueing delay, which
-  // other threads of the same blade move as their ops commit — so runs are latency_final
-  // (exact at Submit) only on single-thread blades; under intra-blade contention the
-  // channel reports submit-time lower bounds and finalizes each latency at Commit, exactly
-  // as the serial library would have served the interleaved lock queue (see
+  // other threads of the same blade move as their ops commit — so Submit only classifies
+  // (with a lower-bound end clock), and the blade's group commit finalizes every latency
+  // exactly as the serial library would have served the interleaved lock queue (see
   // src/core/access_channel.h).
   std::unique_ptr<AccessChannel> OpenChannel(ThreadId tid, ComputeBladeId blade) override;
 
   // Per-blade channel group: the group replays the blade's FIFO library-lock queue over
   // the *merged* (clock, thread) stream of its members in one pass, so every grouped op's
   // latency is exact at group-commit time — the interleaving the per-thread Submit could
-  // not know (and had to finalize op by op through Commit) is fully determined inside the
-  // batch — and the blade's lock advances once per batch with identical aggregate stats.
+  // not know is fully determined inside the batch — and the blade's lock advances once per
+  // batch with identical aggregate stats.
   std::unique_ptr<ChannelGroup> OpenChannelGroup(ComputeBladeId blade) override;
 
   // Ownership-aware drain contract (OwnerDrainOps, memory_system.h): eligible ops are
@@ -163,14 +162,11 @@ class GamSystem final : public MemorySystem {
     SimTime completion = 0;
   };
   SimTime PsoReadBarrier(ThreadId tid, uint64_t page, SimTime now);
-  // Read-only flavor for channel Submit: same barrier value, no pruning (pruning only
-  // drops entries whose completion can never raise a later barrier, so it is invisible).
-  [[nodiscard]] SimTime PsoPeekBarrier(ThreadId tid, uint64_t page, SimTime now) const;
 
   // The user-level library entry every access pays (GAM has no MMU help): PSO read
   // barrier, per-blade FIFO lock, then the local library work. Returns when the library
-  // hands control back for a hit (or proceeds to the directory for a miss). Shared by the
-  // serial Access path and channel Commit so their timing can never diverge.
+  // hands control back for a hit (or proceeds to the directory for a miss). The channel
+  // group's commit replays the same steps over its merged batch.
   SimTime EnterLibrary(ThreadId tid, ComputeBladeId blade, uint64_t page, AccessType type,
                        SimTime now);
 
@@ -192,7 +188,6 @@ class GamSystem final : public MemorySystem {
   FaultPlane fault_plane_;
   TraceSink* trace_ = nullptr;  // Serialized-path writes only, like counters_.
   std::vector<BladeState> blades_;
-  std::vector<uint32_t> blade_thread_counts_;  // Registered threads per blade.
   std::unordered_map<ThreadId, std::vector<PendingWrite>> pending_writes_;
   SystemCounters counters_;
   VirtAddr next_va_ = 0x0000'7000'0000'0000ull;

@@ -7,10 +7,11 @@
 //
 // The data-plane boundary is batch-first: besides the per-op Access (the serialized
 // reference path every system must implement), a system can hand out AccessChannel objects
-// (src/core/access_channel.h) — per-(thread, blade) batched submit/complete channels the
-// replay engine drives ahead of global order, one shard per blade group. All three
-// in-tree systems implement channels; the default opt-out (OpenChannel returning null)
-// routes every op through the serialized drain, which is always correct, at per-op speed.
+// (src/core/access_channel.h) — per-(thread, blade) batched submit channels the replay
+// engine drives ahead of global order, validated and committed per blade through a
+// ChannelGroup. All three in-tree systems implement both; the default opt-out
+// (OpenChannel or OpenChannelGroup returning null) routes the ops through the serialized
+// drain, which is always correct, at per-op speed.
 #ifndef MIND_SRC_BASELINES_MEMORY_SYSTEM_H_
 #define MIND_SRC_BASELINES_MEMORY_SYSTEM_H_
 
@@ -165,7 +166,8 @@ class MemorySystem {
   // Opens the submit/complete channel for one registered (thread, blade) pair; see
   // src/core/access_channel.h for the full classify/commit contract, including the
   // per-2MB-region validity stamps and the phase discipline under which channel calls run
-  // ahead of global order. Returning null opts the system out: the engine
+  // ahead of global order. A channel only takes effect as a member of its blade's
+  // ChannelGroup (OpenChannelGroup below). Returning null opts the system out: the engine
   // then drives every op of that thread through Access on the serialized drain, which is
   // always correct (and is also the engine's reference mode for conformance testing).
   virtual std::unique_ptr<AccessChannel> OpenChannel(ThreadId /*tid*/,
@@ -174,12 +176,11 @@ class MemorySystem {
   }
 
   // Opens the per-blade channel group over this system's channels (ChannelGroup contract
-  // in src/core/access_channel.h): when >= 2 replay threads share a blade, the engine
-  // registers their channels as members, validates all their submitted runs in one pass
-  // per blade, and commits the merged (clock, thread) stream as one batch per round.
-  // Returning null opts the system out; the engine then falls back to per-thread channel
-  // commits, which are always correct (and remain the conformance baseline alongside the
-  // per-op reference path).
+  // in src/core/access_channel.h): for every blade with a channel-driven replay thread, the
+  // engine registers the blade's channels as members, validates all their submitted runs
+  // in one pass per blade, and commits the merged (clock, thread) stream as one batch per
+  // round — the only way channel hits commit. Returning null opts the blade out: its
+  // threads then ride the serialized drain, which is always correct.
   virtual std::unique_ptr<ChannelGroup> OpenChannelGroup(ComputeBladeId /*blade*/) {
     return nullptr;
   }

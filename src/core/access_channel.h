@@ -2,34 +2,36 @@
 //
 // MIND's switch processes memory traffic as batched packet streams, not one call at a time
 // (§4, §5); the emulator's system boundary mirrors that. A channel is a per-(thread, blade)
-// submission object handed out by a MemorySystem: the replay engine streams runs of resolved
-// ops into Submit, receives typed Completion records for the leading blade-local prefix, and
-// later applies their side effects with Commit. The split is classify/commit:
+// submission object handed out by a MemorySystem; a ChannelGroup (below) spans a blade's
+// channels. There is one validate/commit path: the replay engine streams runs of resolved
+// ops into each thread's channel, then validates and commits them per blade through the
+// blade's group. The split is classify/commit:
 //
 //   * Submit CLASSIFIES: it walks the run and accepts the longest leading prefix in which
 //     every op completes entirely within the channel's blade — a local cache hit whose
 //     outcome depends on nothing another blade can change — WITHOUT mutating any state.
-//     Each accepted op gets a Completion (latency + typed CommitToken); the op that stops
-//     the run (fault, upgrade, permission miss) is NOT consumed and must be replayed through
-//     MemorySystem::Access on the serialized drain.
-//   * Commit APPLIES: LRU recency, dirty bits, per-blade service-resource occupancy —
-//     everything a serial Access would have mutated for those hits. It may only touch state
-//     owned by the channel's blade plus thread-private state of the channel's thread.
+//     Each accepted op gets a Completion (typed CommitToken, plus its latency when Submit
+//     can know it); the op that stops the run (fault, upgrade, permission miss) is NOT
+//     consumed and must be replayed through MemorySystem::Access on the serialized drain.
+//   * ChannelGroup::CommitMerged APPLIES: LRU recency, dirty bits, per-blade
+//     service-resource occupancy — everything a serial Access would have mutated for
+//     those hits — and finalizes every latency Submit could only bound.
 //
 // Validity is tracked at 2 MB cache-region granularity: Submit records a version stamp for
-// every region the accepted run depends on, and RunValid() re-checks only those stamps. A
-// coherence event that invalidates pages of a *shared* region therefore does not kill a
-// peeked run over *private* regions of the same blade — the fix for the coherence-dense
-// sharded-replay regression (see ROADMAP "finer sharded-replay invalidation").
+// every region the accepted run depends on, and ChannelGroup::ValidMask re-checks only
+// those stamps. A coherence event that invalidates pages of a *shared* region therefore
+// does not kill a peeked run over *private* regions of the same blade — the fix for the
+// coherence-dense sharded-replay regression (see ROADMAP "finer sharded-replay
+// invalidation").
 //
-// Phase discipline (docs/determinism.md): the engine calls Submit/RunValid/Commit ahead
-// of global order, in channel rounds between serialized drains.
-//   * Commit may only touch state of the channel's blade and thread, so commits of
-//     different blades within one round commute with each other and with the round's
-//     position relative to other blades' coherence events below the horizon.
-//   * Neither Submit nor Commit may bump the system's SystemCounters: the engine accounts
-//     committed channel ops itself (total_accesses + local_hits), and the merged report
-//     adds them to the system's serialized-phase counter delta.
+// Phase discipline (docs/determinism.md): the engine calls Submit/ValidMask/CommitMerged
+// ahead of global order, in channel rounds between serialized drains.
+//   * A group commit may only touch state of the group's blade and its member threads,
+//     so commits of different blades within one round commute with each other and with
+//     the round's position relative to other blades' coherence events below the horizon.
+//   * Neither Submit nor a group call may bump the system's SystemCounters: the engine
+//     accounts committed channel ops itself (total_accesses + local_hits), and the merged
+//     report adds them to the system's serialized-phase counter delta.
 #ifndef MIND_SRC_CORE_ACCESS_CHANNEL_H_
 #define MIND_SRC_CORE_ACCESS_CHANNEL_H_
 
@@ -51,8 +53,9 @@ struct CommitToken {
 
 // One accepted op of a submitted run.
 struct Completion {
-  // Thread-visible latency. Final when the run's SubmitResult says latency_final;
-  // otherwise a lower bound that Commit rewrites in place.
+  // Thread-visible latency: written by Submit when it is exact at classification time
+  // (and the run is not uniform), otherwise by CommitMerged once the merged per-blade
+  // stream fixes it.
   SimTime latency = 0;
   CommitToken token;
 };
@@ -61,19 +64,13 @@ struct Completion {
 struct SubmitResult {
   // Length of the accepted leading all-local prefix (0 = the very next op needs the drain).
   size_t accepted = 0;
-  // Clock after op accepted-1, advancing by latency + think per op. Exact when
-  // latency_final; otherwise a lower bound (safe as an epoch-barrier horizon).
+  // Clock after op accepted-1, advancing by latency + think per op: exact, or a lower
+  // bound when latencies depend on blade state that evolves as same-blade ops commit
+  // (GAM's per-blade library lock). Either is safe as an epoch-barrier horizon.
   SimTime end_clock = 0;
-  // Nonzero: every accepted op has exactly this latency, so the caller may account the run
-  // in O(1) (histogram RecordN + pure horizon arithmetic). Zero: consult per-op latencies.
-  // A nonzero uniform latency implies latency_final.
+  // Nonzero: every accepted op has exactly this latency, so the group commit accounts the
+  // run in O(1) (histogram RecordN). Zero: per-op latencies, final after CommitMerged.
   SimTime uniform_latency = 0;
-  // True: completion latencies (and end_clock) are exact as submitted, and Commit may be
-  // called with any prefix length. False: latencies depend on blade state that evolves as
-  // same-blade ops commit (e.g. GAM's per-blade library lock under multi-thread
-  // contention); the caller must commit op by op, passing each op's start clock, and read
-  // the finalized latency back from the Completion.
-  bool latency_final = true;
 };
 
 class Histogram;
@@ -84,37 +81,29 @@ class AccessChannel {
 
   // Classifies a run of `n` consecutive ops for this channel's thread starting at `clock`
   // with `think` time between ops. Fills completions[0..accepted): tokens always; latency
-  // fields always written for a latency_final run that is not reported uniform, but MAY
-  // be left unwritten for a uniform run (the reported uniform value applies to every op,
-  // which is what lets callers account such runs in O(1)) and for a non-latency_final
-  // run (they would only be lower bounds; the commit pass — per-op Commit or a group
-  // merge — writes the exact values). Mutates nothing outside the channel's own
-  // bookkeeping; records the region stamps RunValid() checks.
+  // fields MAY be left unwritten for a uniform run (the reported uniform value applies to
+  // every op) and whenever Submit can only bound them (the group commit writes the exact
+  // values). Mutates nothing outside the channel's own bookkeeping; records the region
+  // stamps ChannelGroup::ValidMask checks.
   MIND_PARALLEL_PHASE virtual SubmitResult Submit(const LocalOp* ops, size_t n, SimTime clock,
                                                   SimTime think, Completion* completions) = 0;
 
-  // True while every piece of state the last Submit's classification depends on is
-  // unchanged — checked via the per-2MB-region state versions stamped at Submit (plus any
-  // blade-global epochs such as the protection-table version). While true, the accepted
-  // run may keep committing across rounds; once false, the remainder must be resubmitted.
-  MIND_PARALLEL_PHASE [[nodiscard]] virtual bool RunValid() const = 0;
-
-  // Applies the side effects of the first `n` completions of the last submitted run (or of
-  // its next uncommitted ops, when committing a run in pieces — the channel is positionless:
-  // `completions` points at the piece, `clock` is the start clock of its first op). For
-  // latency_final runs the recorded latencies are authoritative; otherwise n must be 1 and
-  // completions[0].latency is rewritten with the exact value.
-  MIND_PARALLEL_PHASE virtual void Commit(Completion* completions, size_t n,
-                                          SimTime clock) = 0;
+  // Per-thread validation and commit. The engine never calls either: runs validate
+  // through ChannelGroup::ValidMask and commit through ChannelGroup::CommitMerged. They
+  // stay declared so that existing decorators which forward them keep compiling; the
+  // defaults report the run invalid and apply nothing.
+  MIND_PARALLEL_PHASE [[nodiscard]] virtual bool RunValid() const { return false; }
+  MIND_PARALLEL_PHASE virtual void Commit(Completion* /*completions*/, size_t /*n*/,
+                                          SimTime /*clock*/) {}
 };
 
 // --- Per-blade channel groups -----------------------------------------------
 //
 // MIND's fabric sees the *merged* per-blade access stream, not per-thread slices (§4, §5);
 // ChannelGroup is the aggregation layer that restores that view to the commit path. One
-// group spans every same-blade channel a replay shard owns. Each round the engine still
-// Submits per thread (classification of a thread's run is thread-local by construction),
-// but validation and commit happen per *blade*:
+// group spans every same-blade channel a replay shard owns — one member or many. Each
+// round the engine still Submits per thread (classification of a thread's run is
+// thread-local by construction), but validation and commit happen per *blade*:
 //
 //   * ValidMask re-checks every member's submitted run in one pass — the blade-global
 //     epochs (e.g. the protection-table version) are compared once per blade instead of
@@ -122,15 +111,15 @@ class AccessChannel {
 //   * CommitMerged merges the members' uncommitted runs into a single (clock, thread)
 //     ordered stream and commits its horizon-eligible prefix as one batch: one virtual
 //     call per blade per round instead of one per op. Latencies that per-thread Submit
-//     could only lower-bound (GAM's per-blade library lock under intra-blade contention)
-//     are finalized exactly here, in the same single pass — the group replays the lock
-//     queue over the merged stream and advances the blade's FIFO resource once per batch,
-//     so grouped ops report exact latencies instead of op-at-a-time commit-finalization.
+//     could only lower-bound (GAM's per-blade library lock) are finalized exactly here, in
+//     the same single pass — the group replays the lock queue over the merged stream and
+//     advances the blade's FIFO resource once per batch.
 //
 // The same phase discipline as AccessChannel applies: a group call may only touch state
 // owned by its blade plus member-thread-private state, and never bumps SystemCounters
 // (the engine accounts committed ops itself). Groups support up to kMaxGroupLanes
-// members; the engine falls back to per-thread commits beyond that.
+// members; the threads of a blade with more channels (or of a blade the system hands no
+// group for) ride the serialized drain.
 
 // One member thread's slice of a group commit round. The engine fills the top block from
 // the member's submitted-run state; CommitMerged writes the bottom block back.

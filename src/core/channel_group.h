@@ -22,11 +22,11 @@
 
 namespace mind {
 
-// The per-op apply shared by every in-tree commit path — per-thread Channel::Commit and
-// per-blade group merges alike: untag the frame-pointer token (bit 0 = write), bump LRU
-// recency, set the dirty bit, and classify a first touch of a prefetched page through
-// `on_prefetched_touch(page)`. Keeping this in ONE place is what keeps the six commit
-// sites bit-identical to each other (the conformance suite's core guarantee).
+// The per-op apply shared by every in-tree group commit: untag the frame-pointer token
+// (bit 0 = write), bump LRU recency, set the dirty bit, and classify a first touch of a
+// prefetched page through `on_prefetched_touch(page)`. Keeping this in ONE place is what
+// keeps the three systems' commit sites bit-identical to their serial Access hit paths
+// (the conformance suite's core guarantee).
 template <typename OnPrefetchedTouch>
 inline void ApplyCommitToken(DramCache& cache, const Completion& completion,
                              OnPrefetchedTouch&& on_prefetched_touch) {
@@ -108,7 +108,8 @@ class GroupMergeLoserTree {
 //
 // The per-op argmin is a linear scan up to kGroupMergeLinearScanMax lanes and a
 // GroupMergeLoserTree above it; both yield the same (end_clock, thread_index) winner, so
-// the merge order — and every committed result — is identical either way.
+// the merge order — and every committed result — is identical either way. A one-thread
+// blade is a one-lane merge through the same walk.
 template <typename LatencyFn, typename ApplyFn>
 uint64_t GroupMergeCommit(GroupLane* lanes, size_t n, SimTime horizon, SimTime think,
                           Histogram& hist, LatencyFn&& latency_of, ApplyFn&& apply) {

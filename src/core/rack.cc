@@ -431,11 +431,11 @@ MIND_PARALLEL_PHASE bool Rack::OwnerHitEligible(const AccessRequest& req) const 
 // is a specialized loop over the hit conditions of Access step 1 (present frame, domain
 // re-validation, write permission): one virtual call classifies the whole run, with the
 // per-op request plumbing and consistency-model dispatch hoisted out. Commit tokens are
-// tagged frame pointers (bit 0 = write), so the commit pass needs neither the op array nor
-// the latency array. Under TSO every hit in the run costs exactly local_cache_hit,
-// reported once through uniform_latency; only PSO barrier displacement (a pending
-// same-page store) forces per-op accounting. Latencies are always exact at Submit — a hit
-// depends on nothing another same-blade thread commits — so runs are latency_final.
+// tagged frame pointers (bit 0 = write), so the group's commit pass needs neither the op
+// array nor the latency array. Under TSO every hit in the run costs exactly
+// local_cache_hit, reported once through uniform_latency; only PSO barrier displacement (a
+// pending same-page store) forces per-op accounting. Latencies are always exact at Submit
+// — a hit depends on nothing another same-blade thread commits.
 class Rack::Channel final : public AccessChannel {
  public:
   Channel(Rack* rack, ThreadId tid, ComputeBladeId blade, ProtDomainId pdid)
@@ -493,21 +493,6 @@ class Rack::Channel final : public AccessChannel {
     out.end_clock = clock;
     out.uniform_latency = uniform ? hit_latency : 0;
     return out;
-  }
-
-  MIND_PARALLEL_PHASE [[nodiscard]] bool RunValid() const override {
-    return rack_->protection_.version() == protection_version_ &&
-           stamps_.Valid(rack_->compute_blades_[blade_]->cache());
-  }
-
-  MIND_PARALLEL_PHASE void Commit(Completion* completions, size_t n,
-                                  SimTime /*clock*/) override {
-    DramCache& cache = rack_->compute_blades_[blade_]->cache();
-    BladePrefetchState& bp = rack_->blade_prefetch_[blade_];
-    for (size_t i = 0; i < n; ++i) {
-      ApplyCommitToken(cache, completions[i],
-                       [&](uint64_t page) { bp.OnPrefetchedTouch(page, pdid_); });
-    }
   }
 
  private:

@@ -79,7 +79,7 @@ class Rack {
   // accepted prefix is exactly the ops for which Access would return at step 0/1 (local
   // DRAM hit), with exact per-op latencies, tagged-frame-pointer commit tokens and the end
   // clock. It only reads the blade's cache index, the protection table and the channel
-  // thread's PSO pending-write list. Commit applies those hits' side
+  // thread's PSO pending-write list. The blade's group commit applies those hits' side
   // effects — LRU recency and dirty bits — touching only the blade's own cache. The
   // pipeline memo and PSO pruning are deliberately skipped: both are pure memoization
   // whose absence never changes an access outcome, so channel-driven and serial replay

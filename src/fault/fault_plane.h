@@ -13,7 +13,7 @@
 // Determinism contract (what keeps sharded replay bit-identical): loss-RNG draws happen
 // only on serialized paths — replay's coherence drain executes those in exact global
 // (clock, thread) order for every shard count — so the draw sequence is invariant across
-// 1/2/4/8 shards, groups on/off, and the per-op reference mode. Blade death and stall
+// 1/2/4/8 shards and the per-op reference mode. Blade death and stall
 // windows are pure functions of simulated time (no trigger state, no first-observation
 // effects), and scheduled drains execute at their scheduled clock, which the replay engine
 // guarantees by clamping its commit horizon at NextDrainAt().

@@ -1,23 +1,23 @@
 #include "src/net/queue_model.h"
 
-#include <algorithm>
+#include "src/sim/resource.h"
 
 namespace mind {
 
 namespace {
 
-// Single-server busy-until FIFO — the historical FifoResource::Acquire arithmetic,
-// reproduced bit for bit so the default fabric configuration replays unchanged.
+// Single-server busy-until FIFO on FifoResource::Start's arithmetic, so the default fabric
+// configuration replays exactly the historical FifoResource timing. Statistics stay in
+// QueueModel::Acquire.
 class FifoQueueModel final : public QueueModel {
  public:
   using QueueModel::QueueModel;
 
  protected:
   Grant DoAcquire(SimTime arrival, SimTime service) override {
-    const SimTime start = std::max(arrival, busy_until_);
-    const SimTime finish = start + service;
-    busy_until_ = finish;
-    return Grant{start, finish, start - arrival};
+    const FifoResource::Grant g = FifoResource::Start(arrival, busy_until_, service);
+    busy_until_ = g.finish;
+    return Grant{g.start, g.finish, g.wait};
   }
 
  private:

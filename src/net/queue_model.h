@@ -7,8 +7,8 @@
 // the shape Graphite's performance models proved out for deterministic discrete-time
 // simulators (windowed-M/G/1 queue models):
 //
-//   * kFifo        — single-server busy-until FIFO, bit-identical to the historical
-//                    FifoResource::Acquire path (the default; replay timing is unchanged).
+//   * kFifo        — single-server busy-until FIFO on FifoResource::Start's arithmetic
+//                    (the default; replay timing is unchanged).
 //   * kWindowedMG1 — an analytical M/G/1 wait estimate from recent demand: utilization
 //                    rho over a sliding window turns into wait ≈ rho·S̄ / (2·(1 − rho)).
 //                    Requests never serialize against each other directly; the *estimate*
@@ -22,8 +22,8 @@
 // Determinism contract (docs/determinism.md): models are pure functions of the serialized
 // Acquire call stream — no RNG, no wall clock, no iteration over unordered containers —
 // and are only ever called from MIND_SERIALIZED_PATH code (the fabric is part of the
-// serialized coherence path). Replay therefore stays bit-identical across shard counts,
-// channel groups and fault schedules with any model enabled.
+// serialized coherence path). Replay therefore stays bit-identical across shard counts
+// and fault schedules with any model enabled.
 #ifndef MIND_SRC_NET_QUEUE_MODEL_H_
 #define MIND_SRC_NET_QUEUE_MODEL_H_
 

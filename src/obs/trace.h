@@ -10,13 +10,13 @@
 //     (Rack/GAM/FastSwap Access, the coherence drain, AdvanceTo, epoch hooks),
 //     so a single control sink receives them already in exact global
 //     (clock, thread) order. The semantic stream is bit-identical across
-//     1/2/4/8 shards x groups on/off for a fixed seed and fault schedule; the
-//     determinism tests compare its byte serialization directly.
+//     1/2/4/8 shards and the per-op reference for a fixed seed and fault
+//     schedule; the determinism tests compare its byte serialization directly.
 //
 //   * EXECUTION events describe how the replay engine scheduled the work —
-//     channel commits, group commits, drain sub-round phases. They are emitted
-//     from parallel phases into per-shard ring-buffer mailbox sinks (merged at
-//     the report boundary) and legitimately vary with shard count and grouping,
+//     group commits, drain sub-round phases. They are emitted from parallel
+//     phases into per-shard ring-buffer mailbox sinks (merged at the report
+//     boundary) and legitimately vary with shard count and round horizons,
 //     so they are excluded from the deterministic digest but included in the
 //     exported timeline.
 //
@@ -55,14 +55,13 @@ enum class TraceEventKind : uint8_t {
   kWaveIssue = 14,        // a=sharer mask, b=deliveries, c=1 multicast / 0 unicast,
                           // d=issue span (first to last copy on the wire).
   // --- Execution events (engine scheduling; excluded from the digest) ---
-  kChannelCommit = 15,    // a=ops committed, b=shard; clock=commit horizon.
   kGroupCommit = 16,      // a=ops committed, b=lanes; blade=group blade.
   kDrainPhase = 17,       // a=ops retired in the owner sub-round, b=H_safe.
 };
 
 // Execution events are a suffix of the kind space; everything below is semantic.
 [[nodiscard]] constexpr bool IsSemanticEvent(TraceEventKind kind) {
-  return static_cast<uint8_t>(kind) < static_cast<uint8_t>(TraceEventKind::kChannelCommit);
+  return static_cast<uint8_t>(kind) < static_cast<uint8_t>(TraceEventKind::kGroupCommit);
 }
 
 [[nodiscard]] const char* TraceEventKindName(TraceEventKind kind);

@@ -25,7 +25,6 @@ const char* TraceEventKindName(TraceEventKind kind) {
     case TraceEventKind::kPrefetchUseful: return "prefetch-useful";
     case TraceEventKind::kPrefetchDiscard: return "prefetch-discard";
     case TraceEventKind::kWaveIssue: return "wave-issue";
-    case TraceEventKind::kChannelCommit: return "channel-commit";
     case TraceEventKind::kGroupCommit: return "group-commit";
     case TraceEventKind::kDrainPhase: return "drain-phase";
   }

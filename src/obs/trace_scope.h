@@ -54,7 +54,7 @@ class TraceScope {
 
   // Canonical little-endian byte serialization of the SEMANTIC events in
   // control-sink emission order. This is the determinism witness: bit-identical
-  // across 1/2/4/8 shards x groups on/off for the same seed + fault schedule.
+  // across 1/2/4/8 shards and the per-op reference for the same seed + fault schedule.
   [[nodiscard]] std::string SemanticBytes() const;
   // FNV-1a over SemanticBytes(), for cheap cross-run comparison in reports.
   [[nodiscard]] uint64_t SemanticDigest() const;

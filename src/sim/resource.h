@@ -24,15 +24,22 @@ class FifoResource {
     SimTime wait;    // start - arrival (queueing delay).
   };
 
+  // The busy-until arithmetic alone: the grant a server busy until `busy_until` gives a
+  // job arriving at `arrival`. Stats-free, so other FIFO servers (the fabric's kFifo queue
+  // model) share it without a second set of counters.
+  static Grant Start(SimTime arrival, SimTime busy_until, SimTime service) {
+    const SimTime start = std::max(arrival, busy_until);
+    return Grant{start, start + service, start - arrival};
+  }
+
   // Reserve the resource for `service` time units starting no earlier than `arrival`.
   Grant Acquire(SimTime arrival, SimTime service) {
-    const SimTime start = std::max(arrival, busy_until_);
-    const SimTime finish = start + service;
-    busy_until_ = finish;
+    const Grant g = Start(arrival, busy_until_, service);
+    busy_until_ = g.finish;
     total_busy_ += service;
-    total_wait_ += start - arrival;
+    total_wait_ += g.wait;
     ++jobs_;
-    return Grant{start, finish, start - arrival};
+    return g;
   }
 
   // Extend the busy horizon without enqueuing work (used when a region must stay locked

@@ -90,9 +90,9 @@ constexpr uint32_t kMinScanWindow = 4;
 
 // Per-thread replay cursor plus its submitted run. A run is submitted once (one batched
 // virtual call) and reused across rounds while it stays exact: the channel's region
-// stamps are unchanged (AccessChannel::RunValid) and the thread itself has not advanced
-// through the serialized drain. Tokens inside a valid run cannot drift — channel commits
-// only touch recency, dirt and per-blade service occupancy.
+// stamps are unchanged (the thread's bit in ChannelGroup::ValidMask) and the thread itself
+// has not advanced through the serialized drain. Tokens inside a valid run cannot drift —
+// group commits only touch recency, dirt and per-blade service occupancy.
 struct ThreadRt {
   SimTime clock = 0;
   uint64_t next_op = 0;
@@ -102,14 +102,13 @@ struct ThreadRt {
   ComputeBladeId blade = 0;
   int shard = 0;
   AccessChannel* channel = nullptr;  // Null: every op takes the serialized drain.
-  size_t group_member = 0;           // Member slot in the blade's ChannelGroup (if any).
+  size_t group_member = 0;           // Member slot in the blade's ChannelGroup.
   bool finished = false;
   // Submitted-run state.
   bool buf_valid = false;
   bool blocked = false;        // Submit refused at the run end (a coherence op is next).
   bool window_capped = false;  // Run ended at the scan window with trace ops remaining.
   bool ran_in_drain = false;   // Cursor moved outside the fast path; run is stale.
-  bool latency_final = true;   // False: latencies finalize at per-op Commit (see contract).
   uint32_t window = kMinScanWindow;  // Adaptive scan-window size (see kMinScanWindow).
   // Owner-drain classification cache: the thread's next op, resolved and classified
   // (owner-homed blade-local hit below the drain boundary?). Invalidated whenever the
@@ -211,15 +210,13 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
     shards[th.shard].blade_threads[slot].push_back(t);
   }
 
-  // Per-blade channel groups: wherever >= 2 channel-driven threads share a blade (and the
-  // system hands out a group for it), the blade's runs validate in one pass and commit as
-  // one merged batch per round. Everything else keeps the per-thread commit path.
+  // Per-blade channel groups: every blade with a channel-driven thread validates its runs
+  // in one pass and commits them as one merged (clock, thread) batch per round — the
+  // blade's only commit path. A blade the system hands no group for, or with more
+  // channel threads than a group holds, drops its channels: its threads ride the drain.
   std::vector<std::unique_ptr<ChannelGroup>> groups;
   for (ShardRt& sh : shards) {
     sh.blade_groups.assign(sh.blade_threads.size(), nullptr);
-    if (reference_mode || !options_.use_channel_groups) {
-      continue;
-    }
     for (size_t g = 0; g < sh.blade_threads.size(); ++g) {
       const std::vector<size_t>& group_threads = sh.blade_threads[g];
       size_t with_channels = 0;
@@ -228,16 +225,19 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
           ++with_channels;
         }
       }
-      if (with_channels < 2 || with_channels > ChannelGroup::kMaxGroupLanes) {
+      if (with_channels == 0) {
         continue;
       }
-      auto group = system->OpenChannelGroup(threads[group_threads[0]].blade);
-      if (group == nullptr) {
-        continue;
+      std::unique_ptr<ChannelGroup> group;
+      if (with_channels <= ChannelGroup::kMaxGroupLanes) {
+        group = system->OpenChannelGroup(threads[group_threads[0]].blade);
       }
       for (const size_t t : group_threads) {
-        if (threads[t].channel != nullptr) {
-          threads[t].group_member = group->Add(threads[t].channel);
+        ThreadRt& th = threads[t];
+        if (group == nullptr) {
+          th.channel = nullptr;
+        } else if (th.channel != nullptr) {
+          th.group_member = group->Add(th.channel);
         }
       }
       sh.blade_groups[g] = group.get();
@@ -259,8 +259,8 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
     sh.any_blocked = false;
     for (size_t g = 0; g < sh.blade_threads.size(); ++g) {
       ChannelGroup* group = sh.blade_groups[g];
-      // Grouped blade: one validation pass covers every member's submitted run (the
-      // blade-global epochs are compared once, then each member's region stamps).
+      // One validation pass covers every member's submitted run (the blade-global epochs
+      // are compared once, then each member's region stamps).
       const uint64_t valid_mask = group != nullptr ? group->ValidMask() : 0;
       for (const size_t t : sh.blade_threads[g]) {
         ThreadRt& th = threads[t];
@@ -268,9 +268,7 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
           continue;
         }
         const bool run_valid =
-            th.channel != nullptr && (group != nullptr
-                                          ? ((valid_mask >> th.group_member) & 1) != 0
-                                          : th.channel->RunValid());
+            th.channel != nullptr && ((valid_mask >> th.group_member) & 1) != 0;
         const bool keep =
             th.buf_valid && !th.ran_in_drain && th.buf_pos < th.buf_len && run_valid;
         if (!keep) {
@@ -305,7 +303,6 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
             th.buf_pos = 0;
             th.buf_len = run.accepted;
             th.uniform_lat = run.uniform_latency;
-            th.latency_final = run.latency_final;
             th.blocked = run.accepted < want;
             th.window_capped = !th.blocked && th.next_op + run.accepted < resolved.size();
             th.buf_end_clock = run.end_clock;
@@ -324,180 +321,71 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
   // Commit (parallel, mutating blade-local state only): replay submitted runs with start
   // timestamps strictly below the horizon. `finished` guards against a stale run: a
   // thread the drain ran to completion is skipped by the scan, so its old submitted ops
-  // must never replay. Same-blade threads merge in (clock, thread) order so LRU recency,
-  // dirty bits and per-blade lock occupancy evolve exactly as under per-op replay.
-  auto commit_prefix = [&](ThreadRt& th, ShardRt& sh, SimTime horizon,  // MIND_PARALLEL_PHASE
-                           size_t max_ops) {
-    if (th.finished || !th.buf_valid) {
-      return;
-    }
-    const size_t start = th.buf_pos;
-    if (start >= th.buf_len || th.clock >= horizon) {
-      return;
-    }
-    SimTime clock = th.clock;
-    SimTime last_start = th.last_start;
-    size_t count;
-    if (!th.latency_final) {
-      // Commit-finalized latencies (e.g. GAM's per-blade library lock under intra-blade
-      // contention): commit op by op, reading the exact latency back from the channel.
-      // Only the op's start clock decides horizon eligibility, so the finalized latency
-      // never invalidates the decision to commit.
-      count = 0;
-      while (start + count < th.buf_len && count < max_ops && clock < horizon) {
-        Completion& c = th.comps[start + count];
-        th.channel->Commit(&c, 1, clock);
-        last_start = clock;
-        clock += c.latency + think;
-        sh.report.latency_histogram.Record(c.latency);
-        sh.report.latency_sum += c.latency;
-        ++count;
-      }
-      if (count == 0) {
-        return;
-      }
-    } else if (th.uniform_lat != 0) {
-      // Uniform-latency run: the committable prefix is pure arithmetic — count ops whose
-      // start clock lies below the horizon and account them with one RecordN.
-      const SimTime step = th.uniform_lat + think;
-      count = std::min(th.buf_len - start, max_ops);
-      count = static_cast<size_t>(std::min<uint64_t>(
-          count, (horizon - clock - 1) / step + 1));
-      last_start = clock + static_cast<SimTime>(count - 1) * step;
-      sh.report.latency_histogram.RecordN(th.uniform_lat, count);
-      sh.report.latency_sum += th.uniform_lat * count;
-      th.channel->Commit(th.comps.data() + start, count, clock);
-      clock += static_cast<SimTime>(count) * step;
-    } else {
-      count = 0;
-      while (start + count < th.buf_len && count < max_ops && clock < horizon) {
-        const SimTime lat = th.comps[start + count].latency;
-        last_start = clock;
-        clock += lat + think;
-        sh.report.latency_histogram.Record(lat);
-        sh.report.latency_sum += lat;
-        ++count;
-      }
-      if (count == 0) {
-        return;
-      }
-      th.channel->Commit(th.comps.data() + start, count, th.clock);
-    }
-    sh.report.parallel_hits += count;
-    sh.report.counters.total_accesses += count;
-    sh.report.counters.local_hits += count;
-    th.last_start = last_start;
-    th.clock = clock;
-    th.buf_pos = start + count;
-    th.next_op += count;
-    sh.report.makespan = std::max(sh.report.makespan, clock);
-    if (th.next_op == traces.threads[th.index].ops.size()) {
-      th.finished = true;
-    }
-  };
+  // must never replay. Each blade's members with committable work become lanes, and one
+  // CommitMerged call replays their merged (clock, thread) stream up to the horizon — so
+  // LRU recency, dirty bits and per-blade lock occupancy evolve exactly as under per-op
+  // replay, with latencies finalized inside the batch.
   auto commit_shard = [&](int s, SimTime horizon) {  // MIND_PARALLEL_PHASE
     ShardRt& sh = shards[s];
     TraceSink* const lane_trace = exec_sinks[static_cast<size_t>(s)];
-    const uint64_t hits_before = sh.report.parallel_hits;
-    const uint64_t grouped_before = sh.report.grouped_ops;
     for (size_t g = 0; g < sh.blade_threads.size(); ++g) {
+      ChannelGroup* group = sh.blade_groups[g];
+      if (group == nullptr) {
+        continue;  // No channels on this blade: its threads ride the drain.
+      }
       const std::vector<size_t>& group_threads = sh.blade_threads[g];
-      if (ChannelGroup* group = sh.blade_groups[g]; group != nullptr) {
-        // Grouped blade: gather every member with committable work into a lane, then one
-        // CommitMerged call replays the merged (clock, thread) stream up to the horizon —
-        // one virtual call per blade per round, with latencies finalized inside the batch.
-        sh.lanes.clear();
-        for (const size_t t : group_threads) {
-          ThreadRt& th = threads[t];
-          if (th.finished || !th.buf_valid || th.channel == nullptr ||
-              th.buf_pos >= th.buf_len || th.clock >= horizon) {
-            continue;
-          }
-          GroupLane lane;
-          lane.member = th.group_member;
-          lane.thread_index = th.index;
-          lane.clock = th.clock;
-          lane.uniform_latency = th.uniform_lat;
-          lane.comps = th.comps.data() + th.buf_pos;
-          lane.count = th.buf_len - th.buf_pos;
-          sh.lanes.push_back(lane);
-        }
-        if (sh.lanes.empty()) {
+      sh.lanes.clear();
+      for (const size_t t : group_threads) {
+        ThreadRt& th = threads[t];
+        if (th.finished || !th.buf_valid || th.channel == nullptr ||
+            th.buf_pos >= th.buf_len || th.clock >= horizon) {
           continue;
         }
-        const uint64_t committed = group->CommitMerged(
-            sh.lanes.data(), sh.lanes.size(), horizon, think,
-            sh.report.latency_histogram);
-        if (committed == 0) {
+        GroupLane lane;
+        lane.member = th.group_member;
+        lane.thread_index = th.index;
+        lane.clock = th.clock;
+        lane.uniform_latency = th.uniform_lat;
+        lane.comps = th.comps.data() + th.buf_pos;
+        lane.count = th.buf_len - th.buf_pos;
+        sh.lanes.push_back(lane);
+      }
+      if (sh.lanes.empty()) {
+        continue;
+      }
+      const uint64_t committed = group->CommitMerged(
+          sh.lanes.data(), sh.lanes.size(), horizon, think, sh.report.latency_histogram);
+      if (committed == 0) {
+        continue;
+      }
+      SimTime group_end = 0;
+      for (const GroupLane& lane : sh.lanes) {
+        if (lane.committed == 0) {
           continue;
         }
-        SimTime group_end = 0;
-        for (const GroupLane& lane : sh.lanes) {
-          if (lane.committed == 0) {
-            continue;
-          }
-          group_end = std::max(group_end, lane.end_clock);
-          ThreadRt& th = threads[lane.thread_index];
-          th.last_start = lane.last_start;
-          th.clock = lane.end_clock;
-          th.buf_pos += lane.committed;
-          th.next_op += lane.committed;
-          sh.report.latency_sum += lane.latency_sum;
-          sh.report.makespan = std::max(sh.report.makespan, lane.end_clock);
-          if (th.next_op == traces.threads[th.index].ops.size()) {
-            th.finished = true;
-          }
+        group_end = std::max(group_end, lane.end_clock);
+        ThreadRt& th = threads[lane.thread_index];
+        th.last_start = lane.last_start;
+        th.clock = lane.end_clock;
+        th.buf_pos += lane.committed;
+        th.next_op += lane.committed;
+        sh.report.latency_sum += lane.latency_sum;
+        sh.report.makespan = std::max(sh.report.makespan, lane.end_clock);
+        if (th.next_op == traces.threads[th.index].ops.size()) {
+          th.finished = true;
         }
-        sh.report.parallel_hits += committed;
-        sh.report.grouped_ops += committed;
-        sh.report.counters.total_accesses += committed;
-        sh.report.counters.local_hits += committed;
-        if (lane_trace != nullptr) [[unlikely]] {
-          TraceEvent ev;
-          ev.kind = TraceEventKind::kGroupCommit;
-          ev.clock = group_end;
-          ev.blade = threads[group_threads[0]].blade;
-          ev.a = committed;
-          ev.b = sh.lanes.size();
-          lane_trace->Emit(ev);
-        }
-        continue;
       }
-      if (group_threads.size() == 1) {
-        // One thread on the blade: the whole eligible prefix commits in one batch.
-        commit_prefix(threads[group_threads[0]], sh, horizon, SIZE_MAX);
-        continue;
-      }
-      for (;;) {
-        ThreadRt* best = nullptr;
-        for (const size_t t : group_threads) {
-          ThreadRt& th = threads[t];
-          if (th.finished || !th.buf_valid || th.buf_pos >= th.buf_len ||
-              th.clock >= horizon) {
-            continue;
-          }
-          if (best == nullptr || th.clock < best->clock ||
-              (th.clock == best->clock && th.index < best->index)) {
-            best = &th;
-          }
-        }
-        if (best == nullptr) {
-          break;
-        }
-        commit_prefix(*best, sh, horizon, 1);
-      }
-    }
-    if (lane_trace != nullptr) [[unlikely]] {
-      // One execution event per shard per round covering the plain (ungrouped) channel
-      // commits; grouped batches carried their own kGroupCommit events above.
-      const uint64_t plain = (sh.report.parallel_hits - hits_before) -
-                             (sh.report.grouped_ops - grouped_before);
-      if (plain != 0) {
+      sh.report.parallel_hits += committed;
+      sh.report.grouped_ops += committed;
+      sh.report.counters.total_accesses += committed;
+      sh.report.counters.local_hits += committed;
+      if (lane_trace != nullptr) [[unlikely]] {
         TraceEvent ev;
-        ev.kind = TraceEventKind::kChannelCommit;
-        ev.clock = sh.report.makespan;
-        ev.a = plain;
-        ev.b = static_cast<uint64_t>(s);
+        ev.kind = TraceEventKind::kGroupCommit;
+        ev.clock = group_end;
+        ev.blade = threads[group_threads[0]].blade;
+        ev.a = committed;
+        ev.b = sh.lanes.size();
         lane_trace->Emit(ev);
       }
     }
@@ -586,7 +474,7 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
       // fast path at the next round instead of being thrown away and reclassified
       // (drained hits used to poison the whole submitted window). State drift is
       // covered exactly as for commits: membership/writability/domain changes bump the
-      // stamped regions (killing the run via RunValid), while recency and dirtiness
+      // stamped regions (killing the run via ValidMask), while recency and dirtiness
       // never affect classification.
       ++th.buf_pos;
     } else {

@@ -3,18 +3,18 @@
 // ReplayEngine replays system-independent traces against any MemorySystem, entirely on
 // the calling thread. Compute blades are partitioned across N shards, each with its own
 // latency histogram and counter block, and replay alternates between channel rounds
-// (each shard in turn drives blade-local runs through the per-(thread, blade)
-// AccessChannel submit/complete contract — see src/core/access_channel.h) and a
-// serialized drain (coherence events — faults, invalidation waves, directory
-// transitions, splitting epochs — execute through per-op Access in global timestamp
-// order). The handoff between the two is a bounded epoch horizon: each round, every
-// shard scans forward to the timestamp of its first non-local op (or a bounded window),
-// the minimum across shards becomes the commit horizon H, and only ops starting strictly
-// before H commit, in per-blade (clock, thread) order. Because a channel-accepted op
-// neither reads nor writes anything a cross-blade coherence event can change (cache
-// membership, permissions and PSO barriers are only mutated by the serialized drain, and
-// submitted runs are revalidated against per-2MB-region version stamps), the merged
-// result is bit-identical to per-op replay — same makespan, counters and latency
+// (each shard in turn submits blade-local runs per thread through AccessChannel::Submit,
+// then validates and commits them per blade through the blade's ChannelGroup — see
+// src/core/access_channel.h) and a serialized drain (coherence events — faults,
+// invalidation waves, directory transitions, splitting epochs — execute through per-op
+// Access in global timestamp order). The handoff between the two is a bounded epoch
+// horizon: each round, every shard scans forward to the timestamp of its first non-local
+// op (or a bounded window), the minimum across shards becomes the commit horizon H, and
+// only ops starting strictly before H commit, as one merged (clock, thread) batch per
+// blade. Because a channel-accepted op neither reads nor writes anything a cross-blade
+// coherence event can change (cache membership, permissions and PSO barriers are only
+// mutated by the serialized drain, and submitted runs are revalidated against
+// per-2MB-region version stamps), the merged result is bit-identical to per-op replay — same makespan, counters and latency
 // histogram for 1, 2 or N shards.
 //
 // Serial replay is the degenerate case of the same loop: one shard, same channels, same
@@ -90,19 +90,11 @@ struct ReplayOptions {
   // Replay shards: a partition of the blades that the channel rounds visit in turn;
   // clamped to [1, blades driven by the trace]. Results are bit-identical for any count.
   int shards = 1;
-  // Drive blade-local runs through the systems' AccessChannels. Off = the per-op serial
+  // Drive blade-local runs through the systems' AccessChannels, committed per blade
+  // through ChannelGroups (a blade without a group drains). Off = the per-op serial
   // reference path (every op through Access in exact global order) that the channel
   // conformance suite compares against.
   bool use_channels = true;
-  // Drive same-blade threads through per-blade ChannelGroups (src/core/access_channel.h):
-  // whenever >= 2 threads of a shard share a blade (and the system hands out groups), the
-  // threads' submitted runs validate in one pass per blade and their merged
-  // (clock, thread) stream commits as one batch per round — with latencies finalized
-  // exactly inside the batch where per-thread Submit could only bound them (GAM's library
-  // lock under intra-blade contention). Groups are an execution strategy, never a
-  // semantic: results are bit-identical on or off. Off = per-thread channel commits (the
-  // plain-channel conformance path).
-  bool use_channel_groups = true;
   // Per-thread run scan window per round: bounds submit-buffer memory and the wasted
   // rescan when another blade's coherence event cuts the horizon short.
   uint32_t scan_window_ops = 2048;
@@ -119,8 +111,8 @@ struct ReplayOptions {
   // accounting delta (issued/useful/late + derived coverage).
   PrefetchPolicy prefetch = PrefetchPolicy::kNone;
   // Record a TraceScope (src/obs/trace_scope.h) for the run: semantic events from the
-  // systems' serialized paths into the control sink, execution events (channel/group
-  // commits, drain sub-rounds) from the engine into per-shard mailbox sinks. Off — the
+  // systems' serialized paths into the control sink, execution events (group commits,
+  // drain sub-rounds) from the engine into per-shard mailbox sinks. Off — the
   // default — constructs nothing and leaves the systems' sinks null, so the hot path
   // pays at most one pointer compare per miss and nothing at all on hits.
   bool trace = false;
@@ -133,7 +125,9 @@ struct ReplayOptions {
 // the sum/max over these plus the system's serialized-phase counter delta.
 struct ShardReport {
   uint64_t parallel_hits = 0;  // Ops committed on the shard's channel path.
-  uint64_t grouped_ops = 0;    // Subset of parallel_hits committed via per-blade groups.
+  // Ops committed via per-blade groups. Every channel op commits through its blade's
+  // group, so this equals parallel_hits; kept because bench/mindbench reports it.
+  uint64_t grouped_ops = 0;
   uint64_t drained_ops = 0;    // This shard's ops executed by the serialized drain.
   uint64_t owner_drained = 0;  // Subset of drained_ops retired in owner sub-rounds.
   SimTime makespan = 0;

@@ -1,16 +1,16 @@
 // Conformance suite for the AccessChannel contract (src/core/access_channel.h), run
 // against every compared system: MIND (TSO and PSO), GAM and FastSwap.
 //
-// Part 1 — engine-level conformance: channel-driven replay at 1/2/4/8 shards must be
-// bit-identical (counters, every histogram bucket, makespan, throughput) to the per-op
+// Part 1 — engine-level conformance: channel-driven replay at 1/2/4/8 shards (every hit
+// committed through its blade's ChannelGroup) must be bit-identical (counters, every histogram bucket, makespan, throughput) to the per-op
 // reference path that issues one virtual MemorySystem::Access per op in exact global
 // order. This is the contract's whole point: channels are an execution strategy, never a
 // semantic.
 //
-// Part 2 — channel-level contract: per-2MB-region validity stamps. A run submitted over
-// private regions must survive an invalidation wave that hits a *different* (shared)
-// region of the same blade, and must die when the wave lands inside one of its own
-// stamped regions.
+// Part 2 — channel-level contract: per-2MB-region validity stamps, checked through a
+// one-member group. A run submitted over private regions must survive an invalidation
+// wave that hits a *different* (shared) region of the same blade, and must die when the
+// wave lands inside one of its own stamped regions.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -58,9 +58,6 @@ struct ConformanceCase {
   // The channel fast path must actually engage under sharded replay (not merely match by
   // draining everything).
   bool expect_parallel_hits = true;
-  // With use_channel_groups on, per-blade group commits must actually engage (the case
-  // has >= 2 threads sharing a blade and a hit-capable working set).
-  bool expect_grouped_ops = false;
 };
 
 RackConfig ConformanceRackConfig() {
@@ -94,17 +91,17 @@ std::vector<ConformanceCase> ConformanceCases() {
   cases.push_back(ConformanceCase{
       "MindTso",
       [] { return std::make_unique<MindSystem>(ConformanceRackConfig()); },
-      CoherenceSpec(4, 2), /*expect_parallel_hits=*/true, /*expect_grouped_ops=*/true});
+      CoherenceSpec(4, 2)});
   {
     RackConfig pso = ConformanceRackConfig();
     pso.consistency = ConsistencyModel::kPso;
     cases.push_back(ConformanceCase{
         "MindPso", [pso] { return std::make_unique<MindSystem>(pso); },
-        CoherenceSpec(4, 2), /*expect_parallel_hits=*/true, /*expect_grouped_ops=*/true});
+        CoherenceSpec(4, 2)});
   }
-  // GAM with one thread per blade and cache-resident per-blade working sets: the
-  // channel's simulated lock queue is exact at Submit (latency_final), hit runs are
-  // uniform, and sparse shared writes fire real cross-blade invalidations.
+  // GAM with one thread per blade and cache-resident per-blade working sets: each blade's
+  // one-member group replays the lock queue exactly, and sparse shared writes fire real
+  // cross-blade invalidations.
   {
     WorkloadSpec spec;
     spec.name = "gam-blade-resident";
@@ -129,13 +126,12 @@ std::vector<ConformanceCase> ConformanceCases() {
       [] { return std::make_unique<GamSystem>(ConformanceGamConfig()); },
       TfSpec(4, /*threads_per_blade=*/1, /*accesses_per_thread=*/4000),
       /*expect_parallel_hits=*/false});
-  // GAM with intra-blade contention: submit-time latencies are lower bounds; grouped
-  // commits finalize them exactly inside the merged batch (and the per-thread fallback
-  // op by op against the live lock queue).
+  // GAM with intra-blade contention: submit-time latencies are lower bounds; group
+  // commits finalize them exactly inside the merged batch.
   cases.push_back(ConformanceCase{
       "GamContendedBlades",
       [] { return std::make_unique<GamSystem>(ConformanceGamConfig()); },
-      CoherenceSpec(4, 2), /*expect_parallel_hits=*/true, /*expect_grouped_ops=*/true});
+      CoherenceSpec(4, 2)});
   {
     // FastSwap, cache-resident: two threads share the swap cache, hits dominate after
     // warmup, and the same-blade (clock, thread) merge interleaves their runs.
@@ -151,8 +147,7 @@ std::vector<ConformanceCase> ConformanceCases() {
     spec.private_write_fraction = 0.5;
     spec.accesses_per_thread = 5000;
     cases.push_back(ConformanceCase{
-        "FastSwapResident", [fs] { return std::make_unique<FastSwapSystem>(fs); }, spec,
-        /*expect_parallel_hits=*/true, /*expect_grouped_ops=*/true});
+        "FastSwapResident", [fs] { return std::make_unique<FastSwapSystem>(fs); }, spec});
     // FastSwap, thrashing: working set ~1.5x the cache, so faults, LRU evictions and
     // dirty write-backs dominate — identity only, engagement depends on the drain policy.
     WorkloadSpec thrash = spec;
@@ -179,36 +174,26 @@ TEST_P(AccessChannelConformance, BitIdenticalToPerOpReference) {
   const ReplayReport want = ref.Run();
   ASSERT_GT(want.total_ops, 0u);
 
-  // The full execution-strategy matrix: per-thread channel commits and per-blade group
-  // commits, at every shard count, must all be bit-identical to the per-op reference.
-  for (const bool groups : {false, true}) {
-    for (const int shards : {1, 2, 4, 8}) {
-      SCOPED_TRACE(::testing::Message()
-                   << (groups ? "groups" : "plain") << "/" << shards << "shards");
-      auto sys = c.make_system();
-      ReplayOptions opts;
-      opts.shards = shards;
-      opts.use_channel_groups = groups;
-      ReplayEngine engine(sys.get(), &traces, opts);
-      ASSERT_TRUE(engine.Setup().ok());
-      const ReplayReport got = engine.Run();
-      ExpectReportsIdentical(want, got);
-      uint64_t parallel = 0;
-      uint64_t grouped = 0;
-      for (const ShardReport& sr : engine.shard_reports()) {
-        parallel += sr.parallel_hits;
-        grouped += sr.grouped_ops;
-      }
-      if (c.expect_parallel_hits) {
-        EXPECT_GT(parallel, 0u) << "channel fast path never engaged";
-      }
-      if (groups && c.expect_grouped_ops) {
-        EXPECT_GT(grouped, 0u) << "per-blade group commits never engaged";
-      }
-      if (!groups) {
-        EXPECT_EQ(grouped, 0u) << "groups committed ops while disabled";
-      }
+  // Every shard count must be bit-identical to the per-op reference.
+  for (const int shards : {1, 2, 4, 8}) {
+    SCOPED_TRACE(::testing::Message() << shards << "shards");
+    auto sys = c.make_system();
+    ReplayOptions opts;
+    opts.shards = shards;
+    ReplayEngine engine(sys.get(), &traces, opts);
+    ASSERT_TRUE(engine.Setup().ok());
+    const ReplayReport got = engine.Run();
+    ExpectReportsIdentical(want, got);
+    uint64_t parallel = 0;
+    uint64_t grouped = 0;
+    for (const ShardReport& sr : engine.shard_reports()) {
+      parallel += sr.parallel_hits;
+      grouped += sr.grouped_ops;
     }
+    if (c.expect_parallel_hits) {
+      EXPECT_GT(parallel, 0u) << "channel fast path never engaged";
+    }
+    EXPECT_EQ(grouped, parallel) << "a channel op committed outside its blade's group";
   }
 }
 
@@ -250,6 +235,9 @@ TEST(AccessChannelRegionStamps, MindPrivateRunSurvivesSharedWave) {
 
   auto channel = sys.OpenChannel(tid_a, 0);
   ASSERT_NE(channel, nullptr);
+  auto group = sys.OpenChannelGroup(0);
+  ASSERT_NE(group, nullptr);
+  ASSERT_EQ(group->Add(channel.get()), 0u);
   std::vector<LocalOp> ops;
   for (uint64_t p = 0; p < 8; ++p) {
     ops.push_back(LocalOp{base + p * kPageSize, AccessType::kRead});
@@ -259,9 +247,8 @@ TEST(AccessChannelRegionStamps, MindPrivateRunSurvivesSharedWave) {
   const SubmitResult run = channel->Submit(ops.data(), ops.size(), submit_clock,
                                            /*think=*/100, comps.data());
   ASSERT_EQ(run.accepted, ops.size());
-  EXPECT_TRUE(run.latency_final);
   EXPECT_GT(run.uniform_latency, 0u);
-  EXPECT_TRUE(channel->RunValid());
+  EXPECT_EQ(group->ValidMask() & 1u, 1u);
 
   // Cross-blade write to the shared page: the invalidation wave strips blade 0's copy in
   // region 2. The run's stamp covers only region 0 — it must survive.
@@ -272,11 +259,20 @@ TEST(AccessChannelRegionStamps, MindPrivateRunSurvivesSharedWave) {
     t = r.completion + 1;
   }
   ASSERT_GT(sys.counters().invalidations, inv_before);  // The wave really hit blade 0.
-  EXPECT_TRUE(channel->RunValid());
+  EXPECT_EQ(group->ValidMask() & 1u, 1u);
 
-  // The surviving run commits, and the committed hits are real: a serial re-access of a
-  // committed page still hits blade-locally.
-  channel->Commit(comps.data(), comps.size(), submit_clock);
+  // The surviving run commits through the group, and the committed hits are real: a
+  // serial re-access of a committed page still hits blade-locally.
+  GroupLane lane;
+  lane.clock = submit_clock;
+  lane.uniform_latency = run.uniform_latency;
+  lane.comps = comps.data();
+  lane.count = comps.size();
+  Histogram hist;
+  EXPECT_EQ(group->CommitMerged(&lane, 1, std::numeric_limits<SimTime>::max(),
+                                /*think=*/100, hist),
+            ops.size());
+  EXPECT_EQ(lane.committed, ops.size());
   {
     const AccessResult r = sys.Access(tid_a, 0, base, AccessType::kRead, t);
     ASSERT_TRUE(r.status.ok());
@@ -289,7 +285,7 @@ TEST(AccessChannelRegionStamps, MindPrivateRunSurvivesSharedWave) {
     const AccessResult r = sys.Access(tid_b, 1, base + 3 * kPageSize, AccessType::kWrite, t);
     ASSERT_TRUE(r.status.ok());
   }
-  EXPECT_FALSE(channel->RunValid());
+  EXPECT_EQ(group->ValidMask() & 1u, 0u);
 }
 
 // Same shape for GAM, whose page-granular software directory makes the wave surgical.
@@ -317,6 +313,9 @@ TEST(AccessChannelRegionStamps, GamPrivateRunSurvivesSharedWave) {
 
   auto channel = sys.OpenChannel(tid_a, 0);
   ASSERT_NE(channel, nullptr);
+  auto group = sys.OpenChannelGroup(0);
+  ASSERT_NE(group, nullptr);
+  ASSERT_EQ(group->Add(channel.get()), 0u);
   std::vector<LocalOp> ops;
   for (uint64_t p = 0; p < 8; ++p) {
     ops.push_back(LocalOp{base + p * kPageSize, AccessType::kRead});
@@ -325,9 +324,7 @@ TEST(AccessChannelRegionStamps, GamPrivateRunSurvivesSharedWave) {
   const SubmitResult run =
       channel->Submit(ops.data(), ops.size(), t, /*think=*/100, comps.data());
   ASSERT_EQ(run.accepted, ops.size());
-  EXPECT_TRUE(run.latency_final);  // Blade 0 has a single registered thread.
-  EXPECT_GT(run.uniform_latency, 0u);
-  EXPECT_TRUE(channel->RunValid());
+  EXPECT_EQ(group->ValidMask() & 1u, 1u);
 
   // B steals the shared page: GAM invalidates blade 0's copy of that page only.
   {
@@ -336,20 +333,20 @@ TEST(AccessChannelRegionStamps, GamPrivateRunSurvivesSharedWave) {
     t = r.completion + 1;
   }
   EXPECT_GT(sys.counters().invalidations, 0u);
-  EXPECT_TRUE(channel->RunValid());
+  EXPECT_EQ(group->ValidMask() & 1u, 1u);
 
   // B steals a page inside the run's region: the run dies.
   {
     const AccessResult r = sys.Access(tid_b, 1, base + 3 * kPageSize, AccessType::kWrite, t);
     ASSERT_TRUE(r.status.ok());
   }
-  EXPECT_FALSE(channel->RunValid());
+  EXPECT_EQ(group->ValidMask() & 1u, 0u);
 }
 
 // --- Part 3: per-blade channel groups ----------------------------------------
 
-// GAM under intra-blade contention: per-thread Submit can only lower-bound hit latencies
-// (latency_final = false), but one group commit replays the merged (clock, thread) lock
+// GAM under intra-blade contention: per-thread Submit can only lower-bound hit latencies,
+// but one group commit replays the merged (clock, thread) lock
 // queue and writes *exact* latencies into the completions — identical to serial per-op
 // Access over the same interleaving — in a single batched call that advances the blade's
 // FIFO lock once.
@@ -436,8 +433,7 @@ TEST(ChannelGroup, GamContendedBladeCommitsExactLatencies) {
     runs[th] = channels[th]->Submit(ops[th].data(), kPages, start_clock[th], kThink,
                                     comps[th].data());
     ASSERT_EQ(runs[th].accepted, kPages);
-    EXPECT_FALSE(runs[th].latency_final);  // Two registered threads share the blade.
-    EXPECT_EQ(runs[th].uniform_latency, 0u);
+    EXPECT_EQ(runs[th].uniform_latency, 0u);  // Latencies are left to the group commit.
   }
   auto group = grouped.OpenChannelGroup(0);
   ASSERT_NE(group, nullptr);

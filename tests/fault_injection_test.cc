@@ -1,6 +1,6 @@
 // FaultPlane end-to-end tests (§4.4): the fault conformance oracle (an identical fault
-// seed/schedule must produce bit-identical counters, histograms and makespan across 1/2/4/8
-// shards and channel groups on/off, for MIND, GAM and FastSwap, at every loss rate), the
+// seed/schedule must produce bit-identical counters, histograms and makespan across the
+// per-op reference and 1/2/4/8 shards, for MIND, GAM and FastSwap, at every loss rate), the
 // reset path after a blade death (no deadlock, directory entry gone, cached copies flushed,
 // clean re-fault), scheduled blade drain/failover under live replay, stall windows, and the
 // FaultCounters block algebra. Reliability-tracker unit tests live in net_test.cc.
@@ -47,21 +47,14 @@ ReplayReport RunReplay(MemorySystem* sys, const WorkloadTraces& traces, ReplayOp
 }
 
 // The execution-strategy matrix every fault schedule must be invariant under: the per-op
-// reference path, then channel groups on at 1/2/4/8 shards and off at 1/4.
+// reference path (`want`), then channel replay at 1/2/4/8 shards.
 void ExpectFaultConformance(const std::function<std::unique_ptr<MemorySystem>()>& make,
                             const WorkloadTraces& traces, const ReplayReport& want) {
-  struct Mode {
-    bool groups;
-    int shards;
-  };
-  for (const Mode m : {Mode{true, 1}, Mode{true, 2}, Mode{true, 4}, Mode{true, 8},
-                       Mode{false, 1}, Mode{false, 4}}) {
-    SCOPED_TRACE(::testing::Message()
-                 << (m.groups ? "groups" : "plain") << "/" << m.shards << "shards");
+  for (const int shards : {1, 2, 4, 8}) {
+    SCOPED_TRACE(::testing::Message() << shards << "shards");
     auto sys = make();
     ReplayOptions opts;
-    opts.shards = m.shards;
-    opts.use_channel_groups = m.groups;
+    opts.shards = shards;
     ExpectReportsIdentical(want, RunReplay(sys.get(), traces, opts));
   }
 }
@@ -248,8 +241,7 @@ TEST(FaultConformance, MindFullFaultStormIsModeInvariant) {
 
 TEST(FaultConformance, OwnerParallelDrainInvariantUnderFaults) {
   // The region-ownership drain partition against three fault schedules — fault-free,
-  // 0.5% seeded loss, and a mid-replay scheduled blade drain — at 1/2/4/8 shards, groups
-  // on and off. Every time-driven boundary serializes through the drain safety horizon
+  // 0.5% seeded loss, and a mid-replay scheduled blade drain — at 1/2/4/8 shards. Every time-driven boundary serializes through the drain safety horizon
   // (NextScheduledFaultAt clamps it), so the results and the drain composition
   // (owner-drained subset included) are bit-identical across the whole matrix.
   const WorkloadTraces traces = GenerateTraces(CoherenceSpec(4));
@@ -273,28 +265,24 @@ TEST(FaultConformance, OwnerParallelDrainInvariantUnderFaults) {
     const ReplayReport want = SerialReference(make, traces);
     uint64_t owner_expected = 0;
     bool first = true;
-    for (const bool groups : {true, false}) {
-      for (const int shards : {1, 2, 4, 8}) {
-        SCOPED_TRACE(::testing::Message()
-                     << (groups ? "groups" : "plain") << "/" << shards << "shards");
-        auto sys = make();
-        ReplayOptions opts;
-        opts.shards = shards;
-        opts.use_channel_groups = groups;
-        ReplayEngine engine(sys.get(), &traces, opts);
-        ASSERT_TRUE(engine.Setup().ok());
-        ExpectReportsIdentical(want, engine.Run());
-        uint64_t owner = 0;
-        for (const ShardReport& sr : engine.shard_reports()) {
-          owner += sr.owner_drained;
-        }
-        EXPECT_GT(owner, 0u);  // Engaged even while the schedule fires.
-        if (first) {
-          owner_expected = owner;
-          first = false;
-        } else {
-          EXPECT_EQ(owner, owner_expected);  // Composition is matrix-invariant.
-        }
+    for (const int shards : {1, 2, 4, 8}) {
+      SCOPED_TRACE(::testing::Message() << shards << "shards");
+      auto sys = make();
+      ReplayOptions opts;
+      opts.shards = shards;
+      ReplayEngine engine(sys.get(), &traces, opts);
+      ASSERT_TRUE(engine.Setup().ok());
+      ExpectReportsIdentical(want, engine.Run());
+      uint64_t owner = 0;
+      for (const ShardReport& sr : engine.shard_reports()) {
+        owner += sr.owner_drained;
+      }
+      EXPECT_GT(owner, 0u);  // Engaged even while the schedule fires.
+      if (first) {
+        owner_expected = owner;
+        first = false;
+      } else {
+        EXPECT_EQ(owner, owner_expected);  // Composition is matrix-invariant.
       }
     }
   }

@@ -60,7 +60,7 @@ TEST(TraceSink, ForEachIsEmissionOrderedBelowCapacity) {
 TEST(TraceScope, FinalizeMergesByClockThenTidStable) {
   TraceScope scope(/*num_shards=*/2);
   scope.control()->Emit(MakeEvent(TraceEventKind::kInvalidationWave, 100, 1, /*tid=*/2));
-  scope.shard(0)->Emit(MakeEvent(TraceEventKind::kChannelCommit, 50, 2, /*tid=*/1));
+  scope.shard(0)->Emit(MakeEvent(TraceEventKind::kGroupCommit, 50, 2, /*tid=*/1));
   scope.shard(1)->Emit(MakeEvent(TraceEventKind::kGroupCommit, 100, 3, /*tid=*/1));
   scope.Finalize();
   ASSERT_EQ(scope.merged().size(), 3u);
@@ -80,9 +80,9 @@ TEST(TraceScope, SemanticBytesIgnoresExecutionEventsAndMailboxContents) {
     b.control()->Emit(MakeEvent(TraceEventKind::kAccessSpan, t, t * 7));
   }
   // Execution noise lands differently per mode — the witness must not see it.
-  a.shard(0)->Emit(MakeEvent(TraceEventKind::kChannelCommit, 15, 99));
+  a.shard(0)->Emit(MakeEvent(TraceEventKind::kGroupCommit, 15, 99));
   b.shard(3)->Emit(MakeEvent(TraceEventKind::kDrainPhase, 25, 42));
-  b.control()->Emit(MakeEvent(TraceEventKind::kChannelCommit, 5, 7));  // Filtered by kind.
+  b.control()->Emit(MakeEvent(TraceEventKind::kGroupCommit, 5, 7));  // Filtered by kind.
   EXPECT_EQ(a.SemanticBytes(), b.SemanticBytes());
   EXPECT_EQ(a.SemanticDigest(), b.SemanticDigest());
   EXPECT_NE(a.SemanticBytes(), std::string());

@@ -173,12 +173,14 @@ TEST(ShardedReplay, BitIdenticalWithStoredPayloads) {
   ExpectReportsIdentical(want, RunSharded(traces, config, opts));
 }
 
-// Forwards every MemorySystem call but inherits the default (null) OpenChannel and
-// OpenOwnerDrain: the opt-out contracts must route every op through the serialized
-// drain's per-op merge step and still match the per-op reference exactly.
+// Forwards every MemorySystem call but inherits the default (null) OpenChannelGroup and
+// OpenOwnerDrain — and, unless `forward_channels`, the default (null) OpenChannel: the
+// opt-out contracts must route every op through the serialized drain's per-op merge step
+// and still match the per-op reference exactly. Channels without a group never commit.
 class NoChannelSystem final : public MemorySystem {
  public:
-  explicit NoChannelSystem(MemorySystem* inner) : inner_(inner) {}
+  explicit NoChannelSystem(MemorySystem* inner, bool forward_channels = false)
+      : inner_(inner), forward_channels_(forward_channels) {}
   [[nodiscard]] std::string name() const override { return inner_->name(); }
   [[nodiscard]] int num_compute_blades() const override {
     return inner_->num_compute_blades();
@@ -192,13 +194,17 @@ class NoChannelSystem final : public MemorySystem {
     return inner_->Access(tid, blade, va, type, now);
   }
   [[nodiscard]] SystemCounters counters() const override { return inner_->counters(); }
+  std::unique_ptr<AccessChannel> OpenChannel(ThreadId tid, ComputeBladeId blade) override {
+    return forward_channels_ ? inner_->OpenChannel(tid, blade) : nullptr;
+  }
   void AdvanceTo(SimTime now) override { inner_->AdvanceTo(now); }
 
  private:
   MemorySystem* inner_;
+  bool forward_channels_;
 };
 
-TEST(ShardedReplay, SystemWithoutChannelsSerializes) {
+void ExpectSerializesWithoutGroups(bool forward_channels) {
   const RackConfig config = TestRackConfig(4);
   const WorkloadTraces traces = GenerateTraces(HitHeavySpec(4));
 
@@ -210,7 +216,7 @@ TEST(ShardedReplay, SystemWithoutChannelsSerializes) {
   const ReplayReport want = serial.Run();
 
   MindSystem inner(config);
-  NoChannelSystem sharded_sys(&inner);
+  NoChannelSystem sharded_sys(&inner, forward_channels);
   ReplayOptions opts;
   opts.shards = 4;
   ReplayEngine sharded(&sharded_sys, &traces, opts);
@@ -225,6 +231,14 @@ TEST(ShardedReplay, SystemWithoutChannelsSerializes) {
   }
   EXPECT_EQ(parallel, 0u);
   EXPECT_EQ(owner_drained, 0u);  // No owner contract: every drained op is ineligible.
+}
+
+TEST(ShardedReplay, SystemWithoutChannelsSerializes) {
+  ExpectSerializesWithoutGroups(/*forward_channels=*/false);
+}
+
+TEST(ShardedReplay, ChannelsWithoutGroupsSerialize) {
+  ExpectSerializesWithoutGroups(/*forward_channels=*/true);
 }
 
 TEST(ShardedReplay, SamplerFallsBackToReferencePath) {
@@ -264,8 +278,8 @@ TEST(ShardedReplay, ShardCountClampsToBlades) {
 // The serialized drain is partitioned by 2 MB-region ownership
 // (src/workload/region_ownership.h): whenever every unfinished thread's next op below
 // the global safety horizon is an owner-homed blade-local hit, the drain retires those
-// ops in one sub-round instead of one merge step at a time. Like channels and groups it
-// is an execution strategy, never a semantic — these tests pin the bit-identity, the
+// ops in one sub-round instead of one merge step at a time. Like channels it is an
+// execution strategy, never a semantic — these tests pin the bit-identity, the
 // engagement, and the shard-count invariance of the drain composition.
 
 uint64_t SumOwnerDrained(const std::vector<ShardReport>& reports) {
@@ -285,37 +299,33 @@ uint64_t SumDrained(const std::vector<ShardReport>& reports) {
 }
 
 TEST(OwnershipDrain, ConformanceMatrixBitIdenticalAndEngaged) {
-  // 1/2/4/8 shards x groups on/off, all against the serial reference. The eligibility
-  // gate never consults the shard count (OwnedByAccessor compares the accessor blade to
-  // the region home), so the drain composition — how many ops drained, and how many of
-  // those retired in owner sub-rounds — must be identical across every matrix cell.
+  // 1/2/4/8 shards, all against the serial reference. The eligibility gate never
+  // consults the shard count (OwnedByAccessor compares the accessor blade to the region
+  // home), so the drain composition — how many ops drained, and how many of those
+  // retired in owner sub-rounds — must be identical across every shard count.
   const RackConfig config = TestRackConfig(8);
   const WorkloadTraces traces = GenerateTraces(HitHeavySpec(8));
   const ReplayReport want = SerialReference(traces, config);
   uint64_t owner_expected = 0;
   uint64_t drained_expected = 0;
   bool first = true;
-  for (const bool groups : {true, false}) {
-    for (const int shards : {1, 2, 4, 8}) {
-      SCOPED_TRACE(::testing::Message()
-                   << (groups ? "groups" : "plain") << "/" << shards << "shards");
-      ReplayOptions opts;
-      opts.shards = shards;
-      opts.use_channel_groups = groups;
-      std::vector<ShardReport> shard_reports;
-      ExpectReportsIdentical(want, RunSharded(traces, config, opts, &shard_reports));
-      const uint64_t owner = SumOwnerDrained(shard_reports);
-      const uint64_t drained = SumDrained(shard_reports);
-      EXPECT_GT(owner, 0u);  // The owner sub-rounds actually engage.
-      EXPECT_LE(owner, drained);
-      if (first) {
-        owner_expected = owner;
-        drained_expected = drained;
-        first = false;
-      } else {
-        EXPECT_EQ(owner, owner_expected);
-        EXPECT_EQ(drained, drained_expected);
-      }
+  for (const int shards : {1, 2, 4, 8}) {
+    SCOPED_TRACE(::testing::Message() << shards << "shards");
+    ReplayOptions opts;
+    opts.shards = shards;
+    std::vector<ShardReport> shard_reports;
+    ExpectReportsIdentical(want, RunSharded(traces, config, opts, &shard_reports));
+    const uint64_t owner = SumOwnerDrained(shard_reports);
+    const uint64_t drained = SumDrained(shard_reports);
+    EXPECT_GT(owner, 0u);  // The owner sub-rounds actually engage.
+    EXPECT_LE(owner, drained);
+    if (first) {
+      owner_expected = owner;
+      drained_expected = drained;
+      first = false;
+    } else {
+      EXPECT_EQ(owner, owner_expected);
+      EXPECT_EQ(drained, drained_expected);
     }
   }
 }

@@ -5,9 +5,9 @@ The replay engine's determinism contract (docs/determinism.md) has two halves:
 
   * RNG draws and global-counter mutation happen only on SERIALIZED paths —
     replay executes those in exact global (clock, thread) order for every shard
-    count, so the draw/mutation sequence is invariant across 1/2/4/8 shards,
-    channel groups on/off, and the per-op reference mode.
-  * PARALLEL phases (channel Submit/Commit rounds and group merges, which run
+    count, so the draw/mutation sequence is invariant across 1/2/4/8 shards
+    and the per-op reference mode.
+  * PARALLEL phases (channel Submit rounds and group merges, which run
     ahead of global order on the replay thread) may only touch blade-/thread-/
     shard-confined state; counters go to the engine's per-shard report blocks,
     never to a system's global counter block.
