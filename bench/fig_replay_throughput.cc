@@ -15,10 +15,7 @@
 // one shard on every series and has been removed.
 //
 // Appends `FigReplayWallclock/*` entries (ns/op over total replayed ops) to
-// BENCH_microbench.json, plus a dimensionless `drain_serialized_fraction` row for the
-// coherence-bound series: the fraction of serialized-drain ops the directory-region
-// ownership split could NOT retire in owner sub-rounds (lower is better; the gate catches
-// it creeping back up). Scale the trace with MIND_BENCH_SCALE.
+// BENCH_microbench.json. Scale the trace with MIND_BENCH_SCALE.
 #include <chrono>
 #include <cstdio>
 #include <sstream>
@@ -36,24 +33,12 @@ struct Timed {
   double wall_ns = 0.0;
   uint64_t parallel_hits = 0;
   uint64_t drained_ops = 0;
-  uint64_t owner_drained = 0;  // Subset of drained_ops retired in owner sub-rounds.
-
-  // Fraction of drained (serialized-phase) ops that still had to execute one at a time
-  // through the global merge step after directory-region ownership carved out the
-  // owner sub-rounds. Shard-count invariant (the drain composition is bit-identical
-  // across shard counts).
-  [[nodiscard]] double SerializedFraction() const {
-    return drained_ops == 0
-               ? 0.0
-               : 1.0 - static_cast<double>(owner_drained) / static_cast<double>(drained_ops);
-  }
 };
 
 void CollectShards(ReplayEngine& engine, Timed* out) {
   for (const ShardReport& sr : engine.shard_reports()) {
     out->parallel_hits += sr.parallel_hits;
     out->drained_ops += sr.drained_ops;
-    out->owner_drained += sr.owner_drained;
   }
   std::ostringstream os;
   engine.metrics()->ExportText(os);
@@ -158,15 +143,14 @@ int main() {
     std::printf("(simulator performance; simulated-time results are bit-identical across "
                 "rows)\n");
     TablePrinter table({"config", "wall ms", "ns/op", "Mops/s wall", "parallel hits",
-                        "owner drain", "sim ms"});
+                        "drained", "sim ms"});
     table.PrintHeader();
     Timed last;
     auto add = [&](const std::string& name, Timed t) {
       const double ns_per_op = t.wall_ns / static_cast<double>(ops);
       table.PrintRow(name, TablePrinter::Fmt(t.wall_ns / 1e6, 1),
                      TablePrinter::Fmt(ns_per_op, 1), TablePrinter::Fmt(1e3 / ns_per_op, 2),
-                     t.parallel_hits,
-                     std::to_string(t.owner_drained) + "/" + std::to_string(t.drained_ops),
+                     t.parallel_hits, t.drained_ops,
                      TablePrinter::Fmt(ToMillis(t.report.makespan), 2));
       results.push_back(
           bench::BenchResult{"FigReplayWallclock/" + tag + "/" + name, ns_per_op, ops});
@@ -179,21 +163,6 @@ int main() {
     // log without hand-rolled counter prints.
     std::printf("registry snapshot (%s, channel run):\n%s", tag.c_str(),
                 last.registry_text.c_str());
-    if (tag == "tf_coherence_bound") {
-      // The region-ownership payoff metric on the drain-dominated series: the fraction of
-      // serialized-phase ops that still retired one at a time through the global merge
-      // step. Lower is better, so the trajectory gate (fail above 1.25x baseline) catches
-      // a change that quietly re-serializes owner sub-round work. Deterministic for a
-      // fixed trace scale and shard-count invariant (see SerializedFraction).
-      std::printf("drain serialized fraction: %.3f (owner sub-rounds retired %llu of "
-                  "%llu drained ops)\n",
-                  last.SerializedFraction(),
-                  static_cast<unsigned long long>(last.owner_drained),
-                  static_cast<unsigned long long>(last.drained_ops));
-      results.push_back(
-          bench::BenchResult{"FigReplayWallclock/" + tag + "/drain_serialized_fraction",
-                             last.SerializedFraction(), last.drained_ops});
-    }
   };
 
   {

@@ -31,32 +31,6 @@ Result<ThreadId> FastSwapSystem::RegisterThread(ComputeBladeId blade) {
   return next_tid_++;
 }
 
-// Ownership-aware drain over the swap-cache hit path (contract notes in fastswap.h).
-class FastSwapSystem::OwnerDrain final : public OwnerDrainOps {
- public:
-  explicit OwnerDrain(FastSwapSystem* sys) : sys_(sys) {}
-
-  MIND_PARALLEL_PHASE [[nodiscard]] bool Eligible(ThreadId /*tid*/, ComputeBladeId /*blade*/,
-                                                  VirtAddr va, AccessType /*type*/,
-                                                  SimTime /*now*/) const override {
-    if (sys_->config_.prefetch.enabled()) {
-      return false;  // Installs and late joins mutate the swap cache mid-drain.
-    }
-    const DramCache::Frame* frame = sys_->cache_->Peek(PageNumber(va));
-    return frame != nullptr && !frame->prefetched;  // Read-write installs: any hit counts.
-  }
-  MIND_SERIALIZED_PATH [[nodiscard]] SimTime MinEligibleCost() const override {
-    return sys_->lat().local_cache_hit;
-  }
-
- private:
-  FastSwapSystem* sys_;
-};
-
-std::unique_ptr<OwnerDrainOps> FastSwapSystem::OpenOwnerDrain(int /*num_shards*/) {
-  return std::make_unique<OwnerDrain>(this);
-}
-
 MIND_SERIALIZED_PATH AccessResult FastSwapSystem::Access(ThreadId tid, ComputeBladeId blade,
                                                           VirtAddr va,
                                     AccessType type, SimTime now) {

@@ -82,34 +82,6 @@ SimTime GamSystem::EnterLibrary(ThreadId tid, ComputeBladeId blade, uint64_t pag
   return grant.finish + lat().gam_local_access;
 }
 
-// Ownership-aware drain over the GAM hit path (contract notes in gam.h; engine-side
-// discipline in memory_system.h).
-class GamSystem::OwnerDrain final : public OwnerDrainOps {
- public:
-  explicit OwnerDrain(GamSystem* sys) : sys_(sys) {}
-
-  MIND_PARALLEL_PHASE [[nodiscard]] bool Eligible(ThreadId /*tid*/, ComputeBladeId blade,
-                                                  VirtAddr va, AccessType type,
-                                                  SimTime /*now*/) const override {
-    if (sys_->config_.prefetch.enabled()) {
-      return false;  // Installs and late joins mutate per-blade tables mid-drain.
-    }
-    const DramCache::Frame* frame = sys_->blades_[blade].cache->Peek(PageNumber(va));
-    return frame != nullptr && !frame->prefetched &&
-           (type == AccessType::kRead || frame->writable);
-  }
-  MIND_SERIALIZED_PATH [[nodiscard]] SimTime MinEligibleCost() const override {
-    return sys_->config_.lock_service + sys_->lat().gam_local_access;
-  }
-
- private:
-  GamSystem* sys_;
-};
-
-std::unique_ptr<OwnerDrainOps> GamSystem::OpenOwnerDrain(int /*num_shards*/) {
-  return std::make_unique<OwnerDrain>(this);
-}
-
 MIND_SERIALIZED_PATH AccessResult GamSystem::Access(ThreadId tid, ComputeBladeId blade, VirtAddr va,
                                AccessType type, SimTime now) {
   ++counters_.total_accesses;

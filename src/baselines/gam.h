@@ -82,13 +82,6 @@ class GamSystem final : public MemorySystem {
   // batch with identical aggregate stats.
   std::unique_ptr<ChannelGroup> OpenChannelGroup(ComputeBladeId blade) override;
 
-  // Ownership-aware drain contract (OwnerDrainOps, memory_system.h): eligible ops are
-  // blade-confined library hits — the blade's own cache + FIFO lock plus the thread's PSO
-  // pending-store list, which the read barrier prunes in place without ever erasing the
-  // map entry (and hits never record pending stores). Every eligible op pays at least the
-  // serialized lock slice plus the local library work.
-  std::unique_ptr<OwnerDrainOps> OpenOwnerDrain(int num_shards) override;
-
   bool SetPrefetchPolicy(PrefetchPolicy policy) override {
     config_.prefetch.policy = policy;
     return true;
@@ -121,7 +114,6 @@ class GamSystem final : public MemorySystem {
  private:
   class Channel;
   class Group;
-  class OwnerDrain;
   // Page-granularity directory entry, held in the home blade's DRAM (unbounded).
   struct DirEntry {
     MsiState state = MsiState::kInvalid;

@@ -68,43 +68,16 @@ struct SystemCounters {
   }
 };
 
-// Ownership-aware drain contract backing the replay engine's owner drain sub-rounds
-// (src/workload/region_ownership.h has the region->owner map itself).
-//
-// The engine partitions each serialized drain into sub-rounds: it classifies every
-// unfinished thread's next op through Eligible, derives a safety horizon H_safe from the
-// classification (min over threads of `clock` for ineligible tops and `clock +
-// MinEligibleCost + think` for eligible ones), and retires every eligible op with a start
-// clock strictly below H_safe through Access, in global (clock, thread) order, without
-// re-scanning between them. Everything else (faults, invalidation waves, splits,
-// epoch/sampler boundaries, regions homed at another blade) falls through to a merge step
-// that executes the exact global (clock, thread) minimum via Access.
-//
-// The contract every implementation must honor:
-//   * Eligible is non-mutating. It must accept only ops whose entire execution touches
-//     state confined to the accessing blade plus the accessing thread — in-tree that
-//     means local cache hits with prefetching off (hits never evict, never draw
-//     fault-plane randomness, and never touch the fabric or any directory), under a
-//     consistency model whose read barrier is thread-confined. Retiring such an op
-//     leaves every other thread's verdict exact, so the engine re-classifies only the
-//     retiring thread.
-//   * MinEligibleCost lower-bounds the thread-visible latency of ANY eligible op: the
-//     engine's H_safe lookahead is sound exactly because an op retired inside a sub-round
-//     advances its thread's clock by at least this much.
-//   * NextSerialBoundary is the earliest time-driven global event (e.g. a bounded-
-//     splitting epoch boundary) that Access would run implicitly; ops at or past it are
-//     never eligible, so the event fires on a merge step exactly as under serial replay.
-//     Scheduled fault-plane events are clamped by the engine itself via
-//     NextScheduledFaultAt.
-//   * AccessOwned and Fold are never called: sub-rounds retire through Access. They stay
-//     declared so that existing decorators which forward them keep compiling.
+// Owner-drain contract, kept only as a declaration because bench/mindbench/traced_system.h
+// (a decorator) overrides every method below. No in-tree system implements it, and the
+// replay engine neither opens nor calls it: its serialized drain runs every op through
+// Access in global (clock, thread) order. Delete it with the decorator's overrides.
 class OwnerDrainOps {
  public:
   virtual ~OwnerDrainOps() = default;
 
-  // Phase tags (docs/determinism.md): Eligible is tagged for the stricter context;
-  // MinEligibleCost and NextSerialBoundary run on the serialized drain. Every override
-  // must restate its tag (tools/detlint.py enforces contract totality).
+  // Phase tags (docs/determinism.md): every override must restate its tag
+  // (tools/detlint.py enforces contract totality).
   MIND_PARALLEL_PHASE [[nodiscard]] virtual bool Eligible(ThreadId tid, ComputeBladeId blade,
                                                           VirtAddr va, AccessType type,
                                                           SimTime now) const = 0;
@@ -112,7 +85,7 @@ class OwnerDrainOps {
   MIND_SERIALIZED_PATH [[nodiscard]] virtual SimTime NextSerialBoundary() const {
     return FaultPlane::kNever;
   }
-  // Never called (see above); returns kUnavailable.
+  // Returns kUnavailable.
   MIND_PARALLEL_PHASE virtual AccessResult AccessOwned(int /*shard*/, ThreadId /*tid*/,
                                                        ComputeBladeId /*blade*/,
                                                        VirtAddr /*va*/,
@@ -123,7 +96,6 @@ class OwnerDrainOps {
         Status(ErrorCode::kUnavailable, "OwnerDrainOps::AccessOwned is never called");
     return r;
   }
-  // Never called (see above).
   MIND_SERIALIZED_PATH virtual void Fold() {}
 };
 
@@ -190,11 +162,8 @@ class MemorySystem {
   // trailing epoch boundaries run exactly as they would under serial replay.
   MIND_SERIALIZED_PATH virtual void AdvanceTo(SimTime /*now*/) {}
 
-  // --- Ownership-aware coherence drains (src/workload/region_ownership.h) ---
-  //
-  // Opens the ownership-aware drain contract (OwnerDrainOps above); `num_shards` is
-  // informational. Returning null opts the system out: every drained op then takes the
-  // merge step, which is always correct.
+  // Declared only for the decorator (see OwnerDrainOps above); the replay engine never
+  // calls it.
   virtual std::unique_ptr<OwnerDrainOps> OpenOwnerDrain(int /*num_shards*/) {
     return nullptr;
   }

@@ -52,34 +52,6 @@ class MindSystem final : public MemorySystem {
   }
   MIND_SERIALIZED_PATH void AdvanceTo(SimTime now) override { rack_->AdvanceTo(now); }
 
-  // Ownership-aware drain contract (OwnerDrainOps, memory_system.h) over the rack's
-  // owner-hit check: eligible ops are blade-confined TSO local hits, each costing exactly
-  // local_cache_hit; the next bounded-splitting epoch boundary is the rack's serialized
-  // boundary (scheduled fault drains are clamped by the engine via NextScheduledFaultAt).
-  std::unique_ptr<OwnerDrainOps> OpenOwnerDrain(int /*num_shards*/) override {
-    class Drain final : public OwnerDrainOps {
-     public:
-      Drain(Rack* rack, ProtDomainId pdid) : rack_(rack), pdid_(pdid) {}
-
-      MIND_PARALLEL_PHASE [[nodiscard]] bool Eligible(ThreadId tid, ComputeBladeId blade,
-                                                      VirtAddr va, AccessType type,
-                                                      SimTime now) const override {
-        return rack_->OwnerHitEligible(AccessRequest{tid, blade, pdid_, va, type, now});
-      }
-      MIND_SERIALIZED_PATH [[nodiscard]] SimTime MinEligibleCost() const override {
-        return rack_->config().latency.local_cache_hit;
-      }
-      MIND_SERIALIZED_PATH [[nodiscard]] SimTime NextSerialBoundary() const override {
-        return rack_->NextSplittingEpochEnd();
-      }
-
-     private:
-      Rack* rack_;
-      ProtDomainId pdid_;
-    };
-    return std::make_unique<Drain>(rack_.get(), pdid_);
-  }
-
   bool SetPrefetchPolicy(PrefetchPolicy policy) override {
     rack_->SetPrefetchPolicy(policy);
     return true;

@@ -71,12 +71,6 @@ struct AccessResult {
   SimTime completion = 0;  // Absolute time the coherence transition fully finished.
   bool local_hit = false;
   bool triggered_invalidation = false;
-  // VA span the invalidation wave covered — the whole directory entry, since the
-  // multicast false-invalidates every page of it at the targeted blades. Empty
-  // (base == end) when no wave fired. Consumers scoping cache-state damage (e.g. the
-  // replay drain's eligibility cache) need the span, not just the flag.
-  VirtAddr wave_base = 0;
-  VirtAddr wave_end = 0;
   MsiState prev_state = MsiState::kInvalid;  // Directory state before the access.
   MsiState next_state = MsiState::kInvalid;
   LatencyBreakdown breakdown;

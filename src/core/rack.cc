@@ -407,26 +407,6 @@ bool Rack::TryLocalHit(const AccessRequest& req, SimTime now, AccessResult* res,
   return true;
 }
 
-// Owner drain support (contract notes in rack.h). Eligibility is the hit
-// condition of Access step 1 re-stated over the read-only cache probe, further restricted
-// to configurations where the whole hit is blade/thread-confined: TSO (the PSO read
-// barrier mutates the shared pending-writes map), prefetching off (installs and window
-// re-arms fire at arbitrary serialized points), and no pending prefetched-touch (its
-// bookkeeping belongs to the serialized path that set the flag).
-MIND_PARALLEL_PHASE bool Rack::OwnerHitEligible(const AccessRequest& req) const {
-  if (config_.consistency != ConsistencyModel::kTso || config_.prefetch.enabled()) {
-    return false;
-  }
-  const DramCache::Frame* frame = compute_blades_[req.blade]->cache().Peek(PageNumber(req.va));
-  if (frame == nullptr || frame->prefetched) {
-    return false;
-  }
-  if (frame->pdid != req.pdid && !protection_.Allows(req.pdid, req.va, req.type)) {
-    return false;
-  }
-  return req.type == AccessType::kRead || frame->writable;
-}
-
 // AccessChannel over the blade-local hit path (see the contract notes in rack.h). Submit
 // is a specialized loop over the hit conditions of Access step 1 (present frame, domain
 // re-validation, write permission): one virtual call classifies the whole run, with the
@@ -635,21 +615,12 @@ MIND_SERIALIZED_PATH AccessResult Rack::Access(const AccessRequest& req) {
   DirectoryEntry* entry = pslot_valid ? pslot.dir_entry : nullptr;
   if (entry == nullptr) {
     Status dir_error;
-    const uint64_t evictions_before = stats_.directory_capacity_evictions;
     entry = EnsureDirectoryEntry(req.va, t, &dir_error);
     if (entry == nullptr) {
       res.status = dir_error;
       res.latency = t - req.now;
       res.completion = t;
       return res;
-    }
-    if (stats_.directory_capacity_evictions != evictions_before) [[unlikely]] {
-      // Capacity pressure force-invalidated an unrelated victim region at whatever
-      // blades held it. The victim's span is unrelated to this access, so publish an
-      // unbounded wave span: consumers scoping cache-state damage must assume any page
-      // anywhere may have been dropped.
-      res.wave_base = 0;
-      res.wave_end = UINT64_MAX;
     }
   }
 
@@ -706,12 +677,6 @@ MIND_SERIALIZED_PATH AccessResult Rack::Access(const AccessRequest& req) {
     entry->epoch_false_invalidations += wave.false_invalidations + wave.clean_drops;
     ++entry->epoch_invalidations;
     res.triggered_invalidation = true;
-    // Union with any capacity-eviction span published above (that one is unbounded, so
-    // widening means keeping it).
-    if (res.wave_end <= res.wave_base) {
-      res.wave_base = entry->base;
-      res.wave_end = entry->end();
-    }
   }
 
   // 7. Data fetch. S->M upgrades with the page already cached skip the fetch entirely; the

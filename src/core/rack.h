@@ -155,20 +155,6 @@ class Rack {
   // and may turn them into misses.
   [[nodiscard]] SimTime NextScheduledFaultAt() const { return fault_plane_.NextDrainAt(); }
 
-  // --- Owner drain support (OwnerDrainOps contract, memory_system.h) ---
-
-  // True iff Access(req) would retire as a blade-local cache hit whose execution touches
-  // only req.blade's cache plus req.tid's state: TSO (the PSO read barrier mutates the
-  // rack-wide pending-writes map; see rack.cc), prefetching off (installs/re-arms mutate
-  // per-blade tables at arbitrary points), the frame present with a passing domain
-  // check, and writable when the op writes. Non-mutating; no epoch/drain pumping.
-  MIND_PARALLEL_PHASE [[nodiscard]] bool OwnerHitEligible(const AccessRequest& req) const;
-
-  // Earliest bounded-splitting epoch boundary Access would run implicitly — the rack's
-  // NextSerialBoundary for the owner drain (ops at or past it stay serialized so the
-  // epoch fires exactly as under serial replay).
-  [[nodiscard]] SimTime NextSplittingEpochEnd() const { return splitting_.next_epoch_end(); }
-
   // --- Observability (src/obs/, docs/observability.md) ---
   //
   // Installs the semantic-event sink on the rack and its fault plane + splitting

@@ -23,7 +23,7 @@ class PhaseProfiler {
   enum class Phase : uint8_t {
     kScan = 0,         // Scan phase (channel submit/classify).
     kCommit = 1,       // Commit phase (per-blade group commits).
-    kSerialDrain = 2,  // Serialized drain stretch (merge steps and owner sub-rounds).
+    kSerialDrain = 2,  // Serialized drain stretch.
     kBarrierWait = 3,  // Never recorded: replay runs on one thread, so it reads 0.
   };
   static constexpr int kNumPhases = 4;

@@ -14,7 +14,7 @@
 //     schedule; the determinism tests compare its byte serialization directly.
 //
 //   * EXECUTION events describe how the replay engine scheduled the work —
-//     group commits, drain sub-round phases. They are emitted from parallel
+//     group commits. They are emitted from parallel
 //     phases into per-shard ring-buffer mailbox sinks (merged at the report
 //     boundary) and legitimately vary with shard count and round horizons,
 //     so they are excluded from the deterministic digest but included in the
@@ -39,7 +39,7 @@ enum class TraceEventKind : uint8_t {
   // --- Semantic events (serialized-path origin; in the deterministic digest) ---
   kAccessSpan = 1,        // a=va, b=breakdown.fault, c=pack32(network, fabric_wait),
                           // d=pack32(inv_queue, inv_tlb); dur=thread-visible latency.
-  kInvalidationWave = 2,  // a=wave_base, b=wave_end, c=pack32(targets, flushed),
+  kInvalidationWave = 2,  // a=dir entry base, b=dir entry end, c=pack32(targets, flushed),
                           // d=pack32(false_invalidations, clean_drops); dur=wave span.
   kDirectorySplit = 3,    // a=region base va, b=pre-split size_log2.
   kDirectoryMerge = 4,    // a=merged base va, b=post-merge size_log2.
@@ -56,7 +56,6 @@ enum class TraceEventKind : uint8_t {
                           // d=issue span (first to last copy on the wire).
   // --- Execution events (engine scheduling; excluded from the digest) ---
   kGroupCommit = 16,      // a=ops committed, b=lanes; blade=group blade.
-  kDrainPhase = 17,       // a=ops retired in the owner sub-round, b=H_safe.
 };
 
 // Execution events are a suffix of the kind space; everything below is semantic.

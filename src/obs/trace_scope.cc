@@ -26,7 +26,6 @@ const char* TraceEventKindName(TraceEventKind kind) {
     case TraceEventKind::kPrefetchDiscard: return "prefetch-discard";
     case TraceEventKind::kWaveIssue: return "wave-issue";
     case TraceEventKind::kGroupCommit: return "group-commit";
-    case TraceEventKind::kDrainPhase: return "drain-phase";
   }
   return "?";
 }

@@ -13,6 +13,20 @@ Status ReplayEngine::Setup() {
   if (setup_done_) {
     return Status(ErrorCode::kExists, "Setup called twice");
   }
+  // Reject malformed traces before anything is allocated: threads are dealt to blades
+  // modulo the blade count, and AddressOf indexes segments and their chunks unchecked.
+  const int blades = std::min(traces_->num_blades, system_->num_compute_blades());
+  if (blades < 1) {
+    return Status(ErrorCode::kInvalidArgument, "traces need at least one compute blade");
+  }
+  for (const ThreadTrace& thread : traces_->threads) {
+    for (const TraceOp& op : thread.ops) {
+      if (op.segment >= traces_->segments.size() ||
+          op.page >= traces_->segments[op.segment].pages) {
+        return Status(ErrorCode::kInvalidArgument, "trace op outside its segment");
+      }
+    }
+  }
   if (options_.prefetch != PrefetchPolicy::kNone &&
       !system_->SetPrefetchPolicy(options_.prefetch)) {
     return Status(ErrorCode::kInvalidArgument,
@@ -31,7 +45,6 @@ Status ReplayEngine::Setup() {
     }
     segments_.push_back(std::move(map));
   }
-  const int blades = std::min(traces_->num_blades, system_->num_compute_blades());
   thread_ids_.reserve(traces_->threads.size());
   thread_blades_.reserve(traces_->threads.size());
   for (size_t t = 0; t < traces_->threads.size(); ++t) {
@@ -43,16 +56,6 @@ Status ReplayEngine::Setup() {
     thread_ids_.push_back(*tid);
     thread_blades_.push_back(blade);
   }
-  // Directory-region ownership (src/workload/region_ownership.h): home every 2 MB region
-  // at the blade whose threads touch it most. A pure function of the traces, so the map —
-  // and with it the owner drain's sub-round/serial composition — is identical for every
-  // shard count and replay path.
-  for (size_t t = 0; t < traces_->threads.size(); ++t) {
-    for (const TraceOp& op : traces_->threads[t].ops) {
-      ownership_.Credit(AddressOf(op.segment, op.page), thread_blades_[t]);
-    }
-  }
-  ownership_.Seal();
   setup_done_ = true;
   if (options_.use_channels) {
     // Channel-driven runs stream resolved ops into Submit; resolving here keeps Run's
@@ -110,13 +113,6 @@ struct ThreadRt {
   bool window_capped = false;  // Run ended at the scan window with trace ops remaining.
   bool ran_in_drain = false;   // Cursor moved outside the fast path; run is stale.
   uint32_t window = kMinScanWindow;  // Adaptive scan-window size (see kMinScanWindow).
-  // Owner-drain classification cache: the thread's next op, resolved and classified
-  // (owner-homed blade-local hit below the drain boundary?). Invalidated whenever the
-  // state the verdict reads may have changed — conservatively stale-false is always safe.
-  bool drain_classified = false;
-  bool drain_eligible = false;
-  VirtAddr top_va = 0;
-  AccessType top_type = AccessType::kRead;
   SimTime buf_end_clock = 0;
   SimTime uniform_lat = 0;     // Nonzero: every op in the run has this latency.
   size_t buf_pos = 0;          // Committed prefix of the run.
@@ -160,10 +156,9 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
   // --- Observability (src/obs/) -------------------------------------------
   // Constructed per Run so repeated Runs never mix artifacts. The trace scope's control
   // sink goes to the system (serialized-path semantic events); the engine itself writes
-  // only execution events, into per-shard mailbox sinks: shard s's from its scan/commit
-  // phases, shard 0's also from the drain's owner sub-rounds. The profiler is wall-clock
-  // and never touches simulated state; the registry is filled at the report boundary and
-  // sampled on the serialized drain path.
+  // only execution events, into per-shard mailbox sinks: shard s's from its commit phase.
+  // The profiler is wall-clock and never touches simulated state; the registry is filled
+  // at the report boundary and sampled on the serialized drain path.
   trace_scope_.reset();
   profiler_.reset();
   metrics_ = std::make_unique<MetricsRegistry>();
@@ -393,21 +388,11 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
 
   // --- Serialized drain ----------------------------------------------------
 
-  // Ownership-aware drain contract (OwnerDrainOps, memory_system.h), or null when the
-  // system does not implement it: then every drained op is ineligible and the drain runs
-  // one merge step at a time. The reference path opens it too, so reference and fast
-  // paths run the same ownership-partitioned drain.
-  std::unique_ptr<OwnerDrainOps> owner_ops = system->OpenOwnerDrain(num_shards);
-  // Lower bound on how far one eligible op advances its thread's clock; the H_safe
-  // lookahead below is sound exactly because of it. Zero (degenerate zero-cost configs)
-  // collapses every sub-round to a serialized step — still correct.
-  const SimTime min_step = owner_ops != nullptr ? owner_ops->MinEligibleCost() + think : 0;
-
   SimTime next_sample = sample_interval;
-  // Metrics time series: sampled only from the serialized merge step (exec_serial), so
-  // every sampled value is a function of the serialized op stream — shard-count
-  // invariant, and identical with tracing on or off. Reuses the sampler interval
-  // without forcing the reference path (CollectMetrics only reads).
+  // Metrics time series: sampled only on the serialized drain (exec_serial), so every
+  // sampled value is a function of the serialized op stream — shard-count invariant, and
+  // identical with tracing on or off. Reuses the sampler interval without forcing the
+  // reference path (CollectMetrics only reads).
   SimTime next_metrics_at = sample_interval;
   auto sample_metrics = [&](SimTime now) {  // MIND_SERIALIZED_PATH
     if (now < next_metrics_at) {
@@ -419,87 +404,11 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
       next_metrics_at += sample_interval;
     }
   };
-  // Earliest time-driven global event the drain must serialize: a scheduled fault-plane
-  // drain, the system's own serial boundary (e.g. a bounded-splitting epoch end) and —
-  // on the reference path — the next sampler observation point. Ops at or past it are
-  // never owner-eligible, so the event fires on a serialized step exactly as under
-  // per-op replay. Recomputed whenever a serialized step may have fired one.
-  SimTime drain_boundary = 0;
-  auto compute_boundary = [&] {
-    SimTime b = system->NextScheduledFaultAt();
-    if (owner_ops != nullptr) {
-      b = std::min(b, owner_ops->NextSerialBoundary());
-    }
-    if (sampler != nullptr) {
-      b = std::min(b, next_sample);
-    }
-    return b;
-  };
 
-  // Classifies the thread's next op for the owner drain: resolved VA/type plus the
-  // eligibility verdict — start clock below the boundary, region homed at the accessing
-  // thread's blade (RegionOwnership: gate identical for every shard count), and the
-  // system vouching for a blade-confined hit. Cached per thread; a stale-false verdict
-  // only costs a merge step, never correctness, and every invalidation rule below is a
-  // deterministic function of the executed-op sequence — so the drain's sub-round/serial
-  // composition is identical across shard counts.
-  auto classify = [&](ThreadRt& th) {  // MIND_SERIALIZED_PATH
-    if (th.drain_classified) {
-      return;
-    }
-    const TraceOp& op = traces.threads[th.index].ops[th.next_op];
-    th.top_va = AddressOf(op.segment, op.page);
-    th.top_type = op.type;
-    th.drain_eligible =
-        owner_ops != nullptr && th.clock < drain_boundary &&
-        ownership_.OwnedByAccessor(th.top_va, th.blade) &&
-        owner_ops->Eligible(th.tid, th.blade, th.top_va, th.top_type, th.clock);
-    th.drain_classified = true;
-  };
-
-  // Books one op the drain executed through Access for its thread: shard accounting,
-  // clock advance and run-cursor alignment. Shared by the merge step and the owner
-  // sub-round.
-  auto retire_drained = [&](ThreadRt& th, SimTime latency) {  // MIND_SERIALIZED_PATH
-    ShardReport& rep = shards[th.shard].report;
-    rep.latency_histogram.Record(latency);
-    rep.latency_sum += latency;
-    ++rep.drained_ops;
-    th.last_start = th.clock;
-    th.clock += latency + think;
-    if (th.buf_valid && th.buf_pos < th.buf_len) {
-      // Alignment invariant: comps[buf_pos] always classifies trace op next_op, so the
-      // op the drain just executed is positionally the run's next classified op —
-      // advance the cursor in tandem. A still-region-valid run then resumes on the
-      // fast path at the next round instead of being thrown away and reclassified
-      // (drained hits used to poison the whole submitted window). State drift is
-      // covered exactly as for commits: membership/writability/domain changes bump the
-      // stamped regions (killing the run via ValidMask), while recency and dirtiness
-      // never affect classification.
-      ++th.buf_pos;
-    } else {
-      th.ran_in_drain = true;  // Past the classified prefix: the run is stale.
-    }
-    rep.makespan = std::max(rep.makespan, th.clock);
-    th.drain_classified = false;
-    if (++th.next_op >= traces.threads[th.index].ops.size()) {
-      th.finished = true;
-    }
-  };
-
-  // One serialized merge step: thread `t`'s next op through the reference per-op
-  // algorithm — sampler observation point, Access against the fully-merged state,
-  // per-shard accounting. Returns the local-hit verdict (the bounded exit policy's
-  // signal) plus how far the op's effects may have reached beyond the accessed page at
-  // other blades: the invalidation wave's VA span (MIND's multicast false-invalidates
-  // the whole directory entry), or `failed` for a lost-message reset (§4.4 flushes a
-  // region whose span the result does not carry — reclassify everything).
-  struct SerialStep {
-    bool hit = false;
-    bool failed = false;
-    VirtAddr wave_base = 0;
-    VirtAddr wave_end = 0;
-  };
+  // One drained op: thread `t`'s next op through the reference per-op algorithm —
+  // sampler observation point, Access against the fully-merged state, per-shard
+  // accounting, clock advance and run-cursor alignment. Returns the local-hit verdict
+  // (the bounded exit policy's signal).
   auto exec_serial = [&](size_t t) {  // MIND_SERIALIZED_PATH
     ThreadRt& th = threads[t];
     if (sampler != nullptr && th.clock >= next_sample) {
@@ -512,9 +421,30 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
     const AccessResult r =
         system->Access(th.tid, th.blade, AddressOf(op.segment, op.page), op.type,
                        th.clock);
-    retire_drained(th, r.latency);
+    ShardReport& rep = shards[th.shard].report;
+    rep.latency_histogram.Record(r.latency);
+    rep.latency_sum += r.latency;
+    ++rep.drained_ops;
+    th.last_start = th.clock;
+    th.clock += r.latency + think;
+    if (th.buf_valid && th.buf_pos < th.buf_len) {
+      // Alignment invariant: comps[buf_pos] always classifies trace op next_op, so the
+      // op the drain just executed is positionally the run's next classified op —
+      // advance the cursor in tandem. A still-region-valid run then resumes on the
+      // fast path at the next round instead of being thrown away and reclassified.
+      // State drift is covered exactly as for commits: membership/writability/domain
+      // changes bump the stamped regions (killing the run via ValidMask), while recency
+      // and dirtiness never affect classification.
+      ++th.buf_pos;
+    } else {
+      th.ran_in_drain = true;  // Past the classified prefix: the run is stale.
+    }
+    rep.makespan = std::max(rep.makespan, th.clock);
+    if (++th.next_op >= traces.threads[t].ops.size()) {
+      th.finished = true;
+    }
     sample_metrics(th.clock);
-    return SerialStep{r.local_hit, !r.status.ok(), r.wave_base, r.wave_end};
+    return r.local_hit;
   };
 
   // Scan and commit run ahead of global order, shard after shard on this thread; each
@@ -537,157 +467,38 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
     }
   };
 
-  // Serialized drain: the reference algorithm over *all* threads. In bounded mode it
-  // runs until the coherence burst passes and hands back to the channel rounds;
-  // unbounded it IS serial replay, with sampler observation points between ops.
-  // Correctness does not depend on the exit policy. The drain runs in sub-rounds:
-  // classify every unfinished thread's top op, derive the safety horizon H_safe = min
-  // over threads of (eligible ? clock + min_step : clock), and either retire the eligible
-  // ops below H_safe as one owner sub-round (their clocks provably precede every other
-  // top, and executed ops land at or past H_safe) or execute the exact global
-  // (clock, thread) minimum as one merge step.
-  std::vector<size_t> eligible;  // Sub-round scratch: the scan's eligible threads.
-  eligible.reserve(threads.size());
+  // Serialized drain: the reference algorithm over *all* threads — execute the exact
+  // global (clock, thread) minimum op, one at a time. In bounded mode it runs until the
+  // coherence burst passes and hands back to the channel rounds; unbounded it IS serial
+  // replay, with sampler observation points between ops. Correctness does not depend on
+  // the exit policy.
   auto drain = [&](bool bounded, uint32_t max_coherence_ops,  // MIND_SERIALIZED_PATH
                    uint32_t hit_streak_exit) {
     uint32_t coherence_ops = 0;
     uint32_t hit_streak = 0;
-    // Everything outside the drain (channel commits, scans, horizon work) may have moved
-    // caches and boundaries, so start from a clean slate.
-    for (ThreadRt& th : threads) {
-      th.drain_classified = false;
-    }
-    drain_boundary = compute_boundary();
     for (;;) {
-      SimTime h_safe = kNoHorizon;
-      SimTime min_eligible = kNoHorizon;
       size_t t_min = SIZE_MAX;
-      eligible.clear();
       for (size_t t = 0; t < threads.size(); ++t) {
-        ThreadRt& th = threads[t];
-        if (th.finished) {
-          continue;
-        }
-        classify(th);
-        h_safe = std::min(h_safe, th.drain_eligible ? th.clock + min_step : th.clock);
-        if (th.drain_eligible) {
-          min_eligible = std::min(min_eligible, th.clock);
-          eligible.push_back(t);
-        }
-        if (t_min == SIZE_MAX || th.clock < threads[t_min].clock) {
+        if (!threads[t].finished &&
+            (t_min == SIZE_MAX || threads[t].clock < threads[t_min].clock)) {
           t_min = t;  // Ascending t: first occurrence wins clock ties.
         }
       }
       if (t_min == SIZE_MAX) {
         break;  // All threads finished.
       }
-      if (min_eligible < h_safe) {
-        // Owner sub-round: retire the eligible ops below H_safe in global
-        // (clock, index) order. Bounded drains exist to ride out a coherence burst and
-        // hand back to the channels, whose batched group commits retire hits far cheaper
-        // than any drain path, so cap the sub-round at the remaining streak budget. Cap
-        // and prefix depend only on global state, so the drain composition (and the
-        // serialized-fraction metric) stays identical across shard counts.
-        const uint64_t budget = bounded ? hit_streak_exit - hit_streak : UINT64_MAX;
-        if (eligible.size() > 1) {
-          std::sort(eligible.begin(), eligible.end(), [&](size_t a, size_t b) {
-            return threads[a].clock != threads[b].clock
-                       ? threads[a].clock < threads[b].clock
-                       : threads[a].index < threads[b].index;
-          });
-        }
-        uint64_t retired = 0;
-        for (const size_t t : eligible) {
-          ThreadRt& th = threads[t];
-          if (th.clock >= h_safe || retired >= budget) {
-            break;  // Sorted ascending: every later entry is at or past H_safe.
-          }
-          const AccessResult r =
-              system->Access(th.tid, th.blade, th.top_va, th.top_type, th.clock);
-          retire_drained(th, r.latency);
-          ++shards[th.shard].report.owner_drained;
-          ++retired;
-          if (!th.finished) {
-            // Hits never evict, insert or fire events — only this thread's verdict
-            // moved; refresh it for the next sub-round's scan.
-            classify(th);
-          }
-        }
-        if (exec_sinks[0] != nullptr && retired != 0) [[unlikely]] {
-          // Execution event: one owner sub-round, stamped at its safety horizon.
-          // Deliberately NOT the control sink — the control ring must hold only the
-          // semantic stream, so drop-oldest overflow displaces the same events for every
-          // shard count; round-cadence execution events go to the shard-0 mailbox.
-          TraceEvent ev;
-          ev.kind = TraceEventKind::kDrainPhase;
-          ev.clock = h_safe;
-          ev.a = retired;
-          ev.b = h_safe;
-          exec_sinks[0]->Emit(ev);
-        }
-        if (bounded) {
-          // Sub-round ops are hits by construction; the streak accumulates in bulk (any
-          // deterministic, layout-invariant policy preserves bit-identity of results).
-          hit_streak += static_cast<uint32_t>(std::min<uint64_t>(retired, UINT32_MAX));
-          if (hit_streak >= hit_streak_exit) {
-            break;
-          }
+      const bool hit = exec_serial(t_min);
+      if (!bounded) {
+        continue;
+      }
+      if (hit) {
+        if (++hit_streak >= hit_streak_exit) {
+          break;
         }
       } else {
-        const SimTime start = threads[t_min].clock;
-        const ComputeBladeId acc_blade = threads[t_min].blade;
-        const VirtAddr acc_va = threads[t_min].top_va;
-        const SerialStep step = exec_serial(t_min);
-        if (start >= drain_boundary || step.failed) {
-          // The step ran at or past a time-driven event (epoch end, scheduled drain,
-          // sampler tick) and may have fired it, or it failed outright (the §4.4 reset
-          // flushes a directory region whose span the result does not carry) — anything
-          // can have moved. Reclassify everything against the fresh boundary.
-          for (ThreadRt& th : threads) {
-            th.drain_classified = false;
-          }
-          drain_boundary = compute_boundary();
-        } else if (!step.hit) {
-          // A sub-boundary miss mutates hit-state only at the accessor's blade (fetch
-          // insert + eviction, lock/swap bookkeeping, prefetch issue) and on remote
-          // copies inside the invalidation span: the accessed page itself (GAM's
-          // page-exact unicast invalidations) plus, when a MIND multicast wave fired,
-          // every page of the directory entry (false invalidations). So only verdicts
-          // matching the blade, the page, or the wave span can have gone stale. The
-          // miss can also *schedule* a new serial boundary (e.g. bounded splitting
-          // opening an epoch): a shrunken boundary invalidates eligible verdicts now
-          // at or past it.
-          const bool waved = step.wave_end > step.wave_base;
-          for (ThreadRt& th : threads) {
-            if (th.drain_classified &&
-                (th.blade == acc_blade || th.top_va == acc_va ||
-                 (waved && th.top_va >= step.wave_base && th.top_va < step.wave_end))) {
-              th.drain_classified = false;
-            }
-          }
-          const SimTime fresh = compute_boundary();
-          if (fresh < drain_boundary) {
-            for (ThreadRt& th : threads) {
-              if (th.drain_classified && th.drain_eligible && th.clock >= fresh) {
-                th.drain_classified = false;
-              }
-            }
-          }
-          drain_boundary = fresh;
-        }
-        // A hit below the boundary fires nothing and never evicts or inserts — only the
-        // executed thread's verdict (cleared by retire_drained) went stale.
-        if (bounded) {
-          if (step.hit) {
-            if (++hit_streak >= hit_streak_exit) {
-              break;
-            }
-          } else {
-            hit_streak = 0;
-            if (++coherence_ops >= max_coherence_ops) {
-              break;
-            }
-          }
+        hit_streak = 0;
+        if (++coherence_ops >= max_coherence_ops) {
+          break;
         }
       }
     }
@@ -824,19 +635,13 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
   report.FillRegistry(metrics_.get(), "replay");
   metrics_->SetGauge("replay/shards", static_cast<double>(effective_shards_));
   uint64_t parallel_hits = 0;
-  uint64_t grouped_ops = 0;
   uint64_t drained_ops = 0;
-  uint64_t owner_drained = 0;
   for (const ShardReport& sr : shard_reports_) {
     parallel_hits += sr.parallel_hits;
-    grouped_ops += sr.grouped_ops;
     drained_ops += sr.drained_ops;
-    owner_drained += sr.owner_drained;
   }
   metrics_->SetCounter("replay/parallel_hits", parallel_hits);
-  metrics_->SetCounter("replay/grouped_ops", grouped_ops);
   metrics_->SetCounter("replay/drained_ops", drained_ops);
-  metrics_->SetCounter("replay/owner_drained", owner_drained);
   if (trace_scope_ != nullptr) {
     (void)system->SetTraceSink(nullptr);  // Detach before the scope can go away.
     trace_scope_->Finalize();

@@ -17,6 +17,10 @@
 // per-2MB-region version stamps), the merged result is bit-identical to per-op replay — same makespan, counters and latency
 // histogram for 1, 2 or N shards.
 //
+// The drain is one loop: pick the unfinished thread with the least (clock, index), run
+// its next op through Access, book it, and hand back to the channel rounds under a
+// bounded exit policy (a streak of hits, or a budget of coherence ops).
+//
 // Serial replay is the degenerate case of the same loop: one shard, same channels, same
 // drain. Two situations force the pure per-op reference path (every op through the
 // drain in global (clock, thread) order): a non-null sampler, which needs exact
@@ -37,7 +41,6 @@
 #include "src/obs/metrics_registry.h"
 #include "src/obs/phase_profiler.h"
 #include "src/obs/trace_scope.h"
-#include "src/workload/region_ownership.h"
 #include "src/workload/trace.h"
 
 namespace mind {
@@ -111,8 +114,8 @@ struct ReplayOptions {
   // accounting delta (issued/useful/late + derived coverage).
   PrefetchPolicy prefetch = PrefetchPolicy::kNone;
   // Record a TraceScope (src/obs/trace_scope.h) for the run: semantic events from the
-  // systems' serialized paths into the control sink, execution events (group commits,
-  // drain sub-rounds) from the engine into per-shard mailbox sinks. Off — the
+  // systems' serialized paths into the control sink, execution events (group commits)
+  // from the engine into per-shard mailbox sinks. Off — the
   // default — constructs nothing and leaves the systems' sinks null, so the hot path
   // pays at most one pointer compare per miss and nothing at all on hits.
   bool trace = false;
@@ -129,7 +132,7 @@ struct ShardReport {
   // group, so this equals parallel_hits; kept because bench/mindbench reports it.
   uint64_t grouped_ops = 0;
   uint64_t drained_ops = 0;    // This shard's ops executed by the serialized drain.
-  uint64_t owner_drained = 0;  // Subset of drained_ops retired in owner sub-rounds.
+  uint64_t owner_drained = 0;  // Always 0; kept because bench/mindbench reads it.
   SimTime makespan = 0;
   uint64_t latency_sum = 0;
   Histogram latency_histogram;
@@ -148,7 +151,9 @@ class ReplayEngine {
   // Allocates segments and registers threads (round-robin over blades). Must be called
   // exactly once before Run. Large segments are allocated in 64 MB chunks, matching how
   // real applications grow their heaps (and letting the balanced allocator spread a big
-  // segment's bandwidth across memory blades instead of pinning it to one).
+  // segment's bandwidth across memory blades instead of pinning it to one). Malformed
+  // traces — no compute blade, or an op outside its segment — are rejected with
+  // kInvalidArgument before anything is allocated.
   Status Setup();
 
   // Replays the traces on the calling thread. A non-null sampler needs exact global-order
@@ -168,11 +173,6 @@ class ReplayEngine {
   [[nodiscard]] const std::vector<ShardReport>& shard_reports() const {
     return shard_reports_;
   }
-
-  // Directory-region ownership map built by Setup from the traces (blade-affine majority
-  // homes; see src/workload/region_ownership.h). Tests pick owner/non-owner addresses
-  // through it.
-  [[nodiscard]] const RegionOwnership& ownership() const { return ownership_; }
 
   // Observability artifacts of the last Run (src/obs/). The trace scope is non-null and
   // finalized after a Run with options.trace; the profiler after one with
@@ -204,7 +204,6 @@ class ReplayEngine {
   std::vector<ThreadId> thread_ids_;
   std::vector<ComputeBladeId> thread_blades_;
   std::vector<std::vector<LocalOp>> thread_ops_;  // Per-thread VA-resolved trace (lazy).
-  RegionOwnership ownership_;                     // 2 MB region -> home blade (Setup).
   bool setup_done_ = false;
   int effective_shards_ = 0;
   std::vector<ShardReport> shard_reports_;

@@ -8,7 +8,6 @@
 
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/baselines/fastswap.h"
@@ -235,57 +234,6 @@ TEST(FaultConformance, MindFullFaultStormIsModeInvariant) {
   EXPECT_GT(want.fault.timeouts, 0u);
   EXPECT_EQ(want.fault.drains_completed, 1u);
   ExpectFaultConformance(make, traces, want);
-}
-
-// --- The owner drain under fault schedules ------------------------------------------
-
-TEST(FaultConformance, OwnerParallelDrainInvariantUnderFaults) {
-  // The region-ownership drain partition against three fault schedules — fault-free,
-  // 0.5% seeded loss, and a mid-replay scheduled blade drain — at 1/2/4/8 shards. Every time-driven boundary serializes through the drain safety horizon
-  // (NextScheduledFaultAt clamps it), so the results and the drain composition
-  // (owner-drained subset included) are bit-identical across the whole matrix.
-  const WorkloadTraces traces = GenerateTraces(CoherenceSpec(4));
-  const SimTime makespan =
-      SerialReference([] { return std::make_unique<MindSystem>(FaultRackConfig(0.0)); },
-                      traces)
-          .makespan;
-  ASSERT_GT(makespan, 0u);
-
-  RackConfig drained = FaultRackConfig(0.0);
-  drained.fault.drains.push_back(
-      FaultPlaneConfig::BladeDrain{/*blade=*/0, /*dst=*/1, /*at=*/makespan / 2});
-  const std::vector<std::pair<std::string, RackConfig>> schedules = {
-      {"no-fault", FaultRackConfig(0.0)},
-      {"loss-0.5%", FaultRackConfig(0.005)},
-      {"scheduled-drain", drained},
-  };
-  for (const auto& [label, config] : schedules) {
-    SCOPED_TRACE(label);
-    auto make = [&config] { return std::make_unique<MindSystem>(config); };
-    const ReplayReport want = SerialReference(make, traces);
-    uint64_t owner_expected = 0;
-    bool first = true;
-    for (const int shards : {1, 2, 4, 8}) {
-      SCOPED_TRACE(::testing::Message() << shards << "shards");
-      auto sys = make();
-      ReplayOptions opts;
-      opts.shards = shards;
-      ReplayEngine engine(sys.get(), &traces, opts);
-      ASSERT_TRUE(engine.Setup().ok());
-      ExpectReportsIdentical(want, engine.Run());
-      uint64_t owner = 0;
-      for (const ShardReport& sr : engine.shard_reports()) {
-        owner += sr.owner_drained;
-      }
-      EXPECT_GT(owner, 0u);  // Engaged even while the schedule fires.
-      if (first) {
-        owner_expected = owner;
-        first = false;
-      } else {
-        EXPECT_EQ(owner, owner_expected);  // Composition is matrix-invariant.
-      }
-    }
-  }
 }
 
 // --- The reset path after a blade death (§4.4), at rack level ------------------------------

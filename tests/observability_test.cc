@@ -81,7 +81,7 @@ TEST(TraceScope, SemanticBytesIgnoresExecutionEventsAndMailboxContents) {
   }
   // Execution noise lands differently per mode — the witness must not see it.
   a.shard(0)->Emit(MakeEvent(TraceEventKind::kGroupCommit, 15, 99));
-  b.shard(3)->Emit(MakeEvent(TraceEventKind::kDrainPhase, 25, 42));
+  b.shard(3)->Emit(MakeEvent(TraceEventKind::kGroupCommit, 25, 42));
   b.control()->Emit(MakeEvent(TraceEventKind::kGroupCommit, 5, 7));  // Filtered by kind.
   EXPECT_EQ(a.SemanticBytes(), b.SemanticBytes());
   EXPECT_EQ(a.SemanticDigest(), b.SemanticDigest());

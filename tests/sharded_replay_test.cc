@@ -173,10 +173,10 @@ TEST(ShardedReplay, BitIdenticalWithStoredPayloads) {
   ExpectReportsIdentical(want, RunSharded(traces, config, opts));
 }
 
-// Forwards every MemorySystem call but inherits the default (null) OpenChannelGroup and
-// OpenOwnerDrain — and, unless `forward_channels`, the default (null) OpenChannel: the
-// opt-out contracts must route every op through the serialized drain's per-op merge step
-// and still match the per-op reference exactly. Channels without a group never commit.
+// Forwards every MemorySystem call but inherits the default (null) OpenChannelGroup —
+// and, unless `forward_channels`, the default (null) OpenChannel: the opt-out contracts
+// must route every op through the serialized drain and still match the per-op reference
+// exactly. Channels without a group never commit.
 class NoChannelSystem final : public MemorySystem {
  public:
   explicit NoChannelSystem(MemorySystem* inner, bool forward_channels = false)
@@ -224,13 +224,10 @@ void ExpectSerializesWithoutGroups(bool forward_channels) {
   const ReplayReport got = sharded.Run();
   ExpectReportsIdentical(want, got);
   uint64_t parallel = 0;
-  uint64_t owner_drained = 0;
   for (const ShardReport& sr : sharded.shard_reports()) {
     parallel += sr.parallel_hits;
-    owner_drained += sr.owner_drained;
   }
   EXPECT_EQ(parallel, 0u);
-  EXPECT_EQ(owner_drained, 0u);  // No owner contract: every drained op is ineligible.
 }
 
 TEST(ShardedReplay, SystemWithoutChannelsSerializes) {
@@ -273,91 +270,14 @@ TEST(ShardedReplay, ShardCountClampsToBlades) {
   EXPECT_EQ(engine.effective_shards(), 2);
 }
 
-// --- Directory-region ownership: the owner drain ------------------------------------
-//
-// The serialized drain is partitioned by 2 MB-region ownership
-// (src/workload/region_ownership.h): whenever every unfinished thread's next op below
-// the global safety horizon is an owner-homed blade-local hit, the drain retires those
-// ops in one sub-round instead of one merge step at a time. Like channels it is an
-// execution strategy, never a semantic — these tests pin the bit-identity, the
-// engagement, and the shard-count invariance of the drain composition.
-
-uint64_t SumOwnerDrained(const std::vector<ShardReport>& reports) {
-  uint64_t n = 0;
-  for (const ShardReport& sr : reports) {
-    n += sr.owner_drained;
-  }
-  return n;
-}
-
-uint64_t SumDrained(const std::vector<ShardReport>& reports) {
-  uint64_t n = 0;
-  for (const ShardReport& sr : reports) {
-    n += sr.drained_ops;
-  }
-  return n;
-}
-
-TEST(OwnershipDrain, ConformanceMatrixBitIdenticalAndEngaged) {
-  // 1/2/4/8 shards, all against the serial reference. The eligibility gate never
-  // consults the shard count (OwnedByAccessor compares the accessor blade to the region
-  // home), so the drain composition — how many ops drained, and how many of those
-  // retired in owner sub-rounds — must be identical across every shard count.
-  const RackConfig config = TestRackConfig(8);
-  const WorkloadTraces traces = GenerateTraces(HitHeavySpec(8));
-  const ReplayReport want = SerialReference(traces, config);
-  uint64_t owner_expected = 0;
-  uint64_t drained_expected = 0;
-  bool first = true;
-  for (const int shards : {1, 2, 4, 8}) {
-    SCOPED_TRACE(::testing::Message() << shards << "shards");
-    ReplayOptions opts;
-    opts.shards = shards;
-    std::vector<ShardReport> shard_reports;
-    ExpectReportsIdentical(want, RunSharded(traces, config, opts, &shard_reports));
-    const uint64_t owner = SumOwnerDrained(shard_reports);
-    const uint64_t drained = SumDrained(shard_reports);
-    EXPECT_GT(owner, 0u);  // The owner sub-rounds actually engage.
-    EXPECT_LE(owner, drained);
-    if (first) {
-      owner_expected = owner;
-      drained_expected = drained;
-      first = false;
-    } else {
-      EXPECT_EQ(owner, owner_expected);
-      EXPECT_EQ(drained, drained_expected);
-    }
-  }
-}
-
-TEST(OwnershipDrain, ReferencePathEngagesOwnerParallelDrain) {
-  // use_channels = false drains every op, and the ownership partition must ride along
-  // there too: most of a hit-heavy trace retires in owner sub-rounds instead of per-op
-  // merge steps.
-  const RackConfig config = TestRackConfig(8);
-  const WorkloadTraces traces = GenerateTraces(HitHeavySpec(8));
-  MindSystem sys(config);
-  ReplayOptions opts;
-  opts.use_channels = false;
-  ReplayEngine engine(&sys, &traces, opts);
-  ASSERT_TRUE(engine.Setup().ok());
-  const ReplayReport report = engine.Run();
-  ASSERT_EQ(engine.shard_reports().size(), 1u);
-  const ShardReport& sr = engine.shard_reports()[0];
-  EXPECT_EQ(sr.drained_ops, report.total_ops);  // Reference path: everything drains.
-  EXPECT_GT(sr.owner_drained, 0u);
-  EXPECT_LE(sr.owner_drained, sr.drained_ops);
-}
-
-// A wave owned by one shard invalidating runs submitted on another: thread 0 (blade 0)
-// is the majority accessor — and therefore region owner — of a small shared segment that
-// thread 1 (blade 1) keeps cached copies of; thread 0's writes launch invalidation waves
-// into blade 1 mid-run, while thread 1's own private segment stays homed at blade 1. At
-// two shards the wave crosses shard ownership every time, and the result must still be
-// bit-identical to the serial reference.
-WorkloadTraces CrossRegionWaveTraces() {
+// A wave launched on one blade invalidating runs submitted on another: thread 0 (blade 0)
+// writes a small shared segment that thread 1 (blade 1) keeps cached copies of, so thread
+// 0's writes launch invalidation waves into blade 1 mid-run while thread 1 replays long
+// blade-local runs over its own private segment. At two shards the wave crosses shards
+// every time, and the result must still be bit-identical to the serial reference.
+WorkloadTraces CrossBladeWaveTraces() {
   WorkloadTraces t;
-  t.name = "cross-region-wave";
+  t.name = "cross-blade-wave";
   t.num_blades = 2;
   t.think_time = 200;
   t.segments = {SegmentSpec{/*pages=*/512}, SegmentSpec{/*pages=*/512},
@@ -366,15 +286,14 @@ WorkloadTraces CrossRegionWaveTraces() {
   ThreadTrace t1;
   for (uint64_t i = 0; i < 4000; ++i) {
     // Thread 0: dominated by the shared segment (9 of 10 ops, half writes), sparse
-    // private traffic — the shared region's majority accessor by a wide margin.
+    // private traffic.
     if (i % 10 != 9) {
       t0.ops.push_back({2, i % 4, i % 2 == 0 ? AccessType::kWrite : AccessType::kRead});
     } else {
       t0.ops.push_back({0, i % 512, AccessType::kRead});
     }
-    // Thread 1: long blade-local runs over the middle of its private segment (region
-    // homed at blade 1), with an occasional shared read that caches a copy for thread
-    // 0's next wave to invalidate.
+    // Thread 1: long blade-local runs over the middle of its private segment, with an
+    // occasional shared read that caches a copy for thread 0's next wave to invalidate.
     if (i % 20 == 19) {
       t1.ops.push_back({2, i % 4, AccessType::kRead});
     } else {
@@ -385,25 +304,16 @@ WorkloadTraces CrossRegionWaveTraces() {
   return t;
 }
 
-TEST(OwnershipDrain, CrossRegionWaveInvalidatesOtherShardsRuns) {
+TEST(ShardedReplay, CrossBladeWaveInvalidatesPeerRuns) {
   const RackConfig config = TestRackConfig(2);
-  const WorkloadTraces traces = CrossRegionWaveTraces();
+  const WorkloadTraces traces = CrossBladeWaveTraces();
   const ReplayReport want = SerialReference(traces, config);
   ASSERT_GT(want.counters.invalidations, 0u);  // The waves actually cross blades.
   for (const int shards : {1, 2}) {
     SCOPED_TRACE(shards);
     ReplayOptions opts;
     opts.shards = shards;
-    MindSystem sys(config);
-    ReplayEngine engine(&sys, &traces, opts);
-    ASSERT_TRUE(engine.Setup().ok());
-    // The ownership map Setup built splits the two flows as designed: the contended
-    // shared region homes at the wave-launching blade 0, thread 1's private region at
-    // blade 1.
-    EXPECT_EQ(engine.ownership().HomeBlade(engine.AddressOf(2, 0)), 0);
-    EXPECT_EQ(engine.ownership().HomeBlade(engine.AddressOf(1, 256)), 1);
-    ExpectReportsIdentical(want, engine.Run());
-    EXPECT_GT(SumOwnerDrained(engine.shard_reports()), 0u);
+    ExpectReportsIdentical(want, RunSharded(traces, config, opts));
   }
 }
 

@@ -3,11 +3,17 @@
 // replay accounting. Parameterized over the four paper workloads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <map>
+#include <memory>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "src/baselines/fastswap.h"
+#include "src/baselines/gam.h"
 #include "src/baselines/mind_system.h"
 #include "src/workload/generators.h"
 #include "src/workload/replay.h"
@@ -285,6 +291,178 @@ TEST(Replay, SamplerFiresAtIntervals) {
       kMillisecond);
   EXPECT_GT(samples, 0);
   EXPECT_LE(last, report.makespan);
+}
+
+TEST(Replay, SetupRejectsMalformedTraces) {
+  RackConfig cfg;
+  cfg.num_compute_blades = 2;
+  cfg.num_memory_blades = 1;
+  cfg.memory_blade_capacity = 1ull << 30;
+  WorkloadTraces valid;
+  valid.name = "tiny";
+  valid.num_blades = 2;
+  valid.segments = {SegmentSpec{/*pages=*/4}, SegmentSpec{/*pages=*/8}};
+  valid.threads = {ThreadTrace{{{0, 3, AccessType::kRead}, {1, 7, AccessType::kWrite}}},
+                   ThreadTrace{{{1, 0, AccessType::kRead}}}};
+
+  WorkloadTraces no_blades = valid;
+  no_blades.num_blades = 0;
+  WorkloadTraces bad_segment = valid;
+  bad_segment.threads[1].ops.push_back({2, 0, AccessType::kRead});
+  WorkloadTraces bad_page = valid;
+  bad_page.threads[0].ops.push_back({0, 4, AccessType::kWrite});
+
+  MindSystem fresh(cfg);
+  ReplayEngine reference(&fresh, &valid);
+  ASSERT_TRUE(reference.Setup().ok());
+
+  MindSystem sys(cfg);
+  for (const WorkloadTraces* bad : {&no_blades, &bad_segment, &bad_page}) {
+    ReplayEngine engine(&sys, bad);
+    EXPECT_EQ(engine.Setup().code(), ErrorCode::kInvalidArgument);
+  }
+  // The rejected Setups allocated nothing: the valid trace lands where it lands on a
+  // fresh system.
+  ReplayEngine engine(&sys, &valid);
+  ASSERT_TRUE(engine.Setup().ok());
+  EXPECT_EQ(engine.AddressOf(0, 0), reference.AddressOf(0, 0));
+  EXPECT_EQ(engine.AddressOf(1, 7), reference.AddressOf(1, 7));
+  EXPECT_EQ(engine.Run().total_ops, valid.TotalOps());
+}
+
+// Replays `traces` with a loop written independently of ReplayEngine: the same
+// allocations and thread placement as Setup, then one Access per op in global
+// (clock, thread index) order, then the trailing AdvanceTo.
+ReplayReport PerOpLoop(MemorySystem* sys, const WorkloadTraces& traces) {
+  constexpr uint64_t kChunk = ReplayEngine::kChunkPages;
+  std::vector<std::vector<VirtAddr>> chunk_bases(traces.segments.size());
+  for (size_t s = 0; s < traces.segments.size(); ++s) {
+    const uint64_t pages = traces.segments[s].pages;
+    for (uint64_t first = 0; first < pages; first += kChunk) {
+      auto base = sys->Alloc(std::min(kChunk, pages - first) * kPageSize);
+      EXPECT_TRUE(base.ok());
+      chunk_bases[s].push_back(*base);
+    }
+  }
+  const size_t n = traces.threads.size();
+  const auto blades =
+      static_cast<size_t>(std::min(traces.num_blades, sys->num_compute_blades()));
+  std::vector<ThreadId> tids(n);
+  std::vector<ComputeBladeId> thread_blade(n);
+  for (size_t t = 0; t < n; ++t) {
+    thread_blade[t] = static_cast<ComputeBladeId>(t % blades);
+    auto tid = sys->RegisterThread(thread_blade[t]);
+    EXPECT_TRUE(tid.ok());
+    tids[t] = *tid;
+  }
+
+  const SystemCounters before = sys->counters();
+  std::vector<SimTime> clock(n, 0);
+  std::vector<size_t> next(n, 0);
+  SimTime max_start = 0;
+  ReplayReport report;
+  for (;;) {
+    size_t pick = n;
+    for (size_t t = 0; t < n; ++t) {
+      if (next[t] < traces.threads[t].ops.size() && (pick == n || clock[t] < clock[pick])) {
+        pick = t;
+      }
+    }
+    if (pick == n) {
+      break;
+    }
+    const TraceOp& op = traces.threads[pick].ops[next[pick]++];
+    const VirtAddr va =
+        chunk_bases[op.segment][op.page / kChunk] + PageToAddr(op.page % kChunk);
+    const AccessResult r = sys->Access(tids[pick], thread_blade[pick], va, op.type, clock[pick]);
+    max_start = std::max(max_start, clock[pick]);
+    clock[pick] += r.latency + traces.think_time;
+    report.makespan = std::max(report.makespan, clock[pick]);
+    report.latency_histogram.Record(r.latency);
+    ++report.total_ops;
+  }
+  sys->AdvanceTo(max_start);
+  report.counters = sys->counters().DeltaSince(before);
+  return report;
+}
+
+TEST(Replay, MatchesPerOpLoop) {
+  // Private working sets that fit the cache (channel runs) plus a zipfian shared table
+  // with writes (invalidation waves, upgrades, splitting epochs) on 2 blades x 2 threads.
+  WorkloadSpec spec;
+  spec.name = "oracle-mix";
+  spec.num_blades = 2;
+  spec.threads_per_blade = 2;
+  spec.private_pages_per_thread = 256;
+  spec.private_pattern = Pattern::kUniform;
+  spec.private_write_fraction = 0.5;
+  spec.shared_pages = 512;
+  spec.shared_pattern = Pattern::kZipfian;
+  spec.shared_access_fraction = 0.02;
+  spec.shared_write_fraction = 0.2;
+  spec.accesses_per_thread = 6000;
+  spec.think_time = 200;
+  spec.seed = 3;
+  const WorkloadTraces traces = GenerateTraces(spec);
+
+  RackConfig rack;
+  rack.num_compute_blades = 2;
+  rack.num_memory_blades = 2;
+  rack.memory_blade_capacity = 1ull << 30;
+  rack.compute_cache_bytes = 8ull << 20;
+  rack.directory_slots = 2048;
+  rack.splitting.epoch_length = kMillisecond;
+  RackConfig pso = rack;
+  pso.consistency = ConsistencyModel::kPso;
+  GamConfig gam;
+  gam.num_compute_blades = 2;
+  gam.num_memory_blades = 2;
+  gam.compute_cache_bytes = 8ull << 20;
+
+  const std::vector<std::pair<const char*, std::function<std::unique_ptr<MemorySystem>()>>>
+      systems = {
+          {"MindTso", [&] { return std::make_unique<MindSystem>(rack); }},
+          {"MindPso", [&] { return std::make_unique<MindSystem>(pso); }},
+          {"Gam", [&] { return std::make_unique<GamSystem>(gam); }},
+      };
+  for (const auto& [name, make] : systems) {
+    SCOPED_TRACE(name);
+    auto loop_sys = make();
+    const ReplayReport want = PerOpLoop(loop_sys.get(), traces);
+    ASSERT_EQ(want.total_ops, traces.TotalOps());
+    ASSERT_GT(want.counters.invalidations, 0u);
+    for (const bool use_channels : {false, true}) {
+      SCOPED_TRACE(use_channels ? "channels" : "per-op");
+      auto sys = make();
+      ReplayOptions opts;
+      opts.use_channels = use_channels;
+      ReplayEngine engine(sys.get(), &traces, opts);
+      ASSERT_TRUE(engine.Setup().ok());
+      const ReplayReport got = engine.Run();
+      EXPECT_EQ(got.makespan, want.makespan);
+      EXPECT_EQ(got.total_ops, want.total_ops);
+      EXPECT_EQ(got.counters.total_accesses, want.counters.total_accesses);
+      EXPECT_EQ(got.counters.local_hits, want.counters.local_hits);
+      EXPECT_EQ(got.counters.remote_accesses, want.counters.remote_accesses);
+      EXPECT_EQ(got.counters.invalidations, want.counters.invalidations);
+      EXPECT_EQ(got.counters.pages_flushed, want.counters.pages_flushed);
+      EXPECT_EQ(got.counters.false_invalidations, want.counters.false_invalidations);
+      EXPECT_EQ(got.counters.breakdown_sums.fault, want.counters.breakdown_sums.fault);
+      EXPECT_EQ(got.counters.breakdown_sums.network, want.counters.breakdown_sums.network);
+      EXPECT_EQ(got.counters.breakdown_sums.inv_queue, want.counters.breakdown_sums.inv_queue);
+      EXPECT_EQ(got.counters.breakdown_sums.inv_tlb, want.counters.breakdown_sums.inv_tlb);
+      EXPECT_EQ(got.counters.breakdown_sums.fabric_wait,
+                want.counters.breakdown_sums.fabric_wait);
+      EXPECT_TRUE(got.latency_histogram == want.latency_histogram);
+      uint64_t parallel_hits = 0;
+      for (const ShardReport& sr : engine.shard_reports()) {
+        parallel_hits += sr.parallel_hits;
+      }
+      if (use_channels) {
+        EXPECT_GT(parallel_hits, 0u);  // The channel rounds actually engaged.
+      }
+    }
+  }
 }
 
 // Parameterized smoke replay over every paper workload preset on MIND.
