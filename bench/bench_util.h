@@ -177,7 +177,7 @@ inline bool ProfileFromArgs(int argc, char** argv) {
 }
 
 // Per-phase wall-clock breakdown after a profiled run: one line per lane that recorded
-// anything, shard lanes first, the coordinator's serial lane last.
+// anything, the channel lane first, the serial lane last.
 inline void PrintPhaseProfile(const PhaseProfiler& prof) {
   std::printf("phase profile (wall clock):\n");
   for (size_t l = 0; l < prof.num_lanes(); ++l) {
@@ -189,11 +189,7 @@ inline void PrintPhaseProfile(const PhaseProfiler& prof) {
     if (lane_total == 0) {
       continue;
     }
-    if (l == prof.serial_lane()) {
-      std::printf("  serial :");
-    } else {
-      std::printf("  shard %zu:", l);
-    }
+    std::printf(l == prof.serial_lane() ? "  serial :" : "  channel:");
     for (int p = 0; p < PhaseProfiler::kNumPhases; ++p) {
       if (lane.count[p] == 0) {
         continue;
@@ -244,18 +240,16 @@ inline void PrintPrefetchReportLine(const ReplayReport& report, PrefetchPolicy p
               100.0 * report.PrefetchCoverage(), 100.0 * p.Accuracy());
 }
 
-// Generates traces for `spec`, replays them on `sys`, returns the report. Every shard
-// count drives the same channel-based engine (results are bit-identical across shard
-// counts and vs the per-op reference path); `shards > 1` adds concurrent execution. A
-// sampler forces the per-op reference path (exact global observation points). The
+// Generates traces for `spec`, replays them on `sys`, returns the report. Replay runs
+// through the channel engine, whose results are bit-identical to the per-op reference
+// path. A sampler forces the per-op reference path (exact global observation points). The
 // MIND_PREFETCH env override (see PrefetchPolicyFromEnv) opts the replay into a prefetch
 // policy and prints the per-system accounting line.
 inline ReplayReport RunWorkload(MemorySystem& sys, const WorkloadSpec& spec,
                                 ReplayEngine::Sampler sampler = nullptr,
-                                SimTime sample_interval = 10 * kMillisecond, int shards = 1) {
+                                SimTime sample_interval = 10 * kMillisecond) {
   const WorkloadTraces traces = GenerateTraces(spec);
   ReplayOptions opts;
-  opts.shards = shards;
   // A sampler forces the per-op reference path anyway; opting out of channels up front
   // also skips Setup's VA-resolved op materialization for those runs.
   opts.use_channels = sampler == nullptr;
@@ -284,25 +278,6 @@ inline ReplayReport RunWorkload(MemorySystem& sys, const WorkloadSpec& spec,
     PrintPhaseProfile(*engine.profiler());
   }
   return report;
-}
-
-// `--shards=N` on a bench/example command line, with MIND_REPLAY_SHARDS as the fallback.
-inline int ShardsFromArgs(int argc, char** argv, int def = 1) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      const int v = std::atoi(argv[i] + 9);
-      if (v > 0) {
-        return v;
-      }
-    }
-  }
-  if (const char* s = std::getenv("MIND_REPLAY_SHARDS"); s != nullptr) {
-    const int v = std::atoi(s);
-    if (v > 0) {
-      return v;
-    }
-  }
-  return def;
 }
 
 // ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@
 // the rack returns to steady state.
 //
 // Loss draws and schedules are deterministic (fixed seed, serialized-path draws only), so
-// every number here is bit-identical across replay shard counts — the fault conformance
-// suite (tests/fault_injection_test.cc) enforces exactly that. The loss-free rows append
-// `FigFaultTolerance/*/loss-free-sim-ns-op` to BENCH_microbench.json and are gated by
-// tools/check_bench_regression.py: fault-plane plumbing must stay free on healthy racks.
+// every number here is bit-identical between channel replay and the per-op reference —
+// the fault conformance suite (tests/fault_injection_test.cc) enforces exactly that. The
+// loss-free rows append `FigFaultTolerance/*/loss-free-sim-ns-op` to BENCH_microbench.json
+// and are gated by tools/check_bench_regression.py: fault-plane plumbing must stay free
+// on healthy racks.
 //
 // Scale the trace with MIND_BENCH_SCALE (CI runs 0.1; the committed baseline rows use the
 // same scale).
@@ -61,9 +62,7 @@ WorkloadSpec SwapFaultSpec() {
 // by hand now comes out of the one exporter.
 ReplayReport Replay(MemorySystem& sys, const WorkloadTraces& traces,
                     std::string* registry_text = nullptr) {
-  ReplayOptions opts;
-  opts.shards = 4;  // Execution strategy only: results are bit-identical at any count.
-  ReplayEngine engine(&sys, &traces, opts);
+  ReplayEngine engine(&sys, &traces);
   const Status s = engine.Setup();
   if (!s.ok()) {
     std::fprintf(stderr, "replay setup failed: %s\n", s.ToString().c_str());

@@ -59,9 +59,7 @@ WorkloadSpec SwapLoadSpec(SimTime think) {
 }
 
 ReplayReport Replay(MemorySystem& sys, const WorkloadTraces& traces) {
-  ReplayOptions opts;
-  opts.shards = 4;  // Execution strategy only: results are bit-identical at any count.
-  ReplayEngine engine(&sys, &traces, opts);
+  ReplayEngine engine(&sys, &traces);
   const Status s = engine.Setup();
   if (!s.ok()) {
     std::fprintf(stderr, "replay setup failed: %s\n", s.ToString().c_str());

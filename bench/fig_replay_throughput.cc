@@ -10,9 +10,8 @@
 //                    the drain, one virtual Access per op — the pre-channel engine).
 //   sharded-1shard — the AccessChannel engine (results are bit-identical to serial by
 //                    construction; only wall-clock moves).
-// Replay runs on one host thread, and more shards only partition the same sequential
-// work, so multi-shard points are not produced: they measured a worker pool that lost to
-// one shard on every series and has been removed.
+// The row names predate the removal of replay shards and are kept so that new entries
+// stay comparable with the committed trajectory.
 //
 // Appends `FigReplayWallclock/*` entries (ns/op over total replayed ops) to
 // BENCH_microbench.json. Scale the trace with MIND_BENCH_SCALE.
@@ -35,11 +34,9 @@ struct Timed {
   uint64_t drained_ops = 0;
 };
 
-void CollectShards(ReplayEngine& engine, Timed* out) {
-  for (const ShardReport& sr : engine.shard_reports()) {
-    out->parallel_hits += sr.parallel_hits;
-    out->drained_ops += sr.drained_ops;
-  }
+void CollectAccounting(ReplayEngine& engine, Timed* out) {
+  out->parallel_hits = engine.shard_reports()[0].parallel_hits;
+  out->drained_ops = engine.shard_reports()[0].drained_ops;
   std::ostringstream os;
   engine.metrics()->ExportText(os);
   out->registry_text = os.str();
@@ -110,7 +107,7 @@ Timed RunSerial(const WorkloadTraces& traces, SystemFactory make_system) {
   out.report = engine.Run();
   out.wall_ns = std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - t0)
                     .count();
-  CollectShards(engine, &out);
+  CollectAccounting(engine, &out);
   return out;
 }
 
@@ -123,7 +120,7 @@ Timed RunChannels(const WorkloadTraces& traces, SystemFactory make_system) {
   out.report = engine.Run();
   out.wall_ns = std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - t0)
                     .count();
-  CollectShards(engine, &out);
+  CollectAccounting(engine, &out);
   return out;
 }
 

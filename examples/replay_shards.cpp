@@ -1,11 +1,10 @@
-// Sharded trace replay, end to end: generate a multi-blade workload, replay it on a MIND
-// rack with N replay shards (`--shards=N`, default 1), and print the merged report plus
-// the per-shard breakdown.
+// Channel-based trace replay, end to end: generate a multi-blade workload, replay it on a
+// MIND rack through the AccessChannel engine, and print the report plus how many ops the
+// channel fast path committed versus how many the serialized coherence drain executed.
 //
-// Replay results are bit-identical for every shard count — shards only partition the
-// blades the channel rounds visit in turn on the one replay thread, never what the
-// simulator computes. Try `--shards=1` and `--shards=4` and compare the reported
-// makespan, counters and latency percentiles: they match exactly.
+// Replay results are bit-identical to the per-op reference path
+// (ReplayOptions::use_channels = false): channels change how fast the simulator replays,
+// never what it computes.
 #include <chrono>
 #include <cstdio>
 
@@ -17,8 +16,6 @@
 using namespace mind;
 
 int main(int argc, char** argv) {
-  // --shards=N, or MIND_REPLAY_SHARDS as the fallback (shared bench/example parser).
-  const int shards = bench::ShardsFromArgs(argc, argv);
   // --prefetch=<none|nextn|stride>, or MIND_PREFETCH as the fallback: opt the replay
   // into pattern-aware prefetching (src/prefetch/prefetch.h). Default: none.
   const PrefetchPolicy prefetch = bench::PrefetchFromArgs(argc, argv);
@@ -37,7 +34,7 @@ int main(int argc, char** argv) {
   // KVS-style mix at 4 blades: cache-resident per-thread partitions (long blade-local
   // runs the AccessChannel fast path batches; the sequential scan also gives the warmup
   // faults a stride for --prefetch to detect) plus a zipfian shared table with sparse
-  // writes — real cross-shard invalidation waves for the deterministic merge to sequence.
+  // writes — real cross-blade invalidation waves for the deterministic merge to sequence.
   WorkloadSpec spec;
   spec.name = "kvs-mix";
   spec.num_blades = 4;
@@ -54,7 +51,6 @@ int main(int argc, char** argv) {
   const WorkloadTraces traces = GenerateTraces(spec);
 
   ReplayOptions options;
-  options.shards = shards;
   options.prefetch = prefetch;
   options.trace = !trace_path.empty();
   options.profile = profile;
@@ -73,8 +69,6 @@ int main(int argc, char** argv) {
 
   std::printf("workload            : %s on %s\n", report.workload.c_str(),
               report.system.c_str());
-  std::printf("replay shards       : %d (requested %d)\n", engine.effective_shards(),
-              shards);
   std::printf("total ops           : %llu\n",
               static_cast<unsigned long long>(report.total_ops));
   std::printf("simulated makespan  : %.3f ms\n", ToMillis(report.makespan));
@@ -96,23 +90,17 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(report.prefetch.useful),
               static_cast<unsigned long long>(report.prefetch.late),
               100.0 * report.PrefetchCoverage());
-  std::printf("replay wall clock   : %.1f ms\n\n", wall_ms);
+  std::printf("replay wall clock   : %.1f ms\n", wall_ms);
 
-  std::printf("per-shard breakdown (parallel fast-path hits vs serialized coherence):\n");
-  const auto& shard_reports = engine.shard_reports();
-  for (size_t s = 0; s < shard_reports.size(); ++s) {
-    const ShardReport& sr = shard_reports[s];
-    std::printf("  shard %zu: %9llu parallel hits, %9llu drained ops, makespan %.3f ms\n", s,
-                static_cast<unsigned long long>(sr.parallel_hits),
-                static_cast<unsigned long long>(sr.drained_ops), ToMillis(sr.makespan));
-  }
+  const ShardReport& accounting = engine.shard_reports()[0];
+  std::printf("channel vs drain    : %llu parallel hits, %llu drained ops\n",
+              static_cast<unsigned long long>(accounting.parallel_hits),
+              static_cast<unsigned long long>(accounting.drained_ops));
   if (options.trace) {
     bench::WriteTraceReportLine(engine, trace_path);
   }
   if (profile && engine.profiler() != nullptr) {
     bench::PrintPhaseProfile(*engine.profiler());
   }
-  std::printf("\nRe-run with a different --shards=N: every number above except the wall "
-              "clock stays identical.\n");
   return 0;
 }

@@ -57,8 +57,7 @@ class FastSwapSystem final : public MemorySystem {
   // Batched channel contract: a FastSwap hit is a plain DRAM access at a fixed latency
   // (pages are installed read-write, there is no coherence machinery), so whole runs
   // classify with an exact uniform latency (see src/core/access_channel.h). Single blade —
-  // the channel fast path still removes the per-op virtual Access dispatch under one-shard
-  // replay.
+  // the channel fast path still removes the per-op virtual Access dispatch.
   std::unique_ptr<AccessChannel> OpenChannel(ThreadId tid, ComputeBladeId blade) override;
 
   // Per-blade channel group (trivially uniform: every hit costs the fixed swap-cache

@@ -41,9 +41,9 @@ struct SystemCounters {
   uint64_t false_invalidations = 0;
   LatencyBreakdown breakdown_sums;
 
-  // Accumulates another counter block (per-shard replay counters fold into one report
-  // without double-counting: each access is accounted by exactly one shard or by the
-  // system itself, never both).
+  // Accumulates another counter block (the replay engine folds its channel-committed
+  // hits into the system's delta without double-counting: each access is accounted by
+  // exactly one of the engine and the system, never both).
   void Merge(const SystemCounters& o) {
     total_accesses += o.total_accesses;
     local_hits += o.local_hits;

@@ -18,7 +18,7 @@
 // from a per-blade slab arena rather than per-fault heap allocations: faulted-in pages pop
 // a recycled 4 KB slot and evicted/flushed pages return theirs once the write-back is done,
 // so `store_data` replay no longer thrashes the allocator (and the arena's lazy slab growth
-// gives first-touch NUMA placement under sharded replay).
+// gives first-touch NUMA placement on the thread that takes the miss).
 #ifndef MIND_SRC_BLADE_DRAM_CACHE_H_
 #define MIND_SRC_BLADE_DRAM_CACHE_H_
 

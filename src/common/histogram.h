@@ -45,7 +45,7 @@ class Histogram {
   }
 
   // Records `n` samples of the same value in O(1) — state is bit-identical to n Record
-  // calls. The sharded replay engine uses this for uniform-latency hit runs.
+  // calls. The replay engine uses this for uniform-latency hit runs.
   void RecordN(uint64_t value, uint64_t n) {
     if (n == 0) {
       return;
@@ -116,7 +116,7 @@ class Histogram {
     buckets_.fill(0);
   }
 
-  // Exact state equality (every bucket), used by the sharded-replay determinism tests.
+  // Exact state equality (every bucket), used by the replay determinism tests.
   friend bool operator==(const Histogram& a, const Histogram& b) = default;
 
  private:

@@ -8,13 +8,12 @@
 // returns memory to the OS while alive, so replay throughput stops depending on malloc.
 //
 // NUMA: slabs are allocated lazily, on the thread that takes the miss. Under Linux's
-// default first-touch policy a per-blade arena whose blade is driven by a NUMA-pinned
-// replay shard therefore lands on that shard's node without any explicit binding; callers
-// that want placement up front can `ReserveSlabs` from the owning thread.
+// default first-touch policy a per-blade arena therefore lands on the node of the thread
+// driving that blade without any explicit binding; callers that want placement up front
+// can `ReserveSlabs` from the owning thread.
 //
 // Thread safety: none. Arenas are per-owner (one per compute blade's DramCache); the
-// sharded replay engine only allocates/frees payloads in its serialized coherence phase,
-// matching the MemorySystem sharded-access contract.
+// replay engine only allocates/frees payloads in its serialized coherence phase.
 #ifndef MIND_SRC_COMMON_SLAB_ARENA_H_
 #define MIND_SRC_COMMON_SLAB_ARENA_H_
 

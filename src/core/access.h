@@ -18,7 +18,7 @@ struct AccessRequest {
   SimTime now = 0;
 };
 
-// Compact per-op input for the batched blade-local fast path (sharded replay): the
+// Compact per-op input for the batched blade-local fast path (channel replay): the
 // resolved VA and the access type; everything else is per-run.
 struct LocalOp {
   VirtAddr va = 0;

@@ -20,9 +20,8 @@
 // Validity is tracked at 2 MB cache-region granularity: Submit records a version stamp for
 // every region the accepted run depends on, and ChannelGroup::ValidMask re-checks only
 // those stamps. A coherence event that invalidates pages of a *shared* region therefore
-// does not kill a peeked run over *private* regions of the same blade — the fix for the
-// coherence-dense sharded-replay regression (see ROADMAP "finer sharded-replay
-// invalidation").
+// does not kill a peeked run over *private* regions of the same blade, which keeps
+// coherence-dense traces from collapsing onto the serialized drain.
 //
 // Phase discipline (docs/determinism.md): the engine calls Submit/ValidMask/CommitMerged
 // ahead of global order, in channel rounds between serialized drains.
@@ -101,7 +100,7 @@ class AccessChannel {
 //
 // MIND's fabric sees the *merged* per-blade access stream, not per-thread slices (§4, §5);
 // ChannelGroup is the aggregation layer that restores that view to the commit path. One
-// group spans every same-blade channel a replay shard owns — one member or many. Each
+// group spans every channel of one blade — one member or many. Each
 // round the engine still Submits per thread (classification of a thread's run is
 // thread-local by construction), but validation and commit happen per *blade*:
 //

@@ -97,7 +97,7 @@ class Rack {
   std::unique_ptr<ChannelGroup> OpenChannelGroup(ComputeBladeId blade);
 
   // Runs any bounded-splitting epoch boundaries at or before `now` (the data path does
-  // this implicitly on every Access; sharded replay calls it for boundaries that fall
+  // this implicitly on every Access; channel replay calls it for boundaries that fall
   // after the last serialized access).
   void AdvanceSplittingEpochs(SimTime now) { splitting_.MaybeRunEpoch(now); }
 

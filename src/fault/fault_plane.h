@@ -10,10 +10,10 @@
 // and scheduled memory-blade drains (migrate every region homed on the blade to a
 // survivor, under live traffic).
 //
-// Determinism contract (what keeps sharded replay bit-identical): loss-RNG draws happen
+// Determinism contract (what keeps channel replay bit-identical): loss-RNG draws happen
 // only on serialized paths — replay's coherence drain executes those in exact global
-// (clock, thread) order for every shard count — so the draw sequence is invariant across
-// 1/2/4/8 shards and the per-op reference mode. Blade death and stall
+// (clock, thread) order in every execution mode — so the draw sequence is the same
+// under channel replay and the per-op reference mode. Blade death and stall
 // windows are pure functions of simulated time (no trigger state, no first-observation
 // effects), and scheduled drains execute at their scheduled clock, which the replay engine
 // guarantees by clamping its commit horizon at NextDrainAt().
@@ -32,8 +32,8 @@
 namespace mind {
 
 // Fault-event accounting every compared system reports next to SystemCounters. Merge and
-// DeltaSince mirror the SystemCounters conventions so sharded replay folds these into one
-// report block; operator== is exact (the fault conformance oracle compares blocks).
+// DeltaSince mirror the SystemCounters conventions so a run's delta folds into one report
+// block; operator== is exact (the fault conformance oracle compares blocks).
 struct FaultCounters {
   uint64_t timeouts = 0;                // ACK timers expired (includes dead-target waits).
   uint64_t retransmissions = 0;         // Extra send attempts after a timeout.

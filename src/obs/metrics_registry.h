@@ -10,9 +10,9 @@
 //
 // Determinism: the registry itself is passive storage. When the replay engine
 // samples it on the serialized drain path, the sampled values are functions of
-// the serialized op stream only, so the time series is shard-count invariant
-// like everything else on that path. The registry is never read or written
-// from parallel phases.
+// the serialized op stream only, so the time series is identical with tracing
+// or profiling on or off. The registry is never read or written from parallel
+// phases.
 #ifndef MIND_SRC_OBS_METRICS_REGISTRY_H_
 #define MIND_SRC_OBS_METRICS_REGISTRY_H_
 

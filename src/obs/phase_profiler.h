@@ -1,4 +1,4 @@
-// PhaseProfiler: real wall-clock time per replay phase, per shard.
+// PhaseProfiler: real wall-clock time per replay phase.
 //
 // This is the one component of src/obs/ that reads the host clock, so it is
 // explicitly OUTSIDE the determinism contract: profiles are never part of the
@@ -7,11 +7,12 @@
 // any path). The exported Perfetto track shows how long each scan/commit phase
 // and each serialized drain stretch actually took on the host.
 //
-// Lane s records shard s's scan/commit phases; the dedicated serial lane (index
-// num_shards) records the serialized drain.
+// Two lanes: kChannelLane records the channel rounds' scan and commit phases,
+// serial_lane() the serialized drain stretches.
 #ifndef MIND_SRC_OBS_PHASE_PROFILER_H_
 #define MIND_SRC_OBS_PHASE_PROFILER_H_
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <vector>
@@ -24,7 +25,7 @@ class PhaseProfiler {
     kScan = 0,         // Scan phase (channel submit/classify).
     kCommit = 1,       // Commit phase (per-blade group commits).
     kSerialDrain = 2,  // Serialized drain stretch.
-    kBarrierWait = 3,  // Never recorded: replay runs on one thread, so it reads 0.
+    kBarrierWait = 3,  // Never recorded (reads 0); kept because bench/mindbench reads it.
   };
   static constexpr int kNumPhases = 4;
   static constexpr size_t kMaxIntervalsPerLane = 1 << 14;
@@ -42,8 +43,9 @@ class PhaseProfiler {
     uint64_t intervals_dropped = 0;
   };
 
-  explicit PhaseProfiler(int num_shards)
-      : lanes_(static_cast<size_t>(num_shards) + 1), origin_ns_(HostNowNs()) {}
+  static constexpr size_t kChannelLane = 0;
+
+  PhaseProfiler() : origin_ns_(HostNowNs()) {}
 
   // Host monotonic clock. Sole wall-clock read in src/ outside the sim layer;
   // diagnostics-only by construction (see file comment).
@@ -56,8 +58,7 @@ class PhaseProfiler {
 
   [[nodiscard]] uint64_t Begin() const { return HostNowNs(); }
 
-  // Records [start, now) into `lane`. Lane indices 0..num_shards-1 are shard
-  // lanes; serial_lane() is the serialized path.
+  // Records [start, now) into `lane` (kChannelLane or serial_lane()).
   void End(size_t lane, Phase phase, uint64_t start_ns) {
     const uint64_t end_ns = HostNowNs();
     Lane& l = lanes_[lane];
@@ -72,7 +73,7 @@ class PhaseProfiler {
     }
   }
 
-  [[nodiscard]] size_t serial_lane() const { return lanes_.size() - 1; }
+  [[nodiscard]] size_t serial_lane() const { return 1; }
   [[nodiscard]] size_t num_lanes() const { return lanes_.size(); }
   [[nodiscard]] const Lane& lane(size_t i) const { return lanes_[i]; }
   [[nodiscard]] uint64_t origin_ns() const { return origin_ns_; }
@@ -88,7 +89,7 @@ class PhaseProfiler {
   }
 
  private:
-  std::vector<Lane> lanes_;
+  std::array<Lane, 2> lanes_;
   uint64_t origin_ns_;
 };
 

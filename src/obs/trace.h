@@ -9,22 +9,21 @@
 //     prefetch lifecycle. Every emission site sits on a serialized path
 //     (Rack/GAM/FastSwap Access, the coherence drain, AdvanceTo, epoch hooks),
 //     so a single control sink receives them already in exact global
-//     (clock, thread) order. The semantic stream is bit-identical across
-//     1/2/4/8 shards and the per-op reference for a fixed seed and fault
+//     (clock, thread) order. The semantic stream is bit-identical between
+//     channel replay and the per-op reference for a fixed seed and fault
 //     schedule; the determinism tests compare its byte serialization directly.
 //
 //   * EXECUTION events describe how the replay engine scheduled the work —
-//     group commits. They are emitted from parallel
-//     phases into per-shard ring-buffer mailbox sinks (merged at the report
-//     boundary) and legitimately vary with shard count and round horizons,
-//     so they are excluded from the deterministic digest but included in the
-//     exported timeline.
+//     group commits. They are emitted from the commit phase into the
+//     execution mailbox sink (merged at the report boundary) and legitimately
+//     vary with execution mode and round horizons, so they are excluded from
+//     the deterministic digest but included in the exported timeline.
 //
 // Sinks are fixed-capacity ring buffers (drop-oldest on overflow, drops
 // counted) so tracing never allocates on the emission path after setup beyond
-// amortized vector growth up to the cap. Each sink is single-writer under the
+// amortized vector growth up to the cap. Each sink has one writer under the
 // phase discipline of docs/determinism.md: the control sink is written only on
-// serialized paths, shard sink s only by the worker executing shard s's phase.
+// serialized paths, the execution sink only by the engine's commit phase.
 #ifndef MIND_SRC_OBS_TRACE_H_
 #define MIND_SRC_OBS_TRACE_H_
 

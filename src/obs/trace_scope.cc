@@ -30,26 +30,14 @@ const char* TraceEventKindName(TraceEventKind kind) {
   return "?";
 }
 
-TraceScope::TraceScope(int num_shards, size_t capacity_per_sink)
-    : control_(capacity_per_sink) {
-  shards_.reserve(static_cast<size_t>(num_shards));
-  for (int s = 0; s < num_shards; ++s) {
-    shards_.push_back(std::make_unique<TraceSink>(capacity_per_sink));
-  }
-}
-
 void TraceScope::Finalize() {
   if (finalized_) {
     return;
   }
   merged_.clear();
-  size_t n = control_.size();
-  for (const auto& s : shards_) n += s->size();
-  merged_.reserve(n);
+  merged_.reserve(control_.size() + execution_.size());
   control_.ForEach([&](const TraceEvent& e) { merged_.push_back(e); });
-  for (const auto& s : shards_) {
-    s->ForEach([&](const TraceEvent& e) { merged_.push_back(e); });
-  }
+  execution_.ForEach([&](const TraceEvent& e) { merged_.push_back(e); });
   std::stable_sort(merged_.begin(), merged_.end(),
                    [](const TraceEvent& x, const TraceEvent& y) {
                      if (x.clock != y.clock) return x.clock < y.clock;
@@ -59,11 +47,7 @@ void TraceScope::Finalize() {
   finalized_ = true;
 }
 
-uint64_t TraceScope::dropped() const {
-  uint64_t d = control_.dropped();
-  for (const auto& s : shards_) d += s->dropped();
-  return d;
-}
+uint64_t TraceScope::dropped() const { return control_.dropped() + execution_.dropped(); }
 
 namespace {
 
@@ -114,8 +98,7 @@ size_t TraceScope::semantic_events() const {
 size_t TraceScope::execution_events() const {
   size_t n = 0;
   control_.ForEach([&](const TraceEvent& e) { n += IsSemanticEvent(e.kind) ? 0 : 1; });
-  for (const auto& s : shards_) n += s->size();
-  return n;
+  return n + execution_.size();
 }
 
 namespace {

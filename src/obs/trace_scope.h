@@ -7,21 +7,20 @@
 //     already in exact global (clock, thread) order, and ONLY semantic events
 //     do: with the ring holding the pure semantic stream, drop-oldest overflow
 //     displaces the same events for every execution mode, which is what makes
-//     SemanticBytes() bit-identical across shard counts, grouping modes and
-//     threading modes for a fixed seed + fault schedule.
-//   * one ring-buffer sink PER SHARD — a scratch mailbox in the sense of
-//     docs/determinism.md: written only by the worker currently executing that
-//     shard's parallel phase (group commit execution events), merged here at
-//     the report boundary by a stable (clock, tid, kind) sort.
+//     SemanticBytes() bit-identical between channel replay and the per-op
+//     reference for a fixed seed.
+//   * one EXECUTION sink — a scratch mailbox in the sense of
+//     docs/determinism.md: written only by the engine's commit phase (group
+//     commit execution events), merged here at the report boundary by a stable
+//     (clock, tid, kind) sort.
 //
-// Finalize() must be called after the worker join (the engine does this at the
-// end of Run); merged()/digest/export are only meaningful afterwards.
+// Finalize() must be called after the last emission (the engine does this at
+// the end of Run); merged()/digest/export are only meaningful afterwards.
 #ifndef MIND_SRC_OBS_TRACE_SCOPE_H_
 #define MIND_SRC_OBS_TRACE_SCOPE_H_
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,13 +34,13 @@ class TraceScope {
  public:
   static constexpr size_t kDefaultCapacityPerSink = 1 << 16;
 
-  explicit TraceScope(int num_shards, size_t capacity_per_sink = kDefaultCapacityPerSink);
+  explicit TraceScope(size_t capacity_per_sink = kDefaultCapacityPerSink)
+      : control_(capacity_per_sink), execution_(capacity_per_sink) {}
 
   // The serialized-path sink (the systems' semantic events land here).
   [[nodiscard]] TraceSink* control() { return &control_; }
-  // Shard s's execution-event mailbox; single-writer per phase discipline.
-  [[nodiscard]] TraceSink* shard(int s) { return shards_[static_cast<size_t>(s)].get(); }
-  [[nodiscard]] int num_shards() const { return static_cast<int>(shards_.size()); }
+  // The engine's execution-event mailbox.
+  [[nodiscard]] TraceSink* execution() { return &execution_; }
 
   // Merges all sinks into one timeline (stable sort by (clock, tid, kind));
   // call once after the last emission.
@@ -52,7 +51,7 @@ class TraceScope {
 
   // Canonical little-endian byte serialization of the SEMANTIC events in
   // control-sink emission order. This is the determinism witness: bit-identical
-  // across 1/2/4/8 shards and the per-op reference for the same seed + fault schedule.
+  // between channel replay and the per-op reference for the same seed + fault schedule.
   [[nodiscard]] std::string SemanticBytes() const;
   // FNV-1a over SemanticBytes(), for cheap cross-run comparison in reports.
   [[nodiscard]] uint64_t SemanticDigest() const;
@@ -71,7 +70,7 @@ class TraceScope {
 
  private:
   TraceSink control_;
-  std::vector<std::unique_ptr<TraceSink>> shards_;
+  TraceSink execution_;
   std::vector<TraceEvent> merged_;
   bool finalized_ = false;
 };

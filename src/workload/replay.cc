@@ -88,8 +88,19 @@ constexpr SimTime kNoHorizon = std::numeric_limits<SimTime>::max();
 // whole, and shrink toward the observed committed run length when a coherence horizon or
 // a region-stamp invalidation cuts a run short. This bounds wasted submits to ~2x the
 // committed ops even in coherence-dense traces, while hit-dominated traces quickly reach
-// the configured maximum window.
+// the maximum window, which also bounds submit-buffer memory per thread.
 constexpr uint32_t kMinScanWindow = 4;
+constexpr uint32_t kMaxScanWindow = 2048;
+
+// Serialized-drain exit policy: hand back to the channel rounds after this many coherence
+// (non-hit) ops, or as soon as this many consecutive hits show that a blade-local run has
+// resumed. Any deterministic policy preserves bit-identity; these only trade channel
+// rounds against serialized hit work. Unproductive rounds grow both geometrically up to
+// the caps (see the round loop).
+constexpr uint32_t kDrainCoherenceOps = 64;
+constexpr uint32_t kDrainHitStreakExit = 2;
+constexpr uint32_t kMaxCoherenceBudget = 4096;
+constexpr uint32_t kMaxStreakExit = 64;
 
 // Per-thread replay cursor plus its submitted run. A run is submitted once (one batched
 // virtual call) and reused across rounds while it stays exact: the channel's region
@@ -103,7 +114,6 @@ struct ThreadRt {
   size_t index = 0;        // Global thread index (drain tie-break, as in per-op replay).
   ThreadId tid = 0;
   ComputeBladeId blade = 0;
-  int shard = 0;
   AccessChannel* channel = nullptr;  // Null: every op takes the serialized drain.
   size_t group_member = 0;           // Member slot in the blade's ChannelGroup.
   bool finished = false;
@@ -120,15 +130,6 @@ struct ThreadRt {
   std::vector<Completion> comps;  // Typed completions from AccessChannel::Submit.
 };
 
-struct ShardRt {
-  std::vector<std::vector<size_t>> blade_threads;  // Grouped by owned blade.
-  std::vector<ChannelGroup*> blade_groups;         // Parallel to blade_threads (or null).
-  std::vector<GroupLane> lanes;                    // Per-round group-commit scratch.
-  SimTime barrier = kNoHorizon;  // Scan result: earliest clock this shard cannot pass.
-  bool any_blocked = false;
-  ShardReport report;
-};
-
 }  // namespace
 
 ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
@@ -136,47 +137,29 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
   MemorySystem* system = system_;
   const WorkloadTraces& traces = *traces_;
   const SimTime think = traces.think_time;
-  // Sanitized adaptive-window bounds: a configured cap below kMinScanWindow lowers the
-  // floor with it, keeping every clamp well-formed (lo <= hi).
-  const uint32_t max_window = std::max(options_.scan_window_ops, 1u);
-  const uint32_t min_window = std::min(kMinScanWindow, max_window);
 
   // A sampler observes the system between globally-ordered ops, so it forces the per-op
   // reference path; use_channels = false selects it explicitly (conformance baseline).
   const bool reference_mode = sampler != nullptr || !options_.use_channels;
 
-  // Shard layout: blades are dealt round-robin to shards, threads follow their blade.
-  int blades_used = 1;
-  for (const ComputeBladeId b : thread_blades_) {
-    blades_used = std::max(blades_used, static_cast<int>(b) + 1);
-  }
-  const int num_shards = reference_mode ? 1 : std::clamp(options_.shards, 1, blades_used);
-  effective_shards_ = num_shards;
-
   // --- Observability (src/obs/) -------------------------------------------
   // Constructed per Run so repeated Runs never mix artifacts. The trace scope's control
   // sink goes to the system (serialized-path semantic events); the engine itself writes
-  // only execution events, into per-shard mailbox sinks: shard s's from its commit phase.
-  // The profiler is wall-clock and never touches simulated state; the registry is filled
-  // at the report boundary and sampled on the serialized drain path.
+  // only execution events, into the scope's execution sink from its commit phase. The
+  // profiler is wall-clock and never touches simulated state; the registry is filled at
+  // the report boundary and sampled on the serialized drain path.
   trace_scope_.reset();
   profiler_.reset();
   metrics_ = std::make_unique<MetricsRegistry>();
   if (options_.trace) {
-    trace_scope_ = std::make_unique<TraceScope>(num_shards);
+    trace_scope_ = std::make_unique<TraceScope>();
     (void)system->SetTraceSink(trace_scope_->control());
   }
   if (options_.profile) {
-    profiler_ = std::make_unique<PhaseProfiler>(num_shards);
+    profiler_ = std::make_unique<PhaseProfiler>();
   }
   PhaseProfiler* const prof = profiler_.get();
-  // detlint: mailbox(exec_sinks)
-  std::vector<TraceSink*> exec_sinks(static_cast<size_t>(num_shards), nullptr);
-  if (trace_scope_ != nullptr) {
-    for (int s = 0; s < num_shards; ++s) {
-      exec_sinks[static_cast<size_t>(s)] = trace_scope_->shard(s);
-    }
-  }
+  TraceSink* const exec_sink = trace_scope_ != nullptr ? trace_scope_->execution() : nullptr;
 
   std::vector<std::unique_ptr<AccessChannel>> channels(traces.threads.size());
   if (!reference_mode) {
@@ -186,57 +169,49 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
     }
   }
 
-  std::vector<ThreadRt> threads(traces.threads.size());
-  std::vector<ShardRt> shards(static_cast<size_t>(num_shards));
-  for (int s = 0; s < num_shards; ++s) {
-    shards[s].blade_threads.resize(
-        static_cast<size_t>((blades_used - s + num_shards - 1) / num_shards));
+  // Threads grouped by blade; the rounds visit blades in ascending order, and each
+  // blade's threads in ascending index.
+  size_t blades_used = 1;
+  for (const ComputeBladeId b : thread_blades_) {
+    blades_used = std::max(blades_used, static_cast<size_t>(b) + 1);
   }
+  std::vector<ThreadRt> threads(traces.threads.size());
+  std::vector<std::vector<size_t>> blade_threads(blades_used);
   for (size_t t = 0; t < threads.size(); ++t) {
     ThreadRt& th = threads[t];
     th.index = t;
-    th.window = min_window;
     th.tid = thread_ids_[t];
     th.blade = thread_blades_[t];
-    th.shard = static_cast<int>(th.blade) % num_shards;
     th.channel = channels[t].get();
     th.finished = traces.threads[t].ops.empty();
-    const size_t slot = static_cast<size_t>(th.blade) / num_shards;
-    shards[th.shard].blade_threads[slot].push_back(t);
+    blade_threads[th.blade].push_back(t);
   }
 
   // Per-blade channel groups: every blade with a channel-driven thread validates its runs
   // in one pass and commits them as one merged (clock, thread) batch per round — the
   // blade's only commit path. A blade the system hands no group for, or with more
   // channel threads than a group holds, drops its channels: its threads ride the drain.
-  std::vector<std::unique_ptr<ChannelGroup>> groups;
-  for (ShardRt& sh : shards) {
-    sh.blade_groups.assign(sh.blade_threads.size(), nullptr);
-    for (size_t g = 0; g < sh.blade_threads.size(); ++g) {
-      const std::vector<size_t>& group_threads = sh.blade_threads[g];
-      size_t with_channels = 0;
-      for (const size_t t : group_threads) {
-        if (threads[t].channel != nullptr) {
-          ++with_channels;
-        }
+  std::vector<std::unique_ptr<ChannelGroup>> groups(blades_used);
+  for (size_t b = 0; b < blades_used; ++b) {
+    size_t with_channels = 0;
+    for (const size_t t : blade_threads[b]) {
+      if (threads[t].channel != nullptr) {
+        ++with_channels;
       }
-      if (with_channels == 0) {
-        continue;
+    }
+    if (with_channels == 0) {
+      continue;
+    }
+    if (with_channels <= ChannelGroup::kMaxGroupLanes) {
+      groups[b] = system->OpenChannelGroup(static_cast<ComputeBladeId>(b));
+    }
+    for (const size_t t : blade_threads[b]) {
+      ThreadRt& th = threads[t];
+      if (groups[b] == nullptr) {
+        th.channel = nullptr;
+      } else if (th.channel != nullptr) {
+        th.group_member = groups[b]->Add(th.channel);
       }
-      std::unique_ptr<ChannelGroup> group;
-      if (with_channels <= ChannelGroup::kMaxGroupLanes) {
-        group = system->OpenChannelGroup(threads[group_threads[0]].blade);
-      }
-      for (const size_t t : group_threads) {
-        ThreadRt& th = threads[t];
-        if (group == nullptr) {
-          th.channel = nullptr;
-        } else if (th.channel != nullptr) {
-          th.group_member = group->Add(th.channel);
-        }
-      }
-      sh.blade_groups[g] = group.get();
-      groups.push_back(std::move(group));
     }
   }
 
@@ -244,20 +219,27 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
   const PrefetchStats prefetch_before = system->prefetch_stats();
   const FaultCounters fault_before = system->fault_counters();
 
+  // Accounting: the histogram and makespan accumulate straight into the report; channel
+  // commits count their hits here, drained ops count in-system.
+  ReplayReport report;
+  uint64_t latency_sum = 0;
+  SystemCounters channel_counters;
+  accounting_ = ShardReport{};
+
   // --- Phase bodies -------------------------------------------------------
 
-  // Scan (parallel, read-only): refresh each owned thread's submitted run where stale, and
-  // find the shard's barrier — the earliest timestamp it cannot replay without the drain.
-  auto scan_shard = [&](int s) {  // MIND_PARALLEL_PHASE
-    ShardRt& sh = shards[s];
-    sh.barrier = kNoHorizon;
-    sh.any_blocked = false;
-    for (size_t g = 0; g < sh.blade_threads.size(); ++g) {
-      ChannelGroup* group = sh.blade_groups[g];
+  // Scan (read-only): refresh each thread's submitted run where stale, and find the
+  // barrier — the earliest timestamp the channels cannot replay without the drain.
+  SimTime barrier = kNoHorizon;
+  bool any_blocked = false;
+  auto scan_runs = [&]() {  // MIND_PARALLEL_PHASE
+    barrier = kNoHorizon;
+    any_blocked = false;
+    for (size_t b = 0; b < blades_used; ++b) {
       // One validation pass covers every member's submitted run (the blade-global epochs
       // are compared once, then each member's region stamps).
-      const uint64_t valid_mask = group != nullptr ? group->ValidMask() : 0;
-      for (const size_t t : sh.blade_threads[g]) {
+      const uint64_t valid_mask = groups[b] != nullptr ? groups[b]->ValidMask() : 0;
+      for (const size_t t : blade_threads[b]) {
         ThreadRt& th = threads[t];
         if (th.finished) {
           continue;
@@ -269,18 +251,18 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
         if (!keep) {
           if (th.buf_valid && th.channel != nullptr) {
             if (th.buf_pos >= th.buf_len) {
-              th.window = std::min(th.window * 2, max_window);
+              th.window = std::min(th.window * 2, kMaxScanWindow);
             } else {
               // Shrink smoothly (at most halving) toward twice the committed run, so one
               // early-cut round does not collapse a well-sized window.
               th.window =
                   std::clamp(std::max(static_cast<uint32_t>(th.buf_pos) * 2, th.window / 2),
-                             min_window, max_window);
+                             kMinScanWindow, kMaxScanWindow);
             }
           }
           if (th.channel == nullptr) {
             // Opted-out thread: every op takes the serialized drain; the thread pins the
-            // shard's barrier at its frontier clock so the drain always runs it in order.
+            // barrier at its frontier clock so the drain always runs it in order.
             th.buf_pos = 0;
             th.buf_len = 0;
             th.blocked = true;
@@ -306,31 +288,29 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
           th.ran_in_drain = false;
         }
         if (th.blocked || th.window_capped) {
-          sh.any_blocked |= th.blocked;
-          sh.barrier = std::min(sh.barrier, th.buf_end_clock);
+          any_blocked |= th.blocked;
+          barrier = std::min(barrier, th.buf_end_clock);
         }
       }
     }
   };
 
-  // Commit (parallel, mutating blade-local state only): replay submitted runs with start
-  // timestamps strictly below the horizon. `finished` guards against a stale run: a
-  // thread the drain ran to completion is skipped by the scan, so its old submitted ops
-  // must never replay. Each blade's members with committable work become lanes, and one
-  // CommitMerged call replays their merged (clock, thread) stream up to the horizon — so
-  // LRU recency, dirty bits and per-blade lock occupancy evolve exactly as under per-op
-  // replay, with latencies finalized inside the batch.
-  auto commit_shard = [&](int s, SimTime horizon) {  // MIND_PARALLEL_PHASE
-    ShardRt& sh = shards[s];
-    TraceSink* const lane_trace = exec_sinks[static_cast<size_t>(s)];
-    for (size_t g = 0; g < sh.blade_threads.size(); ++g) {
-      ChannelGroup* group = sh.blade_groups[g];
+  // Commit (mutating blade-local state only): replay submitted runs with start timestamps
+  // strictly below the horizon. `finished` guards against a stale run: a thread the drain
+  // ran to completion is skipped by the scan, so its old submitted ops must never replay.
+  // Each blade's members with committable work become lanes, and one CommitMerged call
+  // replays their merged (clock, thread) stream up to the horizon — so LRU recency, dirty
+  // bits and per-blade lock occupancy evolve exactly as under per-op replay, with
+  // latencies finalized inside the batch.
+  std::vector<GroupLane> lanes;
+  auto commit_runs = [&](SimTime horizon) {  // MIND_PARALLEL_PHASE
+    for (size_t b = 0; b < blades_used; ++b) {
+      ChannelGroup* group = groups[b].get();
       if (group == nullptr) {
         continue;  // No channels on this blade: its threads ride the drain.
       }
-      const std::vector<size_t>& group_threads = sh.blade_threads[g];
-      sh.lanes.clear();
-      for (const size_t t : group_threads) {
+      lanes.clear();
+      for (const size_t t : blade_threads[b]) {
         ThreadRt& th = threads[t];
         if (th.finished || !th.buf_valid || th.channel == nullptr ||
             th.buf_pos >= th.buf_len || th.clock >= horizon) {
@@ -343,18 +323,18 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
         lane.uniform_latency = th.uniform_lat;
         lane.comps = th.comps.data() + th.buf_pos;
         lane.count = th.buf_len - th.buf_pos;
-        sh.lanes.push_back(lane);
+        lanes.push_back(lane);
       }
-      if (sh.lanes.empty()) {
+      if (lanes.empty()) {
         continue;
       }
-      const uint64_t committed = group->CommitMerged(
-          sh.lanes.data(), sh.lanes.size(), horizon, think, sh.report.latency_histogram);
+      const uint64_t committed = group->CommitMerged(lanes.data(), lanes.size(), horizon,
+                                                     think, report.latency_histogram);
       if (committed == 0) {
         continue;
       }
       SimTime group_end = 0;
-      for (const GroupLane& lane : sh.lanes) {
+      for (const GroupLane& lane : lanes) {
         if (lane.committed == 0) {
           continue;
         }
@@ -364,67 +344,64 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
         th.clock = lane.end_clock;
         th.buf_pos += lane.committed;
         th.next_op += lane.committed;
-        sh.report.latency_sum += lane.latency_sum;
-        sh.report.makespan = std::max(sh.report.makespan, lane.end_clock);
+        latency_sum += lane.latency_sum;
+        report.makespan = std::max(report.makespan, lane.end_clock);
         if (th.next_op == traces.threads[th.index].ops.size()) {
           th.finished = true;
         }
       }
-      sh.report.parallel_hits += committed;
-      sh.report.grouped_ops += committed;
-      sh.report.counters.total_accesses += committed;
-      sh.report.counters.local_hits += committed;
-      if (lane_trace != nullptr) [[unlikely]] {
+      accounting_.parallel_hits += committed;
+      accounting_.grouped_ops += committed;
+      channel_counters.total_accesses += committed;
+      channel_counters.local_hits += committed;
+      if (exec_sink != nullptr) [[unlikely]] {
         TraceEvent ev;
         ev.kind = TraceEventKind::kGroupCommit;
         ev.clock = group_end;
-        ev.blade = threads[group_threads[0]].blade;
+        ev.blade = static_cast<ComputeBladeId>(b);
         ev.a = committed;
-        ev.b = sh.lanes.size();
-        lane_trace->Emit(ev);
+        ev.b = lanes.size();
+        exec_sink->Emit(ev);
       }
     }
   };
 
   // --- Serialized drain ----------------------------------------------------
 
+  // Sample points fall every `sample_interval` of simulated time; 0 means none. Advances
+  // `*next` past `now` and reports whether a point was due.
+  auto sample_due = [&](SimTime now, SimTime* next) {
+    if (sample_interval == 0 || now < *next) {
+      return false;
+    }
+    while (now >= *next) {
+      *next += sample_interval;
+    }
+    return true;
+  };
   SimTime next_sample = sample_interval;
   // Metrics time series: sampled only on the serialized drain (exec_serial), so every
-  // sampled value is a function of the serialized op stream — shard-count invariant, and
-  // identical with tracing on or off. Reuses the sampler interval without forcing the
-  // reference path (CollectMetrics only reads).
+  // sampled value is a function of the serialized op stream — identical with tracing on
+  // or off. Reuses the sampler interval without forcing the reference path
+  // (CollectMetrics only reads).
   SimTime next_metrics_at = sample_interval;
-  auto sample_metrics = [&](SimTime now) {  // MIND_SERIALIZED_PATH
-    if (now < next_metrics_at) {
-      return;
-    }
-    system->CollectMetrics(metrics_.get(), "system");
-    metrics_->Sample(now);
-    while (now >= next_metrics_at) {
-      next_metrics_at += sample_interval;
-    }
-  };
 
   // One drained op: thread `t`'s next op through the reference per-op algorithm —
-  // sampler observation point, Access against the fully-merged state, per-shard
-  // accounting, clock advance and run-cursor alignment. Returns the local-hit verdict
-  // (the bounded exit policy's signal).
+  // sampler observation point, Access against the fully-merged state, accounting, clock
+  // advance and run-cursor alignment. Returns the local-hit verdict (the bounded exit
+  // policy's signal).
   auto exec_serial = [&](size_t t) {  // MIND_SERIALIZED_PATH
     ThreadRt& th = threads[t];
-    if (sampler != nullptr && th.clock >= next_sample) {
+    if (sampler != nullptr && sample_due(th.clock, &next_sample)) {
       sampler(th.clock);
-      while (th.clock >= next_sample) {
-        next_sample += sample_interval;
-      }
     }
     const TraceOp& op = traces.threads[t].ops[th.next_op];
     const AccessResult r =
         system->Access(th.tid, th.blade, AddressOf(op.segment, op.page), op.type,
                        th.clock);
-    ShardReport& rep = shards[th.shard].report;
-    rep.latency_histogram.Record(r.latency);
-    rep.latency_sum += r.latency;
-    ++rep.drained_ops;
+    report.latency_histogram.Record(r.latency);
+    latency_sum += r.latency;
+    ++accounting_.drained_ops;
     th.last_start = th.clock;
     th.clock += r.latency + think;
     if (th.buf_valid && th.buf_pos < th.buf_len) {
@@ -439,31 +416,31 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
     } else {
       th.ran_in_drain = true;  // Past the classified prefix: the run is stale.
     }
-    rep.makespan = std::max(rep.makespan, th.clock);
+    report.makespan = std::max(report.makespan, th.clock);
     if (++th.next_op >= traces.threads[t].ops.size()) {
       th.finished = true;
     }
-    sample_metrics(th.clock);
+    if (sample_due(th.clock, &next_metrics_at)) {
+      system->CollectMetrics(metrics_.get(), "system");
+      metrics_->Sample(th.clock);
+    }
     return r.local_hit;
   };
 
-  // Scan and commit run ahead of global order, shard after shard on this thread; each
-  // execution is bracketed as a parallel phase (docs/determinism.md) and profiled on its
-  // shard's lane.
+  // Scan and commit run ahead of global order; each is bracketed as a parallel phase
+  // (docs/determinism.md) and profiled on the channel lane.
   auto run_phase = [&](PhaseProfiler::Phase phase,  // MIND_PARALLEL_PHASE
                        SimTime horizon) {
-    for (int s = 0; s < num_shards; ++s) {
-      // Dynamic half of the phase contract: while the scope is live, Rng draws assert.
-      ParallelPhaseScope in_phase;
-      const uint64_t prof_start = prof != nullptr ? prof->Begin() : 0;
-      if (phase == PhaseProfiler::Phase::kScan) {
-        scan_shard(s);
-      } else {
-        commit_shard(s, horizon);
-      }
-      if (prof != nullptr) {
-        prof->End(static_cast<size_t>(s), phase, prof_start);
-      }
+    // Dynamic half of the phase contract: while the scope is live, Rng draws assert.
+    ParallelPhaseScope in_phase;
+    const uint64_t prof_start = prof != nullptr ? prof->Begin() : 0;
+    if (phase == PhaseProfiler::Phase::kScan) {
+      scan_runs();
+    } else {
+      commit_runs(horizon);
+    }
+    if (prof != nullptr) {
+      prof->End(PhaseProfiler::kChannelLane, phase, prof_start);
     }
   };
 
@@ -525,29 +502,18 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
     // lets the next drain run geometrically longer — both more coherence ops and a
     // longer hit streak before it hands back — keeping the engine on the near-serial
     // drain until real blade-local runs reappear; one productive round snaps the policy
-    // back to the configured bounds.
-    uint32_t drain_coherence_budget = options_.drain_max_coherence_ops;
-    uint32_t drain_streak_exit = options_.drain_hit_streak_exit;
-    constexpr uint32_t kMaxCoherenceBudget = 4096;
-    constexpr uint32_t kMaxStreakExit = 64;
+    // back to the base bounds.
+    uint32_t drain_coherence_budget = kDrainCoherenceOps;
+    uint32_t drain_streak_exit = kDrainHitStreakExit;
 
     for (;;) {
       run_phase(PhaseProfiler::Phase::kScan, 0);
-      SimTime horizon = kNoHorizon;
-      bool any_blocked = false;
-      for (const ShardRt& sh : shards) {
-        horizon = std::min(horizon, sh.barrier);
-        any_blocked |= sh.any_blocked;
-      }
       // A scheduled fault event (e.g. a blade drain) mutates caches at its chosen clock:
       // channel hits at or past that clock must not commit before the event runs on the
       // serialized path (the first drained Access with clock >= the event time fires it).
       // kNever leaves the horizon untouched.
-      horizon = std::min(horizon, system->NextScheduledFaultAt());
-      uint64_t committed_before = 0;
-      for (const ShardRt& sh : shards) {
-        committed_before += sh.report.parallel_hits;
-      }
+      const SimTime horizon = std::min(barrier, system->NextScheduledFaultAt());
+      const uint64_t committed_before = accounting_.parallel_hits;
       run_phase(PhaseProfiler::Phase::kCommit, horizon);
       bool all_finished = true;
       for (const ThreadRt& th : threads) {
@@ -560,22 +526,19 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
         break;
       }
       assert(horizon != kNoHorizon && "unfinished threads must contribute a barrier");
-      uint64_t committed_after = 0;
-      for (const ShardRt& sh : shards) {
-        committed_after += sh.report.parallel_hits;
-      }
+      const uint64_t committed = accounting_.parallel_hits - committed_before;
       // When every barrier came from window exhaustion (no blocked thread), the horizon
       // thread committed its whole window and rescanning alone makes progress — except in
       // degenerate zero-latency/zero-think configs where the horizon equals the frontier
       // clock and nothing commits; the drain (always exact) then guarantees progress.
-      if (any_blocked || committed_after == committed_before) {
+      if (any_blocked || committed == 0) {
         timed_drain(/*bounded=*/true, drain_coherence_budget, drain_streak_exit);
-        if (committed_after - committed_before < threads.size()) {
+        if (committed < threads.size()) {
           drain_coherence_budget = std::min(drain_coherence_budget * 2, kMaxCoherenceBudget);
           drain_streak_exit = std::min(drain_streak_exit * 2, kMaxStreakExit);
         } else {
-          drain_coherence_budget = options_.drain_max_coherence_ops;
-          drain_streak_exit = options_.drain_hit_streak_exit;
+          drain_coherence_budget = kDrainCoherenceOps;
+          drain_streak_exit = kDrainHitStreakExit;
         }
       }
     }
@@ -585,11 +548,8 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
   // every Access, including hits past the last coherence event; AdvanceTo replays those
   // boundaries (same boundary timestamps, same entry stats) for full-state identity. On
   // the reference path the final Access already ran them, making this a no-op.
+  const uint64_t total_ops = accounting_.parallel_hits + accounting_.drained_ops;
   SimTime max_start = 0;
-  uint64_t total_ops = 0;
-  for (const ShardRt& sh : shards) {
-    total_ops += sh.report.parallel_hits + sh.report.drained_ops;
-  }
   for (const ThreadRt& th : threads) {
     max_start = std::max(max_start, th.last_start);
   }
@@ -597,27 +557,15 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
     system->AdvanceTo(max_start);
   }
 
-  // --- Merge --------------------------------------------------------------
+  // --- Report -------------------------------------------------------------
 
-  ReplayReport report;
   report.system = system->name();
   report.workload = traces.name;
   report.total_ops = total_ops;
   report.counters = system->counters().DeltaSince(before);
+  report.counters.Merge(channel_counters);
   report.prefetch = system->prefetch_stats().DeltaSince(prefetch_before);
   report.fault = system->fault_counters().DeltaSince(fault_before);
-  uint64_t latency_sum = 0;
-  shard_reports_.clear();
-  shard_reports_.reserve(shards.size());
-  for (ShardRt& sh : shards) {
-    report.makespan = std::max(report.makespan, sh.report.makespan);
-    report.latency_histogram.Merge(sh.report.latency_histogram);
-    report.counters.Merge(sh.report.counters);
-    latency_sum += sh.report.latency_sum;
-    shard_reports_.push_back(std::move(sh.report));
-  }
-  // Throughput divides by the *merged* makespan — the slowest shard's frontier — not any
-  // single shard's clock, so per-shard reports combine without inflating MOPS.
   if (report.makespan > 0) {
     report.throughput_mops =
         static_cast<double>(report.total_ops) / (ToSeconds(report.makespan) * 1e6);
@@ -633,15 +581,8 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
   // lazily and must not run mid-drain — see MemorySystem::CollectMetrics).
   system->CollectMetrics(metrics_.get(), "system");
   report.FillRegistry(metrics_.get(), "replay");
-  metrics_->SetGauge("replay/shards", static_cast<double>(effective_shards_));
-  uint64_t parallel_hits = 0;
-  uint64_t drained_ops = 0;
-  for (const ShardReport& sr : shard_reports_) {
-    parallel_hits += sr.parallel_hits;
-    drained_ops += sr.drained_ops;
-  }
-  metrics_->SetCounter("replay/parallel_hits", parallel_hits);
-  metrics_->SetCounter("replay/drained_ops", drained_ops);
+  metrics_->SetCounter("replay/parallel_hits", accounting_.parallel_hits);
+  metrics_->SetCounter("replay/drained_ops", accounting_.drained_ops);
   if (trace_scope_ != nullptr) {
     (void)system->SetTraceSink(nullptr);  // Detach before the scope can go away.
     trace_scope_->Finalize();

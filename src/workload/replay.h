@@ -1,38 +1,37 @@
 // Trace replay engine: the memory-access emulator of §7, built on AccessChannels.
 //
 // ReplayEngine replays system-independent traces against any MemorySystem, entirely on
-// the calling thread. Compute blades are partitioned across N shards, each with its own
-// latency histogram and counter block, and replay alternates between channel rounds
-// (each shard in turn submits blade-local runs per thread through AccessChannel::Submit,
-// then validates and commits them per blade through the blade's ChannelGroup — see
-// src/core/access_channel.h) and a serialized drain (coherence events — faults,
-// invalidation waves, directory transitions, splitting epochs — execute through per-op
-// Access in global timestamp order). The handoff between the two is a bounded epoch
-// horizon: each round, every shard scans forward to the timestamp of its first non-local
-// op (or a bounded window), the minimum across shards becomes the commit horizon H, and
-// only ops starting strictly before H commit, as one merged (clock, thread) batch per
-// blade. Because a channel-accepted op neither reads nor writes anything a cross-blade
-// coherence event can change (cache membership, permissions and PSO barriers are only
-// mutated by the serialized drain, and submitted runs are revalidated against
-// per-2MB-region version stamps), the merged result is bit-identical to per-op replay — same makespan, counters and latency
-// histogram for 1, 2 or N shards.
+// the calling thread. Replay alternates between channel rounds (every thread submits its
+// blade-local run through AccessChannel::Submit, then each blade validates and commits
+// its members' runs through its ChannelGroup — see src/core/access_channel.h) and a
+// serialized drain (coherence events — faults, invalidation waves, directory
+// transitions, splitting epochs — execute through per-op Access in global timestamp
+// order). The handoff between the two is a bounded epoch horizon: each round scans every
+// thread forward to the timestamp of its first non-local op (or a bounded window), the
+// earliest of those becomes the commit horizon H, and only ops starting strictly before
+// H commit, as one merged (clock, thread) batch per blade. Because a channel-accepted op
+// neither reads nor writes anything a cross-blade coherence event can change (cache
+// membership, permissions and PSO barriers are only mutated by the serialized drain,
+// and submitted runs are revalidated against per-2MB-region version stamps), the merged
+// result is bit-identical to per-op replay — same makespan, counters and latency
+// histogram.
 //
 // The drain is one loop: pick the unfinished thread with the least (clock, index), run
 // its next op through Access, book it, and hand back to the channel rounds under a
 // bounded exit policy (a streak of hits, or a budget of coherence ops).
 //
-// Serial replay is the degenerate case of the same loop: one shard, same channels, same
-// drain. Two situations force the pure per-op reference path (every op through the
-// drain in global (clock, thread) order): a non-null sampler, which needs exact
-// globally-ordered observation points, and ReplayOptions::use_channels = false, the
-// conformance baseline the channel contract is tested against. An optional sampler
-// observes the system at fixed simulated-time intervals (used for the
-// directory-occupancy time series of Fig. 8 left).
+// Two situations force the pure per-op reference path (every op through the drain in
+// global (clock, thread) order): a non-null sampler, which needs exact globally-ordered
+// observation points, and ReplayOptions::use_channels = false, the conformance baseline
+// the channel contract is tested against. An optional sampler observes the system at
+// fixed simulated-time intervals (used for the directory-occupancy time series of Fig. 8
+// left).
 #ifndef MIND_SRC_WORKLOAD_REPLAY_H_
 #define MIND_SRC_WORKLOAD_REPLAY_H_
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -90,53 +89,39 @@ struct ReplayReport {
 };
 
 struct ReplayOptions {
-  // Replay shards: a partition of the blades that the channel rounds visit in turn;
-  // clamped to [1, blades driven by the trace]. Results are bit-identical for any count.
+  // Ignored: replay has no shard partition. Kept because bench/mindbench still sets it.
   int shards = 1;
   // Drive blade-local runs through the systems' AccessChannels, committed per blade
   // through ChannelGroups (a blade without a group drains). Off = the per-op serial
   // reference path (every op through Access in exact global order) that the channel
   // conformance suite compares against.
   bool use_channels = true;
-  // Per-thread run scan window per round: bounds submit-buffer memory and the wasted
-  // rescan when another blade's coherence event cuts the horizon short.
-  uint32_t scan_window_ops = 2048;
-  // Serialized-drain exit policy: hand back to the channel rounds after this many
-  // coherence (non-hit) ops, or as soon as this many consecutive hits show that a
-  // blade-local run has resumed. Any deterministic policy preserves bit-identity; these
-  // only trade channel rounds against serialized hit work.
-  uint32_t drain_max_coherence_ops = 64;
-  uint32_t drain_hit_streak_exit = 2;
   // Prefetch policy applied to the system at Setup (MemorySystem::SetPrefetchPolicy).
   // kNone — the default — leaves the system untouched, so replay stays bit-identical to
-  // the pre-prefetch engine for every shard count. With a real policy, replay is
-  // deterministic for a fixed configuration, and the report carries the prefetch
-  // accounting delta (issued/useful/late + derived coverage).
+  // the pre-prefetch engine. With a real policy, replay is deterministic for a fixed
+  // configuration, and the report carries the prefetch accounting delta
+  // (issued/useful/late + derived coverage).
   PrefetchPolicy prefetch = PrefetchPolicy::kNone;
   // Record a TraceScope (src/obs/trace_scope.h) for the run: semantic events from the
   // systems' serialized paths into the control sink, execution events (group commits)
-  // from the engine into per-shard mailbox sinks. Off — the
-  // default — constructs nothing and leaves the systems' sinks null, so the hot path
-  // pays at most one pointer compare per miss and nothing at all on hits.
+  // from the engine into the execution sink. Off — the default — constructs nothing and
+  // leaves the systems' sinks null, so the hot path pays at most one pointer compare per
+  // miss and nothing at all on hits.
   bool trace = false;
   // Record wall-clock per-phase profiles (src/obs/phase_profiler.h). Never part of the
   // deterministic digest; off = the profiler is not constructed = zero host-clock reads.
   bool profile = false;
 };
 
-// Per-shard accounting, exposed for tests and perf analysis. The merged ReplayReport is
-// the sum/max over these plus the system's serialized-phase counter delta.
+// Channel vs drain accounting of the last Run. The engine keeps exactly one block; the
+// name and the shard_reports() accessor remain because bench/mindbench reads them.
 struct ShardReport {
-  uint64_t parallel_hits = 0;  // Ops committed on the shard's channel path.
+  uint64_t parallel_hits = 0;  // Ops committed on the channel path.
   // Ops committed via per-blade groups. Every channel op commits through its blade's
   // group, so this equals parallel_hits; kept because bench/mindbench reports it.
   uint64_t grouped_ops = 0;
-  uint64_t drained_ops = 0;    // This shard's ops executed by the serialized drain.
+  uint64_t drained_ops = 0;    // Ops executed by the serialized drain.
   uint64_t owner_drained = 0;  // Always 0; kept because bench/mindbench reads it.
-  SimTime makespan = 0;
-  uint64_t latency_sum = 0;
-  Histogram latency_histogram;
-  SystemCounters counters;     // Channel-committed counters only (drain ops count in-system).
 };
 
 class ReplayEngine {
@@ -158,7 +143,9 @@ class ReplayEngine {
 
   // Replays the traces on the calling thread. A non-null sampler needs exact global-order
   // observation points, so it forces the per-op reference path (documented fallback);
-  // otherwise the channel rounds run.
+  // otherwise the channel rounds run. `sample_interval` spaces both the sampler calls and
+  // the registry's mid-run series points; 0 disables mid-run sampling (the sampler never
+  // fires and metrics()->series() stays empty).
   ReplayReport Run(Sampler sampler = nullptr, SimTime sample_interval = 10 * kMillisecond);
 
   // VA of `page` within `segment` after Setup (tests poke at specific addresses).
@@ -167,11 +154,9 @@ class ReplayEngine {
     return m.chunk_bases[page / kChunkPages] + PageToAddr(page % kChunkPages);
   }
 
-  // Shards actually used by the last Run: options.shards clamped to [1, blades driven by
-  // the trace]; 1 when the per-op reference path ran (sampler or use_channels = false).
-  [[nodiscard]] int effective_shards() const { return effective_shards_; }
-  [[nodiscard]] const std::vector<ShardReport>& shard_reports() const {
-    return shard_reports_;
+  // Always exactly one entry: the last Run's accounting (all-zero before the first Run).
+  [[nodiscard]] std::span<const ShardReport> shard_reports() const {
+    return {&accounting_, 1};
   }
 
   // Observability artifacts of the last Run (src/obs/). The trace scope is non-null and
@@ -205,8 +190,7 @@ class ReplayEngine {
   std::vector<ComputeBladeId> thread_blades_;
   std::vector<std::vector<LocalOp>> thread_ops_;  // Per-thread VA-resolved trace (lazy).
   bool setup_done_ = false;
-  int effective_shards_ = 0;
-  std::vector<ShardReport> shard_reports_;
+  ShardReport accounting_;
   std::unique_ptr<TraceScope> trace_scope_;    // Non-null after Run with options.trace.
   std::unique_ptr<PhaseProfiler> profiler_;    // Non-null after Run with options.profile.
   std::unique_ptr<MetricsRegistry> metrics_;   // Non-null after Run.

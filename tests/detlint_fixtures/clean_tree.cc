@@ -1,8 +1,8 @@
 // detlint-expect: clean
 // The compliant shape of everything the other fixtures get wrong: draws on the
-// serialized path only, parallel counters in per-shard scratch folded at the
-// barrier, justified allow/mailbox markers, sorted unordered iteration, and
-// tagged contract overrides.
+// serialized path only, parallel counters in per-lane scratch folded on the
+// serialized path, justified allow/mailbox markers, sorted unordered iteration,
+// and tagged contract overrides.
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -10,7 +10,7 @@
 #define MIND_PARALLEL_PHASE
 #define MIND_SERIALIZED_PATH
 
-// detlint: mailbox(stats_)  -- per-engine scratch, folded at the phase barrier.
+// detlint: mailbox(stats_)  -- per-engine scratch, folded on the serialized path.
 
 namespace mind {
 
@@ -34,13 +34,13 @@ class System {
   // Serialized reference path: draws are fine here.
   MIND_SERIALIZED_PATH void DrainOne() { victim_ = rng_.NextBelow(64); }
 
-  // Parallel phase: counters go to the shard's scratch mailbox...
-  MIND_PARALLEL_PHASE void CommitShard(Scratch& scratch, uint64_t n) {
+  // Parallel phase: counters go to the lane's scratch mailbox...
+  MIND_PARALLEL_PHASE void CommitRun(Scratch& scratch, uint64_t n) {
     scratch.hits += n;
     ++stats_.useful;  // ...and stats_ is a declared per-engine mailbox.
   }
 
-  // ...and Fold merges at the barrier, on the serialized path.
+  // ...and Fold merges them on the serialized path.
   MIND_SERIALIZED_PATH void Fold(const Scratch& scratch) {
     total_hits_ += scratch.hits;
   }

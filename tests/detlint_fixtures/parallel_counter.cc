@@ -1,6 +1,6 @@
 // detlint-expect: parallel-counter
 // A parallel phase bumping the system-global counter block instead of writing
-// per-shard scratch: totals would depend on the interleaving of shards.
+// per-lane scratch: totals would depend on where the round horizon fell.
 #include <cstdint>
 
 #define MIND_PARALLEL_PHASE

@@ -1,6 +1,6 @@
 // detlint-expect: parallel-rng
 // A parallel-phase root drawing from the seeded Rng directly: the draw sequence
-// would then depend on shard interleaving, breaking bit-identical replay.
+// would then depend on where the round horizon fell, breaking bit-identical replay.
 #include <cstdint>
 
 #define MIND_PARALLEL_PHASE
@@ -14,7 +14,7 @@ class Rng {
   MIND_SERIALIZED_PATH uint64_t Next();
 };
 
-class Shard {
+class Channel {
  public:
   MIND_PARALLEL_PHASE void CommitPhase() {
     if (rng_.NextBool(0.5)) {  // BAD: RNG draw inside a parallel phase.

@@ -14,7 +14,7 @@ class Directory {
   MIND_SERIALIZED_PATH void ApplyInvalidation(uint64_t region);
 };
 
-class Shard {
+class Channel {
  public:
   MIND_PARALLEL_PHASE void OwnerPhase(uint64_t region) {
     directory_.ApplyInvalidation(region);  // BAD: serialized-path callee.

@@ -1,6 +1,6 @@
 // FaultPlane end-to-end tests (§4.4): the fault conformance oracle (an identical fault
-// seed/schedule must produce bit-identical counters, histograms and makespan across the
-// per-op reference and 1/2/4/8 shards, for MIND, GAM and FastSwap, at every loss rate), the
+// seed/schedule must produce bit-identical counters, histograms and makespan on the
+// per-op reference and channel replay, for MIND, GAM and FastSwap, at every loss rate), the
 // reset path after a blade death (no deadlock, directory entry gone, cached copies flushed,
 // clean re-fault), scheduled blade drain/failover under live replay, stall windows, and the
 // FaultCounters block algebra. Reliability-tracker unit tests live in net_test.cc.
@@ -45,17 +45,12 @@ ReplayReport RunReplay(MemorySystem* sys, const WorkloadTraces& traces, ReplayOp
   return engine.Run();
 }
 
-// The execution-strategy matrix every fault schedule must be invariant under: the per-op
-// reference path (`want`), then channel replay at 1/2/4/8 shards.
+// Every fault schedule must be execution-mode invariant: channel replay matches the
+// per-op reference path (`want`).
 void ExpectFaultConformance(const std::function<std::unique_ptr<MemorySystem>()>& make,
                             const WorkloadTraces& traces, const ReplayReport& want) {
-  for (const int shards : {1, 2, 4, 8}) {
-    SCOPED_TRACE(::testing::Message() << shards << "shards");
-    auto sys = make();
-    ReplayOptions opts;
-    opts.shards = shards;
-    ExpectReportsIdentical(want, RunReplay(sys.get(), traces, opts));
-  }
+  auto sys = make();
+  ExpectReportsIdentical(want, RunReplay(sys.get(), traces, ReplayOptions{}));
 }
 
 ReplayReport SerialReference(const std::function<std::unique_ptr<MemorySystem>()>& make,
@@ -204,8 +199,8 @@ TEST(FaultConformance, MindScheduledDrainIsModeInvariant) {
       FaultPlaneConfig::BladeDrain{/*blade=*/0, /*dst=*/1, /*at=*/makespan / 2});
   auto make = [config] { return std::make_unique<MindSystem>(config); };
   const ReplayReport want = SerialReference(make, traces);
-  // The drain completed mid-replay and actually moved memory off the blade. Bit-identity
-  // across shard counts is exactly what the engine's horizon clamp at
+  // The drain completed mid-replay and actually moved memory off the blade. Channel
+  // replay's bit-identity is exactly what the engine's horizon clamp at
   // NextScheduledFaultAt() guarantees: no channel hit commits past the drain's clock.
   EXPECT_EQ(want.fault.drains_completed, 1u);
   EXPECT_GT(want.fault.drain_pages_migrated, 0u);

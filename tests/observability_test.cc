@@ -58,10 +58,10 @@ TEST(TraceSink, ForEachIsEmissionOrderedBelowCapacity) {
 // --- TraceScope ------------------------------------------------------------------------
 
 TEST(TraceScope, FinalizeMergesByClockThenTidStable) {
-  TraceScope scope(/*num_shards=*/2);
+  TraceScope scope;
   scope.control()->Emit(MakeEvent(TraceEventKind::kInvalidationWave, 100, 1, /*tid=*/2));
-  scope.shard(0)->Emit(MakeEvent(TraceEventKind::kGroupCommit, 50, 2, /*tid=*/1));
-  scope.shard(1)->Emit(MakeEvent(TraceEventKind::kGroupCommit, 100, 3, /*tid=*/1));
+  scope.execution()->Emit(MakeEvent(TraceEventKind::kGroupCommit, 100, 3, /*tid=*/1));
+  scope.execution()->Emit(MakeEvent(TraceEventKind::kGroupCommit, 50, 2, /*tid=*/1));
   scope.Finalize();
   ASSERT_EQ(scope.merged().size(), 3u);
   EXPECT_EQ(scope.merged()[0].clock, 50u);
@@ -73,15 +73,15 @@ TEST(TraceScope, FinalizeMergesByClockThenTidStable) {
 }
 
 TEST(TraceScope, SemanticBytesIgnoresExecutionEventsAndMailboxContents) {
-  TraceScope a(1);
-  TraceScope b(4);
+  TraceScope a;
+  TraceScope b;
   for (const SimTime t : {10u, 20u, 30u}) {
     a.control()->Emit(MakeEvent(TraceEventKind::kAccessSpan, t, t * 7));
     b.control()->Emit(MakeEvent(TraceEventKind::kAccessSpan, t, t * 7));
   }
   // Execution noise lands differently per mode — the witness must not see it.
-  a.shard(0)->Emit(MakeEvent(TraceEventKind::kGroupCommit, 15, 99));
-  b.shard(3)->Emit(MakeEvent(TraceEventKind::kGroupCommit, 25, 42));
+  a.execution()->Emit(MakeEvent(TraceEventKind::kGroupCommit, 15, 99));
+  b.execution()->Emit(MakeEvent(TraceEventKind::kGroupCommit, 25, 42));
   b.control()->Emit(MakeEvent(TraceEventKind::kGroupCommit, 5, 7));  // Filtered by kind.
   EXPECT_EQ(a.SemanticBytes(), b.SemanticBytes());
   EXPECT_EQ(a.SemanticDigest(), b.SemanticDigest());
@@ -89,8 +89,8 @@ TEST(TraceScope, SemanticBytesIgnoresExecutionEventsAndMailboxContents) {
 }
 
 TEST(TraceScope, SemanticBytesOrderSensitive) {
-  TraceScope a(1);
-  TraceScope b(1);
+  TraceScope a;
+  TraceScope b;
   a.control()->Emit(MakeEvent(TraceEventKind::kAccessSpan, 10));
   a.control()->Emit(MakeEvent(TraceEventKind::kFaultTimeout, 20));
   b.control()->Emit(MakeEvent(TraceEventKind::kFaultTimeout, 20));
@@ -99,7 +99,7 @@ TEST(TraceScope, SemanticBytesOrderSensitive) {
 }
 
 TEST(TraceScope, ChromeJsonSkeletonValid) {
-  TraceScope scope(1);
+  TraceScope scope;
   TraceEvent span = MakeEvent(TraceEventKind::kAccessSpan, 1500, 0xdead, 3, 1);
   span.dur = 2500;  // -> "X" with ts=1.500, dur=2.500.
   scope.control()->Emit(span);
@@ -198,17 +198,17 @@ TEST(MetricsRegistry, ExportsAreDeterministicallyOrdered) {
 // --- PhaseProfiler ---------------------------------------------------------------------
 
 TEST(PhaseProfiler, LanesAccumulateAndBound) {
-  PhaseProfiler prof(/*num_shards=*/2);
-  EXPECT_EQ(prof.num_lanes(), 3u);
-  EXPECT_EQ(prof.serial_lane(), 2u);
+  PhaseProfiler prof;
+  EXPECT_EQ(prof.num_lanes(), 2u);
+  EXPECT_EQ(prof.serial_lane(), 1u);
   const uint64_t start = prof.Begin();
-  prof.End(0, PhaseProfiler::Phase::kScan, start);
+  prof.End(PhaseProfiler::kChannelLane, PhaseProfiler::Phase::kScan, start);
   prof.End(prof.serial_lane(), PhaseProfiler::Phase::kSerialDrain, start);
   EXPECT_EQ(prof.lane(0).count[static_cast<size_t>(PhaseProfiler::Phase::kScan)], 1u);
-  EXPECT_EQ(prof.lane(2).count[static_cast<size_t>(PhaseProfiler::Phase::kSerialDrain)],
+  EXPECT_EQ(prof.lane(1).count[static_cast<size_t>(PhaseProfiler::Phase::kSerialDrain)],
             1u);
   EXPECT_EQ(prof.lane(0).intervals.size(), 1u);
-  EXPECT_EQ(prof.lane(1).intervals.size(), 0u);
+  EXPECT_EQ(prof.lane(1).intervals.size(), 1u);
 }
 
 }  // namespace

@@ -6,8 +6,8 @@
 //      a large fraction of would-be remote faults; pointer chase must not speculate.
 //   4. Invalidation safety: a wave that lands between issue and arrival discards the
 //      stale in-flight copy.
-//   5. kNone conformance: with the default policy, channel replay at 1 and 4 shards is
-//      bit-identical to the pre-prefetch per-op reference path for every system.
+//   5. kNone conformance: with the default policy, channel replay is bit-identical to
+//      the pre-prefetch per-op reference path for every system.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -235,9 +235,8 @@ RackConfig SmallRack(int blades) {
 }
 
 ReplayReport Replay(MemorySystem& sys, const WorkloadTraces& traces,
-                    PrefetchPolicy policy, int shards = 1) {
+                    PrefetchPolicy policy) {
   ReplayOptions opts;
-  opts.shards = shards;
   opts.prefetch = policy;
   ReplayEngine engine(&sys, &traces, opts);
   EXPECT_TRUE(engine.Setup().ok());
@@ -502,12 +501,12 @@ void ExpectReportsIdentical(const ReplayReport& want, const ReplayReport& got) {
   EXPECT_DOUBLE_EQ(want.throughput_mops, got.throughput_mops);
 }
 
-TEST(PrefetchNoneConformance, AllSystemsBitIdenticalAtOneAndFourShards) {
+TEST(PrefetchNoneConformance, AllSystemsBitIdenticalToReference) {
   WorkloadSpec spec = MemcachedASpec(4, 2, /*accesses_per_thread=*/2000);
   spec.shared_pages = 4096;
   const WorkloadTraces traces = GenerateTraces(spec);
 
-  const auto check = [&](auto make_system) {
+  const auto check = [](const WorkloadTraces& traces, auto make_system) {
     auto ref_sys = make_system();
     ReplayOptions ref_opts;
     ref_opts.use_channels = false;  // The pre-prefetch per-op reference path.
@@ -515,21 +514,18 @@ TEST(PrefetchNoneConformance, AllSystemsBitIdenticalAtOneAndFourShards) {
     ASSERT_TRUE(ref.Setup().ok());
     const ReplayReport want = ref.Run();
     ASSERT_GT(want.total_ops, 0u);
-    for (const int shards : {1, 4}) {
-      SCOPED_TRACE(shards);
-      auto sys = make_system();
-      const ReplayReport got = Replay(*sys, traces, PrefetchPolicy::kNone, shards);
-      ExpectReportsIdentical(want, got);
-      EXPECT_EQ(got.prefetch.issued, 0u);
-      EXPECT_EQ(got.prefetch.useful, 0u);
-    }
+    auto sys = make_system();
+    const ReplayReport got = Replay(*sys, traces, PrefetchPolicy::kNone);
+    ExpectReportsIdentical(want, got);
+    EXPECT_EQ(got.prefetch.issued, 0u);
+    EXPECT_EQ(got.prefetch.useful, 0u);
   };
 
   {
     SCOPED_TRACE("MIND");
     RackConfig cfg = SmallRack(4);
     cfg.directory_slots = 2048;
-    check([cfg] { return std::make_unique<MindSystem>(cfg); });
+    check(traces, [cfg] { return std::make_unique<MindSystem>(cfg); });
   }
   {
     SCOPED_TRACE("GAM");
@@ -537,27 +533,15 @@ TEST(PrefetchNoneConformance, AllSystemsBitIdenticalAtOneAndFourShards) {
     cfg.num_compute_blades = 4;
     cfg.num_memory_blades = 2;
     cfg.compute_cache_bytes = 8ull << 20;
-    check([cfg] { return std::make_unique<GamSystem>(cfg); });
+    check(traces, [cfg] { return std::make_unique<GamSystem>(cfg); });
   }
   {
     SCOPED_TRACE("FastSwap");
     WorkloadSpec fs_spec = spec;
     fs_spec.num_blades = 1;
-    const WorkloadTraces fs_traces = GenerateTraces(fs_spec);
     FastSwapConfig cfg;
     cfg.compute_cache_bytes = 8ull << 20;
-    auto ref_sys = std::make_unique<FastSwapSystem>(cfg);
-    ReplayOptions ref_opts;
-    ref_opts.use_channels = false;
-    ReplayEngine ref(ref_sys.get(), &fs_traces, ref_opts);
-    ASSERT_TRUE(ref.Setup().ok());
-    const ReplayReport want = ref.Run();
-    for (const int shards : {1, 4}) {
-      SCOPED_TRACE(shards);
-      FastSwapSystem sys(cfg);
-      const ReplayReport got = Replay(sys, fs_traces, PrefetchPolicy::kNone, shards);
-      ExpectReportsIdentical(want, got);
-    }
+    check(GenerateTraces(fs_spec), [cfg] { return std::make_unique<FastSwapSystem>(cfg); });
   }
 }
 

@@ -128,10 +128,10 @@ RunResult RunMind(const RackConfig& config, const WorkloadTraces& traces,
   return out;
 }
 
-TEST(QueueModel, ShardedReplayBitIdenticalWithMG1UnderFaults) {
+TEST(QueueModel, ChannelReplayBitIdenticalWithMG1UnderFaults) {
   // The acceptance case: a coherence-dense trace on a kWindowedMG1 fabric with message
   // loss, a blade death and a scheduled drain. Counters, histograms AND the canonical
-  // semantic byte stream must be identical across the reference and 1/2/4/8 shards.
+  // semantic byte stream must be identical between the reference and channel replay.
   RackConfig config;
   config.num_compute_blades = 4;
   config.num_memory_blades = 4;
@@ -157,21 +157,16 @@ TEST(QueueModel, ShardedReplayBitIdenticalWithMG1UnderFaults) {
   const RunResult want = RunMind(config, traces, ref_opts);
   ASSERT_GT(want.report.total_ops, 0u);
 
-  for (const int shards : {1, 2, 4, 8}) {
-    SCOPED_TRACE(::testing::Message() << shards << "shards");
-    ReplayOptions opts;
-    opts.shards = shards;
-    const RunResult got = RunMind(config, traces, opts);
-    EXPECT_EQ(want.report.makespan, got.report.makespan);
-    EXPECT_EQ(want.report.total_ops, got.report.total_ops);
-    EXPECT_EQ(want.report.counters.total_accesses, got.report.counters.total_accesses);
-    EXPECT_EQ(want.report.counters.invalidations, got.report.counters.invalidations);
-    EXPECT_EQ(want.report.counters.breakdown_sums.fabric_wait,
-              got.report.counters.breakdown_sums.fabric_wait);
-    EXPECT_TRUE(want.report.latency_histogram == got.report.latency_histogram);
-    EXPECT_EQ(want.digest, got.digest);
-    EXPECT_EQ(want.semantic_bytes, got.semantic_bytes);  // Byte-for-byte.
-  }
+  const RunResult got = RunMind(config, traces, ReplayOptions{});
+  EXPECT_EQ(want.report.makespan, got.report.makespan);
+  EXPECT_EQ(want.report.total_ops, got.report.total_ops);
+  EXPECT_EQ(want.report.counters.total_accesses, got.report.counters.total_accesses);
+  EXPECT_EQ(want.report.counters.invalidations, got.report.counters.invalidations);
+  EXPECT_EQ(want.report.counters.breakdown_sums.fabric_wait,
+            got.report.counters.breakdown_sums.fabric_wait);
+  EXPECT_TRUE(want.report.latency_histogram == got.report.latency_histogram);
+  EXPECT_EQ(want.digest, got.digest);
+  EXPECT_EQ(want.semantic_bytes, got.semantic_bytes);  // Byte-for-byte.
 }
 
 TEST(QueueModel, QueueModelsActuallyChangeTimingUnderLoad) {

@@ -1,14 +1,12 @@
-// Determinism tests for the channel-based replay engine: replaying the same trace with 1,
-// 2, 4 or 8 shards — any scan window, any drain policy — must produce results
-// bit-identical to the per-op reference path (use_channels = false: every op through
-// MemorySystem::Access in global (clock, thread) order): same makespan, same counter
-// block, same latency histogram (every bucket), same throughput. The epoch-barrier merge
-// design makes this a hard invariant, not a tolerance. Cross-system conformance of the
-// AccessChannel contract itself (MIND, GAM, FastSwap) lives in access_channel_test.cc.
+// Determinism tests for the channel-based replay engine: channel replay must produce
+// results bit-identical to the per-op reference path (use_channels = false: every op
+// through MemorySystem::Access in global (clock, thread) order): same makespan, same
+// counter block, same latency histogram (every bucket), same throughput. The epoch-horizon
+// merge design makes this a hard invariant, not a tolerance. Cross-system conformance of
+// the AccessChannel contract itself (MIND, GAM, FastSwap) lives in access_channel_test.cc.
 #include <gtest/gtest.h>
 
 #include <utility>
-#include <vector>
 
 #include "src/baselines/gam.h"
 #include "src/baselines/mind_system.h"
@@ -32,7 +30,7 @@ RackConfig TestRackConfig(int blades) {
 
 WorkloadSpec CoherenceHeavySpec(int blades) {
   // Memcached/YCSB-A flavor: zipfian shared table with 50/50 GET/SET plus hot metadata —
-  // dense invalidation waves, upgrades and directory splits crossing shard ownership.
+  // dense invalidation waves, upgrades and directory splits crossing blades.
   WorkloadSpec spec = MemcachedASpec(blades, /*threads_per_blade=*/2,
                                      /*accesses_per_thread=*/4000);
   spec.shared_pages = 4096;
@@ -41,8 +39,8 @@ WorkloadSpec CoherenceHeavySpec(int blades) {
 
 WorkloadSpec HitHeavySpec(int blades) {
   // Blade-resident flavor: per-thread working sets that fit the 2048-frame test cache —
-  // after warmup >80% of ops are blade-local hit runs, the case the parallel phase
-  // accelerates. (The TF preset streams far past this cache and is covered as the
+  // after warmup >80% of ops are blade-local hit runs, the case the channel rounds
+  // accelerate. (The TF preset streams far past this cache and is covered as the
   // miss-dominant identity case in access_channel_test.cc.)
   WorkloadSpec spec;
   spec.name = "blade-resident";
@@ -84,93 +82,51 @@ ReplayReport SerialReference(const WorkloadTraces& traces, const RackConfig& con
   return engine.Run();
 }
 
-ReplayReport RunSharded(const WorkloadTraces& traces, const RackConfig& config,
-                        ReplayOptions opts,
-                        std::vector<ShardReport>* shard_reports = nullptr) {
+ReplayReport RunChannels(const WorkloadTraces& traces, const RackConfig& config,
+                         ShardReport* accounting = nullptr) {
   MindSystem sys(config);
-  ReplayEngine engine(&sys, &traces, opts);
+  ReplayEngine engine(&sys, &traces);
   EXPECT_TRUE(engine.Setup().ok());
   ReplayReport report = engine.Run();
-  if (shard_reports != nullptr) {
-    *shard_reports = engine.shard_reports();
+  if (accounting != nullptr) {
+    *accounting = engine.shard_reports()[0];
   }
   return report;
 }
 
-TEST(ShardedReplay, BitIdenticalAcrossShardCountsCoherenceHeavy) {
+TEST(ShardedReplay, BitIdenticalCoherenceHeavy) {
   const RackConfig config = TestRackConfig(4);
   const WorkloadTraces traces = GenerateTraces(CoherenceHeavySpec(4));
   const ReplayReport want = SerialReference(traces, config);
   ASSERT_GT(want.total_ops, 0u);
-  ASSERT_GT(want.counters.invalidations, 0u);  // The workload must cross shards.
-  for (const int shards : {1, 2, 8}) {
-    SCOPED_TRACE(shards);
-    ReplayOptions opts;
-    opts.shards = shards;
-    ExpectReportsIdentical(want, RunSharded(traces, config, opts));
-  }
+  ASSERT_GT(want.counters.invalidations, 0u);  // The workload must cross blades.
+  ExpectReportsIdentical(want, RunChannels(traces, config));
 }
 
-TEST(ShardedReplay, BitIdenticalAcrossShardCountsHitHeavy) {
+TEST(ShardedReplay, BitIdenticalHitHeavy) {
   const RackConfig config = TestRackConfig(8);
   const WorkloadTraces traces = GenerateTraces(HitHeavySpec(8));
   const ReplayReport want = SerialReference(traces, config);
-  for (const int shards : {1, 2, 4, 8}) {
-    SCOPED_TRACE(shards);
-    ReplayOptions opts;
-    opts.shards = shards;
-    std::vector<ShardReport> shard_reports;
-    const ReplayReport got = RunSharded(traces, config, opts, &shard_reports);
-    ExpectReportsIdentical(want, got);
-    // Accounting closes: every op was committed by exactly one shard phase.
-    uint64_t accounted = 0;
-    for (const ShardReport& sr : shard_reports) {
-      accounted += sr.parallel_hits + sr.drained_ops;
-    }
-    EXPECT_EQ(accounted, got.total_ops);
-    uint64_t parallel = 0;
-    for (const ShardReport& sr : shard_reports) {
-      parallel += sr.parallel_hits;
-    }
-    EXPECT_GT(parallel, 0u);  // The channel fast path must actually engage.
-  }
+  ShardReport accounting;
+  const ReplayReport got = RunChannels(traces, config, &accounting);
+  ExpectReportsIdentical(want, got);
+  // Accounting closes: every op was committed by a channel round or drained.
+  EXPECT_EQ(accounting.parallel_hits + accounting.drained_ops, got.total_ops);
+  EXPECT_GT(accounting.parallel_hits, 0u);  // The channel fast path must actually engage.
 }
 
 TEST(ShardedReplay, BitIdenticalUnderPso) {
   RackConfig config = TestRackConfig(4);
   config.consistency = ConsistencyModel::kPso;
   const WorkloadTraces traces = GenerateTraces(CoherenceHeavySpec(4));
-  const ReplayReport want = SerialReference(traces, config);
-  for (const int shards : {2, 4}) {
-    SCOPED_TRACE(shards);
-    ReplayOptions opts;
-    opts.shards = shards;
-    ExpectReportsIdentical(want, RunSharded(traces, config, opts));
-  }
-}
-
-TEST(ShardedReplay, BitIdenticalUnderStressedRoundMachinery) {
-  // Tiny scan windows and a one-op drain maximize rounds and barrier crossings; the
-  // result must not move.
-  const RackConfig config = TestRackConfig(4);
-  const WorkloadTraces traces = GenerateTraces(CoherenceHeavySpec(4));
-  const ReplayReport want = SerialReference(traces, config);
-  ReplayOptions opts;
-  opts.shards = 2;
-  opts.scan_window_ops = 3;
-  opts.drain_max_coherence_ops = 1;
-  opts.drain_hit_streak_exit = 2;
-  ExpectReportsIdentical(want, RunSharded(traces, config, opts));
+  ExpectReportsIdentical(SerialReference(traces, config), RunChannels(traces, config));
 }
 
 TEST(ShardedReplay, BitIdenticalWithStoredPayloads) {
   RackConfig config = TestRackConfig(2);
   config.store_data = true;  // Payloads flow through the per-blade slab arenas.
   const WorkloadTraces traces = GenerateTraces(CoherenceHeavySpec(2));
-  const ReplayReport want = SerialReference(traces, config);
-  ReplayOptions opts;
-  opts.shards = 2;
-  ExpectReportsIdentical(want, RunSharded(traces, config, opts));
+  ExpectReportsIdentical(SerialReference(traces, config), RunChannels(traces, config));
 }
 
 // Forwards every MemorySystem call but inherits the default (null) OpenChannelGroup —
@@ -207,27 +163,12 @@ class NoChannelSystem final : public MemorySystem {
 void ExpectSerializesWithoutGroups(bool forward_channels) {
   const RackConfig config = TestRackConfig(4);
   const WorkloadTraces traces = GenerateTraces(HitHeavySpec(4));
-
-  MindSystem serial_sys(config);
-  ReplayOptions ref;
-  ref.use_channels = false;
-  ReplayEngine serial(&serial_sys, &traces, ref);
-  ASSERT_TRUE(serial.Setup().ok());
-  const ReplayReport want = serial.Run();
-
   MindSystem inner(config);
-  NoChannelSystem sharded_sys(&inner, forward_channels);
-  ReplayOptions opts;
-  opts.shards = 4;
-  ReplayEngine sharded(&sharded_sys, &traces, opts);
-  ASSERT_TRUE(sharded.Setup().ok());
-  const ReplayReport got = sharded.Run();
-  ExpectReportsIdentical(want, got);
-  uint64_t parallel = 0;
-  for (const ShardReport& sr : sharded.shard_reports()) {
-    parallel += sr.parallel_hits;
-  }
-  EXPECT_EQ(parallel, 0u);
+  NoChannelSystem channel_sys(&inner, forward_channels);
+  ReplayEngine engine(&channel_sys, &traces);
+  ASSERT_TRUE(engine.Setup().ok());
+  ExpectReportsIdentical(SerialReference(traces, config), engine.Run());
+  EXPECT_EQ(engine.shard_reports()[0].parallel_hits, 0u);
 }
 
 TEST(ShardedReplay, SystemWithoutChannelsSerializes) {
@@ -242,15 +183,12 @@ TEST(ShardedReplay, SamplerFallsBackToReferencePath) {
   const RackConfig config = TestRackConfig(4);
   const WorkloadTraces traces = GenerateTraces(HitHeavySpec(4));
   MindSystem sys(config);
-  ReplayOptions opts;
-  opts.shards = 4;
-  ReplayEngine engine(&sys, &traces, opts);
+  ReplayEngine engine(&sys, &traces);
   ASSERT_TRUE(engine.Setup().ok());
   int samples = 0;
   const ReplayReport report =
       engine.Run([&](SimTime) { ++samples; }, /*sample_interval=*/50 * kMicrosecond);
   EXPECT_GT(samples, 0);
-  EXPECT_EQ(engine.effective_shards(), 1);  // Documented per-op fallback.
   EXPECT_GT(report.total_ops, 0u);
   // Everything drained: the reference path never touches a channel.
   ASSERT_EQ(engine.shard_reports().size(), 1u);
@@ -258,23 +196,34 @@ TEST(ShardedReplay, SamplerFallsBackToReferencePath) {
   EXPECT_EQ(engine.shard_reports()[0].drained_ops, report.total_ops);
 }
 
-TEST(ShardedReplay, ShardCountClampsToBlades) {
+// A zero sample interval means "no mid-run sampling": Run returns, the sampler never
+// fires, and the registry records no series points — with and without a sampler.
+TEST(ShardedReplay, ZeroSampleIntervalDisablesSampling) {
   const RackConfig config = TestRackConfig(2);
-  const WorkloadTraces traces = GenerateTraces(HitHeavySpec(2));
-  MindSystem sys(config);
-  ReplayOptions opts;
-  opts.shards = 64;
-  ReplayEngine engine(&sys, &traces, opts);
-  ASSERT_TRUE(engine.Setup().ok());
-  (void)engine.Run();
-  EXPECT_EQ(engine.effective_shards(), 2);
+  const WorkloadTraces traces = GenerateTraces(TfSpec(2, 1, 2000));
+  for (const bool with_sampler : {false, true}) {
+    SCOPED_TRACE(with_sampler ? "sampler" : "no sampler");
+    MindSystem sys(config);
+    ReplayEngine engine(&sys, &traces);
+    ASSERT_TRUE(engine.Setup().ok());
+    int samples = 0;
+    ReplayEngine::Sampler sampler;
+    if (with_sampler) {
+      sampler = [&](SimTime) { ++samples; };
+    }
+    const ReplayReport report = engine.Run(sampler, /*sample_interval=*/0);
+    EXPECT_EQ(report.total_ops, traces.TotalOps());
+    EXPECT_EQ(samples, 0);
+    EXPECT_TRUE(engine.metrics()->series().empty());
+  }
 }
 
 // A wave launched on one blade invalidating runs submitted on another: thread 0 (blade 0)
 // writes a small shared segment that thread 1 (blade 1) keeps cached copies of, so thread
 // 0's writes launch invalidation waves into blade 1 mid-run while thread 1 replays long
-// blade-local runs over its own private segment. At two shards the wave crosses shards
-// every time, and the result must still be bit-identical to the serial reference.
+// blade-local runs over its own private segment. Each wave cuts the round horizon short
+// and kills thread 1's runs over the shared region, and the result must still be
+// bit-identical to the serial reference.
 WorkloadTraces CrossBladeWaveTraces() {
   WorkloadTraces t;
   t.name = "cross-blade-wave";
@@ -309,12 +258,7 @@ TEST(ShardedReplay, CrossBladeWaveInvalidatesPeerRuns) {
   const WorkloadTraces traces = CrossBladeWaveTraces();
   const ReplayReport want = SerialReference(traces, config);
   ASSERT_GT(want.counters.invalidations, 0u);  // The waves actually cross blades.
-  for (const int shards : {1, 2}) {
-    SCOPED_TRACE(shards);
-    ReplayOptions opts;
-    opts.shards = shards;
-    ExpectReportsIdentical(want, RunSharded(traces, config, opts));
-  }
+  ExpectReportsIdentical(want, RunChannels(traces, config));
 }
 
 TEST(SystemCountersMerge, AddsEveryFieldWithoutDoubleCounting) {
@@ -364,7 +308,7 @@ TEST(LatencyBreakdownDelta, SubtractsEveryField) {
   EXPECT_EQ(d.Total(), 93u);
 }
 
-TEST(HistogramMerge, ExactBucketEqualityAfterShardedMerge) {
+TEST(HistogramMerge, ExactBucketEqualityAfterMerge) {
   Histogram whole;
   Histogram part1;
   Histogram part2;

@@ -1,9 +1,10 @@
 // TraceScope determinism tests (src/obs/): the semantic event stream — access spans,
 // invalidation waves, directory splits/merges, fault timeouts/resets, drains, prefetch
 // lifecycle — is recorded only on serialized paths, so its canonical byte serialization
-// (TraceScope::SemanticBytes) must be BIT-IDENTICAL across 1/2/4/8 shards and the per-op
-// reference path, for the same seed and fault schedule, on all three systems. And tracing must be a pure observer: every
-// counter block and the latency histogram must be bit-identical with tracing on vs off.
+// (TraceScope::SemanticBytes) must be BIT-IDENTICAL between channel replay and the per-op
+// reference path, for the same seed and fault schedule, on all three systems. And tracing
+// must be a pure observer: every counter block and the latency histogram must be
+// bit-identical with tracing on vs off.
 // Unit tests of the sink/merge/export machinery live in observability_test.cc.
 #include <gtest/gtest.h>
 
@@ -70,29 +71,18 @@ void ExpectReportsIdentical(const ReplayReport& want, const ReplayReport& got) {
   EXPECT_TRUE(want.fault == got.fault);
 }
 
-// The channel-replay shard counts the semantic stream must be invariant under (the
-// per-op reference path is the baseline every run compares against).
-constexpr int kShardCounts[] = {1, 2, 4, 8};
-
+// Channel replay must reproduce the per-op reference path's semantic stream.
 void ExpectSemanticStreamInvariant(const SystemFactory& make,
-                                   const WorkloadTraces& traces,
-                                   bool expect_events = true) {
+                                   const WorkloadTraces& traces) {
   ReplayOptions ref_opts;
   ref_opts.use_channels = false;
   const TracedRun want = RunTraced(make, traces, ref_opts);
-  if (expect_events) {
-    ASSERT_GT(want.semantic_events, 0u);  // The schedule must actually emit.
-  }
-  for (const int shards : kShardCounts) {
-    SCOPED_TRACE(::testing::Message() << shards << "shards");
-    ReplayOptions opts;
-    opts.shards = shards;
-    const TracedRun got = RunTraced(make, traces, opts);
-    ExpectReportsIdentical(want.report, got.report);
-    EXPECT_EQ(want.semantic_events, got.semantic_events);
-    EXPECT_EQ(want.digest, got.digest);
-    EXPECT_EQ(want.semantic_bytes, got.semantic_bytes);  // Byte-for-byte.
-  }
+  ASSERT_GT(want.semantic_events, 0u);  // The schedule must actually emit.
+  const TracedRun got = RunTraced(make, traces, ReplayOptions{});
+  ExpectReportsIdentical(want.report, got.report);
+  EXPECT_EQ(want.semantic_events, got.semantic_events);
+  EXPECT_EQ(want.digest, got.digest);
+  EXPECT_EQ(want.semantic_bytes, got.semantic_bytes);  // Byte-for-byte.
 }
 
 // --- Configs: coherence-dense traffic with a live fault schedule ----------------------
@@ -163,18 +153,13 @@ TEST(TraceDeterminism, MindSemanticStreamInvariantWithPrefetch) {
 // --- Tracing is a pure observer -------------------------------------------------------
 
 void ExpectTracingPure(const SystemFactory& make, const WorkloadTraces& traces) {
-  for (const int shards : {1, 4}) {
-    SCOPED_TRACE(shards);
-    ReplayOptions opts;
-    opts.shards = shards;
-    const ReplayReport off = RunPlain(make, traces, opts);
-    const TracedRun on = RunTraced(make, traces, opts);
-    ExpectReportsIdentical(off, on.report);
-    EXPECT_EQ(off.prefetch.issued, on.report.prefetch.issued);
-    EXPECT_EQ(off.prefetch.useful, on.report.prefetch.useful);
-    EXPECT_EQ(off.prefetch.late, on.report.prefetch.late);
-    EXPECT_EQ(off.prefetch.discarded_stale, on.report.prefetch.discarded_stale);
-  }
+  const ReplayReport off = RunPlain(make, traces, ReplayOptions{});
+  const TracedRun on = RunTraced(make, traces, ReplayOptions{});
+  ExpectReportsIdentical(off, on.report);
+  EXPECT_EQ(off.prefetch.issued, on.report.prefetch.issued);
+  EXPECT_EQ(off.prefetch.useful, on.report.prefetch.useful);
+  EXPECT_EQ(off.prefetch.late, on.report.prefetch.late);
+  EXPECT_EQ(off.prefetch.discarded_stale, on.report.prefetch.discarded_stale);
 }
 
 TEST(TraceDeterminism, TracingOnVsOffCountersIdenticalMind) {
@@ -212,10 +197,9 @@ TEST(TraceDeterminism, ProfilingIsAPureObserver) {
   const RackConfig config = TracedRackConfig();
   const WorkloadTraces traces = GenerateTraces(CoherenceSpec(4));
   const SystemFactory make = [&] { return std::make_unique<MindSystem>(config); };
-  ReplayOptions opts;
-  opts.shards = 4;
-  const ReplayReport off = RunPlain(make, traces, opts);
+  const ReplayReport off = RunPlain(make, traces, ReplayOptions{});
   auto sys = make();
+  ReplayOptions opts;
   opts.profile = true;
   ReplayEngine engine(sys.get(), &traces, opts);
   ASSERT_TRUE(engine.Setup().ok());
@@ -223,7 +207,7 @@ TEST(TraceDeterminism, ProfilingIsAPureObserver) {
   ExpectReportsIdentical(off, on);
   const PhaseProfiler* prof = engine.profiler();
   ASSERT_NE(prof, nullptr);
-  EXPECT_EQ(prof->num_lanes(), 5u);  // 4 shard lanes + the serial lane.
+  EXPECT_EQ(prof->num_lanes(), 2u);  // The channel lane + the serial lane.
   uint64_t recorded = 0;
   for (size_t l = 0; l < prof->num_lanes(); ++l) {
     for (int p = 0; p < PhaseProfiler::kNumPhases; ++p) {

@@ -4,19 +4,19 @@
 The replay engine's determinism contract (docs/determinism.md) has two halves:
 
   * RNG draws and global-counter mutation happen only on SERIALIZED paths —
-    replay executes those in exact global (clock, thread) order for every shard
-    count, so the draw/mutation sequence is invariant across 1/2/4/8 shards
-    and the per-op reference mode.
+    replay executes those in exact global (clock, thread) order in every
+    execution mode, so the draw/mutation sequence is the same under channel
+    replay and the per-op reference mode.
   * PARALLEL phases (channel Submit rounds and group merges, which run
-    ahead of global order on the replay thread) may only touch blade-/thread-/
-    shard-confined state; counters go to the engine's per-shard report blocks,
+    ahead of global order on the replay thread) may only touch blade- or
+    thread-confined state; counters go to the engine's own report block,
     never to a system's global counter block.
 
 Functions state which half they belong to with MIND_SERIALIZED_PATH /
 MIND_PARALLEL_PHASE (src/common/thread_annotations.h). Lambdas carry the tag as
 a trailing comment on their introducer line:
 
-    auto scan_shard = [&](int s) {  // MIND_PARALLEL_PHASE
+    auto scan_runs = [&]() {  // MIND_PARALLEL_PHASE
 
 DetLint walks the call graph from every parallel-phase root and rejects:
 
@@ -42,7 +42,7 @@ Escapes (put the marker comment line directly above the offending line):
 
     // detlint: allow(<rule-id>): <reason>     suppress through the next
                                                non-comment, non-blank line
-    // detlint: mailbox(<name>)                declare <name> a per-shard /
+    // detlint: mailbox(<name>)                declare <name> a per-lane /
                                                per-engine scratch mailbox for
                                                this file (exempts it from
                                                parallel-counter)
@@ -92,8 +92,8 @@ CONTRACT_NAMES = {
 # Receiver names treated as global counter blocks.
 COUNTER_RECEIVERS = ("counters_", "stats_", "extra_")
 
-# Receiver prefixes that mark per-shard / per-lane scratch.
-SCRATCH_PREFIXES = ("scratch", "sc", "sh", "lane", "report", "local")
+# Receiver prefixes that mark per-lane / per-engine scratch.
+SCRATCH_PREFIXES = ("scratch", "lane", "report", "local")
 
 # Lowercase std-container/utility method names: never traversal targets (calls
 # to them resolve to the standard library, not to repo functions).
@@ -596,7 +596,7 @@ class RuleEngine:
                         self.report(
                             "banned-source", fi.path, lineno,
                             "nondeterminism source: %s (replay must be "
-                            "bit-identical across shard counts; derive from "
+                            "bit-identical across execution modes; derive from "
                             "SimTime or the seeded serialized-path Rng)"
                             % what)
                 for m in RANGE_FOR_RE.finditer(text):
@@ -686,8 +686,9 @@ class RuleEngine:
                         "parallel-counter", fn.path, lineno,
                         "'%s' (parallel-phase-reachable) mutates global "
                         "counter receiver '%s%s'; parallel phases must write "
-                        "per-shard report blocks and leave global counters to "
-                        "the serialized drain (or declare "
+                        "the engine's report block or per-lane scratch and "
+                        "leave global counters to the serialized drain (or "
+                        "declare "
                         "'// detlint: mailbox(%s)')" %
                         (fn.name, prefix, recv, recv))
 
