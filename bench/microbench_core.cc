@@ -124,6 +124,36 @@ void BM_DirectorySplitMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_DirectorySplitMerge);
 
+// One bounded-splitting epoch over a directory of N 4 KB entries with no buddies, at 50%
+// utilization: merging is on, but nothing can split (page floor) or merge (no buddy). The
+// same 100 entries take a false invalidation every epoch, the 100 lookups included. The
+// cost should follow those 100 entries, not N.
+void BM_SplittingEpoch(benchmark::State& state) {
+  const auto n = static_cast<uint64_t>(state.range(0));
+  CacheDirectory dir(static_cast<uint32_t>(2 * n));
+  BoundedSplittingConfig cfg;
+  cfg.epoch_length = 5 * kMillisecond;
+  BoundedSplitting bs(&dir, cfg);
+  bs.OnAllocationChanged(2 * n * kPageSize);
+  for (uint64_t i = 0; i < n; ++i) {
+    (void)dir.Create(2 * i * kPageSize, kPageShift);  // The odd page, its buddy, stays absent.
+  }
+  std::vector<VirtAddr> active;
+  for (uint64_t i = 0; i < n; i += n / 100) {
+    active.push_back(2 * i * kPageSize);
+  }
+  SimTime now = 0;
+  for (auto _ : state) {
+    for (VirtAddr va : active) {
+      dir.AddFalseInvalidations(*dir.Lookup(va), 1);
+    }
+    now += cfg.epoch_length;
+    bs.RunEpoch(now);
+  }
+  benchmark::DoNotOptimize(bs.stats());
+}
+BENCHMARK(BM_SplittingEpoch)->Arg(1000)->Arg(30000)->Unit(benchmark::kMicrosecond);
+
 void BM_AllocatorAllocFree(benchmark::State& state) {
   BalancedAllocator alloc;
   for (int i = 0; i < 8; ++i) {

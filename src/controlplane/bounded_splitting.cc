@@ -5,13 +5,11 @@
 namespace mind {
 
 void BoundedSplitting::RunEpoch(SimTime now) {
+  // A no-op unless forced on a config whose boundaries never fire.
+  directory_->EnableEpochBookkeeping(config_.merge_quiet_epochs);
   ++stats_.epochs;
 
-  // Pass 1: gather epoch totals.
-  uint64_t total_false = 0;
-  directory_->ForEach([&](DirectoryEntry& e) {
-    total_false += e.epoch_false_invalidations;
-  });
+  const uint64_t total_false = directory_->epoch_false_invalidations();
   stats_.last_epoch_false_invalidations = total_false;
 
   const uint64_t n = std::max<uint64_t>(base_region_count_, 1);
@@ -22,43 +20,46 @@ void BoundedSplitting::RunEpoch(SimTime now) {
 
   const uint32_t min_log2 = Log2Floor(config_.min_region_size);
   const uint32_t max_log2 = Log2Floor(config_.base_region_size);
-
-  // Pass 2: choose splits (each qualifying region splits once per epoch) and merges.
-  // Collect bases first — Split/Merge mutate the map under iteration otherwise. A buddy
-  // pair merges only when the *combined* count stays well below t and slots are scarce.
-  const bool merging_active = directory_->utilization() > config_.merge_low_water;
-  std::vector<VirtAddr> split_candidates;
-  std::vector<VirtAddr> merge_candidates;
-  directory_->ForEach([&](DirectoryEntry& e) {
+  const auto splits = [&](const DirectoryEntry& e) {
     const auto f = static_cast<double>(e.epoch_false_invalidations);
-    if (f > t && f >= 1.0 && e.size_log2 > min_log2) {
+    return f > t && f >= 1.0 && e.size_log2 > min_log2;
+  };
+
+  // Splits: each qualifying region splits once per epoch. A split needs f >= 1, so only
+  // the epoch-active entries can qualify; they come in ascending base order.
+  std::vector<VirtAddr> split_candidates;
+  directory_->ForEachEpochActive([&](const DirectoryEntry& e) {
+    if (splits(e)) {
       split_candidates.push_back(e.base);
-      return;
-    }
-    if (!merging_active || e.size_log2 >= max_log2) {
-      return;
-    }
-    const VirtAddr buddy_base = e.base ^ e.size();
-    if (buddy_base < e.base) {
-      return;  // Only the lower buddy proposes, avoiding double consideration.
-    }
-    const DirectoryEntry* buddy = directory_->Lookup(buddy_base);
-    if (buddy == nullptr || buddy->base != buddy_base || buddy->size_log2 != e.size_log2) {
-      return;
-    }
-    if (e.quiet_epochs < config_.merge_quiet_epochs ||
-        buddy->quiet_epochs < config_.merge_quiet_epochs) {
-      return;  // Hysteresis: only persistently-cold pairs merge.
-    }
-    const double combined =
-        f + static_cast<double>(buddy->epoch_false_invalidations);
-    if (combined <= std::max(config_.merge_fraction * t, 0.0)) {
-      merge_candidates.push_back(e.base);
     }
   });
 
+  // Merges: a buddy pair merges only when both halves have been quiet for
+  // merge_quiet_epochs, its *combined* count stays well below t, their states are
+  // compatible and slots are scarce. Only pairs on the watch-set can newly qualify: a pair
+  // refused for any reason but slot plenty stays refused until one of the events that
+  // watch it (see directory.h). Pairs watched while merging is off wait for it.
+  directory_->ReleaseMatured();
+  std::vector<VirtAddr> merge_candidates;
+  if (directory_->utilization() > config_.merge_low_water) {
+    const double merge_bound = std::max(config_.merge_fraction * t, 0.0);
+    for (VirtAddr base : directory_->TakeWatchedPairs()) {
+      const DirectoryEntry& lower = *directory_->Lookup(base);
+      const DirectoryEntry& upper = *directory_->Lookup(base + lower.size());
+      if (lower.size_log2 >= max_log2 || splits(lower) ||
+          directory_->QuietEpochs(lower) < config_.merge_quiet_epochs ||
+          directory_->QuietEpochs(upper) < config_.merge_quiet_epochs) {
+        continue;
+      }
+      const double combined = static_cast<double>(lower.epoch_false_invalidations) +
+                              static_cast<double>(upper.epoch_false_invalidations);
+      if (combined <= merge_bound && CacheDirectory::StatesCompatible(lower, upper)) {
+        merge_candidates.push_back(base);
+      }
+    }
+  }
+
   // Merges run first so the slots they free are available to this epoch's splits.
-  // MergeWithBuddy re-checks existence, buddy size equality and state compatibility.
   for (VirtAddr base : merge_candidates) {
     if (directory_->MergeWithBuddy(base, max_log2).ok()) {
       ++stats_.merges;
@@ -96,11 +97,8 @@ void BoundedSplitting::RunEpoch(SimTime now) {
     }
   }
 
-  // Pass 3: update quiet streaks, then reset epoch counters for the next window.
-  directory_->ForEach([&](DirectoryEntry& e) {
-    e.quiet_epochs = e.epoch_false_invalidations == 0 ? e.quiet_epochs + 1 : 0;
-    e.ResetEpochCounters();
-  });
+  // Entries still counting false invalidations end their quiet streak; all counts reset.
+  directory_->EndEpoch();
 
   AdjustC();
   stats_.current_c = c_;

@@ -15,6 +15,15 @@
 // Theorem 5.1 bounds the sub-regions generated by one M-sized region at
 // (⌈f/t⌉ − 1)(1 + log2 M); with t as above the directory never needs more than
 // c · N · (1 + log2 M) entries. `TheoremBound` exposes the bound for the property tests.
+//
+// An epoch boundary costs O(entries that changed during the epoch), not O(directory). The
+// switch control plane reads per-entry counters; the simulator reaches the same decisions
+// from bookkeeping the directory keeps as entries change (directory.h): Σf is a running
+// total, split candidates come from the epoch-active list, quiet streaks are stamps, and
+// merge candidates come from the watch-set of pairs that something a merge decision reads
+// has touched since they were last examined. Each candidate list is applied in ascending
+// base order, the order a walk of the whole directory would produce, so every decision is
+// the same as that walk's.
 #ifndef MIND_SRC_CONTROLPLANE_BOUNDED_SPLITTING_H_
 #define MIND_SRC_CONTROLPLANE_BOUNDED_SPLITTING_H_
 
@@ -30,7 +39,9 @@ namespace mind {
 
 struct BoundedSplittingConfig {
   bool enabled = true;
-  SimTime epoch_length = 100 * kMillisecond;      // Paper default (Fig. 9 right).
+  // Paper default (Fig. 9 right). 0 means no epoch boundary ever fires: MaybeRunEpoch
+  // does nothing and only RunEpoch forces one.
+  SimTime epoch_length = 100 * kMillisecond;
   uint64_t initial_region_size = kDefaultInitialRegionSize;  // 16 KB default.
   uint64_t base_region_size = kDefaultBaseRegionSize;        // M = 2 MB.
   uint64_t min_region_size = kMinRegionSize;                 // 4 KB floor.
@@ -68,6 +79,9 @@ class BoundedSplitting {
   BoundedSplitting(CacheDirectory* directory, BoundedSplittingConfig config)
       : directory_(directory), config_(config), c_(config.initial_c) {
     next_epoch_end_ = config_.epoch_length;
+    if (fires()) {
+      directory_->EnableEpochBookkeeping(config_.merge_quiet_epochs);
+    }
   }
 
   // The controller reports allocation changes so N (base-region count) tracks the
@@ -80,7 +94,7 @@ class BoundedSplitting {
   // Called on the data-path with the current logical time; runs zero or more epoch
   // boundaries. Cheap when no boundary has passed.
   void MaybeRunEpoch(SimTime now) {
-    if (!config_.enabled) {
+    if (!fires()) {
       return;
     }
     while (now >= next_epoch_end_) {
@@ -89,7 +103,8 @@ class BoundedSplitting {
     }
   }
 
-  // Forces an epoch boundary (tests and benches).
+  // Forces an epoch boundary (tests and benches). On a config whose boundaries never fire
+  // the first call turns the directory's epoch bookkeeping on.
   void RunEpoch(SimTime now);
 
   // Semantic-event sink for kDirectorySplit/kDirectoryMerge (TraceScope). Epochs
@@ -118,6 +133,7 @@ class BoundedSplitting {
   }
 
  private:
+  [[nodiscard]] bool fires() const { return config_.enabled && config_.epoch_length != 0; }
   void AdjustC();
 
   CacheDirectory* directory_;  // Not owned.

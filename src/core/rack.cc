@@ -627,7 +627,6 @@ MIND_SERIALIZED_PATH AccessResult Rack::Access(const AccessRequest& req) {
   // Transient-state blocking: wait out any in-flight transition on this region.
   const SimTime busy_wait = entry->busy_until > t ? entry->busy_until - t : 0;
   t += busy_wait;
-  ++entry->epoch_accesses;
   entry->last_active = t;
 
   const RequestorRole role = entry->RoleOf(req.blade);
@@ -674,8 +673,7 @@ MIND_SERIALIZED_PATH AccessResult Rack::Access(const AccessRequest& req) {
     // Splitting signal: every page falsely invalidated in this region — dirty flushes AND
     // clean drops (each dropped page is a future re-fetch). The *reported*
     // false-invalidation counter stays dirty-page-only, matching the paper's definition.
-    entry->epoch_false_invalidations += wave.false_invalidations + wave.clean_drops;
-    ++entry->epoch_invalidations;
+    directory_.AddFalseInvalidations(*entry, wave.false_invalidations + wave.clean_drops);
     res.triggered_invalidation = true;
   }
 
@@ -744,6 +742,9 @@ MIND_SERIALIZED_PATH AccessResult Rack::Access(const AccessRequest& req) {
     entry->owner = kInvalidComputeBlade;
   }
   entry->busy_until = targets != 0 ? done : t;
+  // The only state change that can make a refused buddy pair mergeable (a prefetch install
+  // adds a sharer to an entry no other blade owns, which never does).
+  directory_.Watch(*entry);
 
   // 9. Install the page at the requesting blade. Under MESI, E-state pages install
   // writable (the silent-upgrade privilege): the holder's first store is a local hit.
@@ -1193,15 +1194,7 @@ Result<SimTime> Rack::MigrateRange(VirtAddr base, uint32_t size_log2, MemoryBlad
     return s;
   }
   // 4. Coherence state for the range restarts cold (I) at the new home.
-  std::vector<VirtAddr> stale;
-  directory_.ForEach([&](DirectoryEntry& e) {
-    if (e.base < base + size && e.end() > base) {
-      stale.push_back(e.base);
-    }
-  });
-  for (VirtAddr b : stale) {
-    (void)directory_.Remove(b);
-  }
+  directory_.RemoveRange(base, base + size);
   if (trace_ != nullptr) [[unlikely]] {
     TraceEvent ev;
     ev.kind = TraceEventKind::kMigrateRange;
@@ -1363,15 +1356,7 @@ Status Rack::Munmap(ProcessId pid, VirtAddr base) {
   for (auto& blade : compute_blades_) {
     (void)blade->cache().InvalidateRange(PageNumber(begin), PageNumber(end - 1) + 1);
   }
-  std::vector<VirtAddr> to_remove;
-  directory_.ForEach([&](DirectoryEntry& e) {
-    if (e.base < end && e.end() > begin) {
-      to_remove.push_back(e.base);
-    }
-  });
-  for (VirtAddr b : to_remove) {
-    (void)directory_.Remove(b);
-  }
+  directory_.RemoveRange(begin, end);
   return controller_.Munmap(pid, base);
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 
 namespace mind {
 
@@ -58,9 +59,11 @@ Result<DirectoryEntry*> CacheDirectory::Create(VirtAddr base, uint32_t size_log2
   entry = DirectoryEntry{};  // Arena slots are reused; reset every field.
   entry.base = base;
   entry.size_log2 = size_log2;
+  entry.quiet_since = epochs_ended_;
   by_base_.Upsert(base, idx);
   ordered_.emplace_hint(it, base, idx);
   AddToClass(size_log2);
+  RecordMaturity(entry);
   ++version_;
   return &entry;
 }
@@ -71,12 +74,28 @@ Status CacheDirectory::Remove(VirtAddr base) {
     return Status(ErrorCode::kNotFound);
   }
   const uint32_t idx = *idxp;
+  epoch_false_total_ -= EntryAt(idx).epoch_false_invalidations;
   RemoveFromClass(EntryAt(idx).size_log2);
   by_base_.Erase(base);
   ordered_.erase(base);
   FreeIndex(idx);
   ++version_;
   return slots_.Free(base);
+}
+
+uint64_t CacheDirectory::RemoveRange(VirtAddr begin, VirtAddr end) {
+  auto it = ordered_.lower_bound(begin);
+  if (it != ordered_.begin() && EntryAt(std::prev(it)->second).end() > begin) {
+    --it;  // The predecessor straddles `begin`.
+  }
+  uint64_t removed = 0;
+  while (it != ordered_.end() && it->first < end) {
+    const VirtAddr base = it->first;
+    ++it;  // Remove erases only `base`'s node, so the successor stays valid.
+    (void)Remove(base);
+    ++removed;
+  }
+  return removed;
 }
 
 Status CacheDirectory::Split(VirtAddr base) {
@@ -98,19 +117,25 @@ Status CacheDirectory::Split(VirtAddr base) {
 
   const uint32_t upper_idx = AllocIndex();
   DirectoryEntry& upper = EntryAt(upper_idx);
-  upper = parent;  // Children inherit coherence state conservatively.
+  upper = parent;  // Children inherit coherence state and the quiet stamp conservatively.
   upper.base = upper_base;
   upper.size_log2 = child_log2;
-  upper.ResetEpochCounters();
+  upper.epoch_false_invalidations = 0;
+  upper.watched = false;
 
   RemoveFromClass(parent.size_log2);
   parent.size_log2 = child_log2;
-  parent.ResetEpochCounters();
+  epoch_false_total_ -= parent.epoch_false_invalidations;
+  parent.epoch_false_invalidations = 0;
   AddToClass(child_log2);
   AddToClass(child_log2);
 
   by_base_.Upsert(upper_base, upper_idx);
   ordered_.emplace(upper_base, upper_idx);
+  // The lower half keeps the parent's base, stamp and pending maturity event; the upper
+  // half needs its own, or a pair formed by splitting it again would never be examined
+  // when it matures. If the stamp has matured, this watches the new pair instead.
+  RecordMaturity(upper);
   ++version_;
   return Status::Ok();
 }
@@ -180,14 +205,17 @@ Status CacheDirectory::MergeWithBuddy(VirtAddr base, uint32_t max_size_log2) {
   lower.sharers |= upper.sharers;
   lower.busy_until = std::max(lower.busy_until, upper.busy_until);
   lower.last_active = std::max(lower.last_active, upper.last_active);
+  if (bookkeeping_ && lower.epoch_false_invalidations == 0 &&
+      upper.epoch_false_invalidations != 0) {
+    active_.push_back(lower.base);
+  }
   lower.epoch_false_invalidations += upper.epoch_false_invalidations;
-  lower.epoch_invalidations += upper.epoch_invalidations;
-  lower.epoch_accesses += upper.epoch_accesses;
 
   RemoveFromClass(lower.size_log2);
   RemoveFromClass(upper.size_log2);
   lower.size_log2 += 1;
   AddToClass(lower.size_log2);
+  Watch(lower);
 
   const VirtAddr upper_key = upper.base;
   by_base_.Erase(upper_key);
@@ -195,6 +223,112 @@ Status CacheDirectory::MergeWithBuddy(VirtAddr base, uint32_t max_size_log2) {
   FreeIndex(upper_idx);
   ++version_;
   return slots_.Free(upper_key);
+}
+
+void CacheDirectory::RecordMaturity(DirectoryEntry& e) {
+  if (!bookkeeping_) {
+    return;
+  }
+  if (Matured(e.quiet_since)) {
+    Watch(e);
+  } else {
+    maturing_.emplace_back(e.quiet_since, e.base);
+    std::push_heap(maturing_.begin(), maturing_.end(), std::greater<>());
+  }
+}
+
+void CacheDirectory::EnableEpochBookkeeping(uint32_t merge_quiet_epochs) {
+  if (bookkeeping_) {
+    return;
+  }
+  bookkeeping_ = true;
+  merge_quiet_epochs_ = merge_quiet_epochs;
+  // Sized once here rather than grown from empty during a replay. Growth leaves a trail of
+  // small freed blocks in the heap; on mindbench blade_resident that fragmentation made the
+  // next rep's trace buffers come from fresh mmaps (page faults), and setup_s read ~30%
+  // higher.
+  active_.reserve(1024);
+  watched_.reserve(1024);
+  maturing_.reserve(1024);
+  ForEach([&](DirectoryEntry& e) {
+    if (e.epoch_false_invalidations != 0) {
+      active_.push_back(e.base);
+    }
+    RecordMaturity(e);
+  });
+}
+
+void CacheDirectory::AddFalseInvalidations(DirectoryEntry& e, uint64_t n) {
+  if (bookkeeping_ && e.epoch_false_invalidations == 0 && n != 0) {
+    active_.push_back(e.base);
+  }
+  e.epoch_false_invalidations += n;
+  epoch_false_total_ += n;
+}
+
+void CacheDirectory::Watch(DirectoryEntry& e) {
+  // An entry short of the quiet bound cannot merge yet; its maturity event watches it.
+  if (!bookkeeping_ || e.watched || !Matured(e.quiet_since)) {
+    return;
+  }
+  e.watched = true;
+  watched_.push_back(e.base);
+  // While merging is off nothing drains the set, and bases of removed entries linger:
+  // drop them once they outnumber the live entries, so the set stays O(entries).
+  if (watched_.size() > 2 * by_base_.size() + 64) {
+    std::sort(watched_.begin(), watched_.end());
+    watched_.erase(std::unique(watched_.begin(), watched_.end()), watched_.end());
+    std::erase_if(watched_, [&](VirtAddr base) {
+      const DirectoryEntry* w = AtBase(base);
+      return w == nullptr || !w->watched;
+    });
+  }
+}
+
+void CacheDirectory::ReleaseMatured() {
+  while (!maturing_.empty() && Matured(maturing_.front().first)) {
+    // A newer stamp means the streak restarted: Watch skips it, and that stamp has its
+    // own pending event.
+    if (DirectoryEntry* e = AtBase(maturing_.front().second); e != nullptr) {
+      Watch(*e);
+    }
+    std::pop_heap(maturing_.begin(), maturing_.end(), std::greater<>());
+    maturing_.pop_back();
+  }
+}
+
+std::vector<VirtAddr> CacheDirectory::TakeWatchedPairs() {
+  std::vector<VirtAddr> pairs;
+  for (VirtAddr base : watched_) {
+    DirectoryEntry* e = AtBase(base);
+    if (e == nullptr || !e->watched) {
+      continue;  // Removed, or a duplicate already taken.
+    }
+    e->watched = false;
+    const DirectoryEntry* buddy = AtBase(base ^ e->size());
+    if (buddy != nullptr && buddy->size_log2 == e->size_log2) {
+      pairs.push_back(base & ~e->size());
+    }
+  }
+  watched_.clear();
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  return pairs;
+}
+
+void CacheDirectory::EndEpoch() {
+  ++epochs_ended_;
+  for (VirtAddr base : active_) {
+    DirectoryEntry* e = AtBase(base);
+    if (e == nullptr || e->epoch_false_invalidations == 0) {
+      continue;  // Removed, split (counts zeroed), or a duplicate already reset.
+    }
+    e->epoch_false_invalidations = 0;
+    e->quiet_since = epochs_ended_;
+    RecordMaturity(*e);
+  }
+  active_.clear();
+  epoch_false_total_ = 0;
 }
 
 std::optional<VirtAddr> CacheDirectory::FindEvictionVictim(SimTime now, int scan_limit) {

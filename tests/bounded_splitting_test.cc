@@ -26,10 +26,10 @@ TEST(BoundedSplitting, HotRegionSplits) {
 
   auto hot = dir.Create(0x0, 16);  // 64 KB region.
   ASSERT_TRUE(hot.ok());
-  (*hot)->epoch_false_invalidations = 100;
+  dir.AddFalseInvalidations(**hot, 100);
   auto cold = dir.Create(0x200000, 16);
   ASSERT_TRUE(cold.ok());
-  (*cold)->epoch_false_invalidations = 0;
+  dir.AddFalseInvalidations(**cold, 0);
 
   bs.RunEpoch(100 * kMillisecond);
   // Threshold t = 100 / (1 * 4) = 25; the hot region (f=100 > 25) splits once.
@@ -44,7 +44,7 @@ TEST(BoundedSplitting, SplitStopsAtPageSize) {
   BoundedSplitting bs(&dir, Config());
   bs.OnAllocationChanged(2 * kMiB);
   ASSERT_TRUE(dir.Create(0x0, 12).ok());  // Already 4 KB.
-  dir.Lookup(0x0)->epoch_false_invalidations = 1000;
+  dir.AddFalseInvalidations(*dir.Lookup(0x0), 1000);
   bs.RunEpoch(100 * kMillisecond);
   EXPECT_EQ(bs.stats().splits, 0u);
   EXPECT_EQ(dir.Lookup(0x0)->size(), kPageSize);
@@ -63,7 +63,7 @@ TEST(BoundedSplitting, RepeatedEpochsConvergeBelowThreshold) {
     // Re-apply false invalidations to whichever region covers the hot page at 0x0.
     DirectoryEntry* e = dir.Lookup(0x0);
     ASSERT_NE(e, nullptr);
-    e->epoch_false_invalidations = f;
+    dir.AddFalseInvalidations(*e, f);
     bs.RunEpoch(static_cast<SimTime>(epoch + 1) * 100 * kMillisecond);
     f = f > 2 ? f / 2 : f;
   }
@@ -87,7 +87,7 @@ TEST(BoundedSplitting, ColdBuddiesMergeUnderCapacityPressure) {
   for (uint32_t epoch = 1; epoch <= 1 + bs.config().merge_quiet_epochs; ++epoch) {
     DirectoryEntry* hot = dir.Lookup(0x400000);
     ASSERT_NE(hot, nullptr);
-    hot->epoch_false_invalidations = 400;
+    dir.AddFalseInvalidations(*hot, 400);
     bs.RunEpoch(epoch * 100 * kMillisecond);
   }
   // The two cold 8 KB buddies merged into one 16 KB region.
@@ -120,9 +120,9 @@ TEST(BoundedSplitting, HotBuddyBlocksMerge) {
   ASSERT_TRUE(lo.ok() && hi.ok());
   // Lower buddy is cold, upper buddy accounts for nearly all false invalidations: the
   // *combined* count must block the merge even though the proposer itself is cold.
-  (*hi)->epoch_false_invalidations = 100;
+  dir.AddFalseInvalidations(**hi, 100);
   auto other = dir.Create(0x400000, 14);
-  (*other)->epoch_false_invalidations = 4;
+  dir.AddFalseInvalidations(**other, 4);
   bs.RunEpoch(100 * kMillisecond);
   EXPECT_NE(dir.Lookup(0x2000), nullptr);
   EXPECT_EQ(dir.Lookup(0x2000)->base, 0x2000u);  // Still separate.
@@ -150,8 +150,8 @@ TEST(BoundedSplitting, CapacityPressureLowersC) {
   ASSERT_TRUE(dir.Create(0x8000, 14).ok());
   ASSERT_TRUE(dir.Create(0x100000, 14).ok());
   ASSERT_TRUE(dir.Create(0x180000, 14).ok());
-  dir.Lookup(0x0)->epoch_false_invalidations = 3000;
-  dir.Lookup(0x8000)->epoch_false_invalidations = 10;
+  dir.AddFalseInvalidations(*dir.Lookup(0x0), 3000);
+  dir.AddFalseInvalidations(*dir.Lookup(0x8000), 10);
 
   const double c_before = bs.current_c();
   bs.RunEpoch(100 * kMillisecond);
@@ -185,13 +185,25 @@ TEST(BoundedSplitting, MaybeRunEpochFiresOnBoundaries) {
   EXPECT_EQ(bs.stats().epochs, 2u);
 }
 
+TEST(BoundedSplitting, ZeroEpochLengthNeverFires) {
+  CacheDirectory dir(100);
+  auto cfg = Config();
+  cfg.epoch_length = 0;
+  BoundedSplitting bs(&dir, cfg);
+  ASSERT_TRUE(dir.Create(0x0, 14).ok());
+  dir.AddFalseInvalidations(*dir.Lookup(0x0), 1'000'000);
+  bs.MaybeRunEpoch(kSecond);
+  EXPECT_EQ(bs.stats().epochs, 0u);
+  EXPECT_EQ(dir.Lookup(0x0)->size(), 0x4000u);
+}
+
 TEST(BoundedSplitting, DisabledDoesNothing) {
   CacheDirectory dir(100);
   auto cfg = Config();
   cfg.enabled = false;
   BoundedSplitting bs(&dir, cfg);
   ASSERT_TRUE(dir.Create(0x0, 14).ok());
-  dir.Lookup(0x0)->epoch_false_invalidations = 1'000'000;
+  dir.AddFalseInvalidations(*dir.Lookup(0x0), 1'000'000);
   bs.MaybeRunEpoch(kSecond);
   EXPECT_EQ(bs.stats().epochs, 0u);
   EXPECT_EQ(dir.Lookup(0x0)->size(), 0x4000u);
@@ -230,7 +242,7 @@ TEST(Theorem51, EmpiricalSplitsNeverExceedBound) {
       const uint64_t this_epoch = std::min<uint64_t>(remaining, 50 + rng.NextBelow(300));
       DirectoryEntry* e = dir.Lookup(rng.NextBelow(512) * kPageSize);
       ASSERT_NE(e, nullptr);
-      e->epoch_false_invalidations = this_epoch;
+      dir.AddFalseInvalidations(*e, this_epoch);
       remaining -= this_epoch;
       bs.RunEpoch(static_cast<SimTime>(epoch + 1) * cfg.epoch_length);
       max_t = std::max(max_t, bs.stats().last_threshold > 0 ? bs.stats().last_threshold : 0.0);

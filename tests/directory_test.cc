@@ -2,6 +2,8 @@
 // lookup, split/merge mechanics and capacity eviction.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/dataplane/directory.h"
 
 namespace mind {
@@ -169,6 +171,30 @@ TEST(Directory, SplitThenMergeRoundTripsSlots) {
   EXPECT_EQ(d.entry_count(), 1u);
   EXPECT_EQ(d.Lookup(0x10000)->size(), 0x4000u);
   EXPECT_EQ(d.slots().used(), 1u);
+}
+
+TEST(Directory, RemoveRangeTakesStraddlersAndSparesNeighbours) {
+  CacheDirectory d(16);
+  ASSERT_TRUE(d.Create(0x0, 14).ok());       // [0x0, 0x4000): left neighbour.
+  ASSERT_TRUE(d.Create(0x8000, 15).ok());    // [0x8000, 0x10000): straddles the begin.
+  ASSERT_TRUE(d.Create(0x10000, 13).ok());   // Inside.
+  ASSERT_TRUE(d.Create(0x14000, 14).ok());   // Inside.
+  ASSERT_TRUE(d.Create(0x18000, 15).ok());   // [0x18000, 0x20000): straddles the end.
+  ASSERT_TRUE(d.Create(0x20000, 13).ok());   // Right neighbour, starts at 0x20000.
+  d.AddFalseInvalidations(*d.Lookup(0x0), 1);
+  d.AddFalseInvalidations(*d.Lookup(0x8000), 10);
+  d.AddFalseInvalidations(*d.Lookup(0x20000), 100);
+
+  EXPECT_EQ(d.RemoveRange(0xc000, 0x1e000), 4u);
+  std::vector<VirtAddr> left;
+  d.ForEach([&](DirectoryEntry& e) { left.push_back(e.base); });
+  EXPECT_EQ(left, (std::vector<VirtAddr>{0x0, 0x20000}));
+  EXPECT_EQ(d.slots().used(), 2u);
+  EXPECT_EQ(d.epoch_false_invalidations(), 101u);  // The removed entry's count went too.
+
+  // A predecessor that ends exactly at the begin does not straddle it.
+  EXPECT_EQ(d.RemoveRange(0x4000, 0x20000), 0u);
+  EXPECT_EQ(d.entry_count(), 2u);
 }
 
 TEST(Directory, EvictionVictimPrefersStale) {
