@@ -18,7 +18,12 @@ using bench::ScaledOps;
 
 void RunFigure() {
   const uint64_t per_thread = ScaledOps(40'000);
-  const uint64_t total_pages = 150'000;  // Scaled working set; see EXPERIMENTS.md.
+  // The paper's 400k-page working set, scaled to 150k pages: at MIND_BENCH_SCALE 1 the
+  // 8-blade rows make 8 x 40k accesses, ~2 per shared page, where 400k pages would leave
+  // most of them first-touch faults. Smaller scales shorten the trace but not the working
+  // set, so fewer accesses find a page another blade holds and the write-heavy rows read
+  // low: 13.0 us at 8 blades at scale 0.1 against 24.3 us at scale 1 (paper: ~30 us).
+  const uint64_t total_pages = 150'000;
 
   PrintSectionHeader(
       "Figure 7 (right): avg remote-access latency breakdown (us), sharing ratio 1");

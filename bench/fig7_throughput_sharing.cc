@@ -17,7 +17,9 @@ using bench::ScaledOps;
 
 void RunFigure() {
   // The paper's 400k-page working set is replayed here at a scaled 150k pages so the
-  // scaled-down trace length still warms the caches (see EXPERIMENTS.md on scaling).
+  // scaled-down trace length still warms the caches: at MIND_BENCH_SCALE 1 each thread
+  // makes 40k accesses, ~2 per page of its 18.75k-page private slice at sharing ratio 0,
+  // where 400k pages would leave most accesses first-touch faults.
   const uint64_t per_thread = ScaledOps(40'000);
   const uint64_t total_pages = 150'000;
   const std::vector<double> ratios = {0.0, 0.25, 0.5, 0.75, 1.0};

@@ -225,6 +225,7 @@ void BM_ZipfianNext(benchmark::State& state) {
 }
 BENCHMARK(BM_ZipfianNext);
 
+// Times Access's local-hit path (DramCache::Lookup): one thread rewrites one cached page.
 void BM_RackLocalHit(benchmark::State& state) {
   RackConfig cfg;
   cfg.num_compute_blades = 1;

@@ -71,13 +71,14 @@ class DramCache {
 
   // Returns the frame caching `page` (a page number), or nullptr. Bumps LRU recency.
   Frame* Lookup(uint64_t page);
-  // No LRU side effects; `Find` is the mutable flavor used by memoizing fast paths.
+  // No LRU side effects: the mutable probe for callers that must not reorder recency
+  // (channel Submit, prefetch installs).
   [[nodiscard]] Frame* Find(uint64_t page);
   [[nodiscard]] const Frame* Peek(uint64_t page) const;
 
   // Moves a frame (obtained from Lookup/Find) to the MRU position. O(1); no-op when the
-  // frame is already most recent. Lets a caller that memoized the frame pointer keep LRU
-  // order exact without re-probing the hash.
+  // frame is already most recent. Lets a channel commit, which holds the frame pointer
+  // from Submit, keep LRU order exact without re-probing the hash.
   void Touch(Frame* frame);
 
   // Inserts (or updates) a page, copying `bytes` into an arena-backed payload slot (or

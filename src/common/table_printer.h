@@ -21,7 +21,7 @@ class TablePrinter {
 
   void PrintHeader(std::ostream& os = std::cout) const {
     for (const auto& h : headers_) {
-      os << std::left << std::setw(width_) << h;
+      PrintPadded(os, h);
     }
     os << "\n";
     os << std::string(headers_.size() * static_cast<size_t>(width_), '-') << "\n";
@@ -43,7 +43,19 @@ class TablePrinter {
  private:
   template <typename T>
   void PrintCell(std::ostream& os, T&& cell) const {
-    os << std::left << std::setw(width_) << cell;
+    std::ostringstream text;
+    text.copyfmt(os);  // Numbers format exactly as they would on `os`.
+    text << cell;
+    PrintPadded(os, text.str());
+  }
+
+  // Left-aligned in the column; text that fills the column gets one trailing space so it
+  // never runs into the next cell.
+  void PrintPadded(std::ostream& os, const std::string& text) const {
+    os << std::left << std::setw(width_) << text;
+    if (text.size() >= static_cast<size_t>(width_)) {
+      os << ' ';
+    }
   }
 
   std::vector<std::string> headers_;

@@ -46,31 +46,11 @@ Rack::Rack(RackConfig config)
 // Data-path helpers.
 // ---------------------------------------------------------------------------
 
-bool Rack::TranslatePage(VirtAddr va, Translation* out) {
-  const uint64_t page = PageNumber(va);
-  TranslationSlot& slot = translation_cache_[page & (kPipelineSlots - 1)];
-  const uint64_t version = translator_.version();
-  if (slot.page == page && slot.version == version) {
-    *out = slot.tr;
-    return true;
-  }
-  auto tr = translator_.Translate(PageBase(va));
-  if (!tr.ok()) {
-    return false;  // Negative results are not memoized.
-  }
-  slot.page = page;
-  slot.version = version;
-  slot.tr = *tr;
-  *out = *tr;
-  return true;
-}
-
 SimTime Rack::FetchPageFromMemory(VirtAddr va, ComputeBladeId requester, SimTime start,
                                   const PageData** bytes, SimTime* fabric_wait) {
-  Translation tr;
-  const bool translated = TranslatePage(va, &tr);
-  assert(translated && "translation must exist for an allocated vma");
-  (void)translated;
+  const auto translated = translator_.Translate(PageBase(va));
+  assert(translated.ok() && "translation must exist for an allocated vma");
+  const Translation& tr = *translated;
   // Switch egress -> memory blade NIC (header-rewritten one-sided RDMA read, §6.3).
   auto to_mem = fabric_.Route(Endpoint::Switch(), Endpoint::Memory(tr.blade),
                               MessageKind::kRdmaReadRequest, start);
@@ -90,14 +70,14 @@ SimTime Rack::FetchPageFromMemory(VirtAddr va, ComputeBladeId requester, SimTime
 
 SimTime Rack::WriteBackPage(ComputeBladeId from, uint64_t page, const PageData* data,
                             SimTime start) {
-  Translation tr;
-  if (!TranslatePage(PageToAddr(page), &tr)) {
+  const auto tr = translator_.Translate(PageToAddr(page));
+  if (!tr.ok()) {
     return start;  // vma was unmapped concurrently; drop the write-back.
   }
-  auto hop = fabric_.Route(Endpoint::Compute(from), Endpoint::Memory(tr.blade),
+  auto hop = fabric_.Route(Endpoint::Compute(from), Endpoint::Memory(tr->blade),
                            MessageKind::kRdmaWriteRequest, start);
   const SimTime t = hop.arrival + lat_.memory_blade_service;
-  memory_blades_[tr.blade]->WritePage(PageNumber(tr.phys_addr), data);
+  memory_blades_[tr->blade]->WritePage(PageNumber(tr->phys_addr), data);
   return t;
 }
 
@@ -112,11 +92,8 @@ void Rack::InsertIntoCache(ComputeBladeId blade_id, uint64_t page, bool writable
       prefetched ? cache.InsertPrefetched(page, writable, bytes, pdid,
                                           blade_prefetch_[blade_id].cold_insert_depth())
                  : cache.Insert(page, writable, bytes, pdid);
-  if (evicted.has_value()) {
-    ++cache_epoch_;  // A frame left a cache; memoized frame pointers may now dangle.
-    if (config_.prefetch.enabled()) {
-      blade_prefetch_[blade_id].OnPageEvicted(evicted->page);  // Evicted-unused feedback.
-    }
+  if (evicted.has_value() && config_.prefetch.enabled()) {
+    blade_prefetch_[blade_id].OnPageEvicted(evicted->page);  // Evicted-unused feedback.
   }
   if (evicted.has_value() && evicted->dirty) {
     // Write-back on eviction keeps memory the source of truth for uncached pages — the
@@ -133,7 +110,6 @@ Rack::InvalidationWave Rack::InvalidateBlades(SharerMask targets, const Director
   if (targets == 0) {
     return wave;
   }
-  ++cache_epoch_;  // Invalidation wave: every pipeline-cache slot must revalidate.
   const auto deliveries = config_.use_multicast ? fabric_.MulticastInvalidation(targets, t)
                                                 : fabric_.UnicastInvalidations(targets, t);
   stats_.invalidations_sent += deliveries.size();
@@ -319,72 +295,15 @@ void Rack::PsoRecordWrite(ThreadId tid, VirtAddr va, SimTime completion) {
 // The MIND access path (Fig. 2 right, Fig. 4).
 // ---------------------------------------------------------------------------
 
-void Rack::PopulatePipeline(const AccessRequest& req, uint64_t page, DramCache::Frame* frame,
-                            DirectoryEntry* dir_entry) {
-  PipelineSlot& slot = pipeline_[req.tid & (kPipelineSlots - 1)];
-  slot.generation = PipelineGeneration();
-  slot.page = page;
-  slot.tid = req.tid;
-  slot.blade = req.blade;
-  slot.pdid = req.pdid;
-  slot.frame = frame;
-  slot.dir_entry = dir_entry;
-  if (frame != nullptr && frame->pdid == req.pdid) {
-    // Same-domain frame: the seed hit path trusts the frame's own permission bits, so the
-    // memoized verdict can too. Writes stay gated on frame->writable at use time.
-    slot.read_ok = true;
-    slot.write_ok = true;
-  } else {
-    // Cross-domain (or no frame): only the access type that was actually checked against
-    // the protection table is known-allowed; the other stays conservative and will take
-    // the full path once, repopulating the slot.
-    slot.read_ok = req.type == AccessType::kRead;
-    slot.write_ok = req.type == AccessType::kWrite;
-  }
-}
-
 bool Rack::TryLocalHit(const AccessRequest& req, SimTime now, AccessResult* res,
-                       DramCache::Frame** frame_out, bool* pslot_valid_out) {
+                       DramCache::Frame** frame_out) {
   const uint64_t page = PageNumber(req.va);
-  ComputeBlade& blade = *compute_blades_[req.blade];
-  *frame_out = nullptr;
-  *pslot_valid_out = false;
-
-  // 0. Fused pipeline cache: one validity check replays the whole translation ->
-  // protection -> PTE traversal for the thread's last page, modeling the ASIC's
-  // single-pass match-action pipeline. Valid only while no structure the memo depends on
-  // has mutated (see PipelineGeneration); anything short of a clean same-page local hit
-  // falls through to the full path below.
-  PipelineSlot& pslot = pipeline_[req.tid & (kPipelineSlots - 1)];
-  const bool pslot_valid = pslot.generation == PipelineGeneration() && pslot.page == page &&
-                           pslot.tid == req.tid && pslot.blade == req.blade &&
-                           pslot.pdid == req.pdid;
-  if (pslot_valid && pslot.frame != nullptr) {
-    const bool allowed = req.type == AccessType::kRead
-                             ? pslot.read_ok
-                             : (pslot.write_ok && pslot.frame->writable);
-    if (allowed) {
-      // No prefetched-touch check here: a memoized frame can never carry the flag. The
-      // slot is only populated after a demand use (which clears it), the flag is only
-      // ever set on freshly inserted frames, and arena reuse of a freed frame implies an
-      // eviction, which bumps cache_epoch_ and invalidates the slot.
-      blade.cache().Touch(pslot.frame);  // Keep LRU order exactly as the slow path would.
-      if (req.type == AccessType::kWrite) {
-        pslot.frame->dirty = true;
-      }
-      res->local_hit = true;
-      res->latency = (now - req.now) + lat_.local_cache_hit;
-      res->completion = req.now + res->latency;
-      return true;
-    }
-  }
 
   // 1. Local DRAM cache, through the hardware MMU: the fast path. A hit from a different
   // protection domain than the one that faulted the page in re-validates against the
   // protection table (domain-tagged PTEs), so cached pages never leak across domains.
-  DramCache::Frame* frame = blade.cache().Lookup(page);
+  DramCache::Frame* frame = compute_blades_[req.blade]->cache().Lookup(page);
   *frame_out = frame;
-  *pslot_valid_out = pslot_valid;
   const bool domain_ok =
       frame != nullptr &&
       (frame->pdid == req.pdid || protection_.Allows(req.pdid, req.va, req.type));
@@ -400,7 +319,6 @@ bool Rack::TryLocalHit(const AccessRequest& req, SimTime now, AccessResult* res,
     frame->prefetched = false;
     blade_prefetch_[req.blade].OnPrefetchedTouch(page, req.pdid);
   }
-  PopulatePipeline(req, page, frame, pslot_valid ? pslot.dir_entry : nullptr);
   res->local_hit = true;
   res->latency = (now - req.now) + lat_.local_cache_hit;
   res->completion = req.now + res->latency;
@@ -563,11 +481,9 @@ MIND_SERIALIZED_PATH AccessResult Rack::Access(const AccessRequest& req) {
   }
 
   // Not a clean hit past here: TryLocalHit hands back the frame it probed (still present
-  // for S->M upgrades and cross-domain denials) and the pipeline memo's validity, so the
-  // fault path re-resolves neither.
+  // for S->M upgrades and cross-domain denials), so the fault path does not probe again.
   DramCache::Frame* frame = nullptr;
-  bool pslot_valid = false;
-  if (TryLocalHit(req, now, &res, &frame, &pslot_valid)) {
+  if (TryLocalHit(req, now, &res, &frame)) {
     ++stats_.local_hits;
     return res;
   }
@@ -576,11 +492,10 @@ MIND_SERIALIZED_PATH AccessResult Rack::Access(const AccessRequest& req) {
   // stays as tight as pre-prefetch): installs, late joins and new issues all trigger at
   // demand faults — the stream a swap prefetcher actually observes.
   if (config_.prefetch.enabled()) [[unlikely]] {
-    if (ServiceViaPrefetch(req, now, page, &frame, &pslot_valid, &res)) {
+    if (ServiceViaPrefetch(req, now, page, &frame, &res)) {
       return res;
     }
   }
-  PipelineSlot& pslot = pipeline_[req.tid & (kPipelineSlots - 1)];
 
   // 2. Page fault: issue a one-sided RDMA request on the *virtual* address to the switch
   // (a half-route: the request terminates in the pipeline for translation + protection).
@@ -609,19 +524,14 @@ MIND_SERIALIZED_PATH AccessResult Rack::Access(const AccessRequest& req) {
     return res;
   }
 
-  // 4. Directory lookup (first MAU); lazily create the region entry if absent. A still-
-  // valid pipeline slot short-circuits the lookup: the memoized entry cannot have been
-  // removed, split or merged without bumping the generation.
-  DirectoryEntry* entry = pslot_valid ? pslot.dir_entry : nullptr;
+  // 4. Directory lookup (first MAU); lazily create the region entry if absent.
+  Status dir_error;
+  DirectoryEntry* entry = EnsureDirectoryEntry(req.va, t, &dir_error);
   if (entry == nullptr) {
-    Status dir_error;
-    entry = EnsureDirectoryEntry(req.va, t, &dir_error);
-    if (entry == nullptr) {
-      res.status = dir_error;
-      res.latency = t - req.now;
-      res.completion = t;
-      return res;
-    }
+    res.status = dir_error;
+    res.latency = t - req.now;
+    res.completion = t;
+    return res;
   }
 
   // Transient-state blocking: wait out any in-flight transition on this region.
@@ -758,10 +668,6 @@ MIND_SERIALIZED_PATH AccessResult Rack::Access(const AccessRequest& req) {
   if (req.type == AccessType::kWrite) {
     blade.cache().MarkDirty(page);
   }
-  // Prime the pipeline cache for the thread's next access to this page. The generation is
-  // snapshotted *after* all of this access's mutations (insert/evict/invalidate), so the
-  // memo is valid exactly until the next conflicting event.
-  PopulatePipeline(req, page, blade.cache().Find(page), entry);
 
   // 10. Bookkeeping: transition counters and the Fig. 7 (right) latency decomposition.
   switch (res.prev_state) {
@@ -807,7 +713,7 @@ MIND_SERIALIZED_PATH AccessResult Rack::Access(const AccessRequest& req) {
   }
   if (trace_ != nullptr) [[unlikely]] {
     // Latency-breakdown span for the serviced miss. Local hits are deliberately
-    // untraced: the fused hit pipeline stays event-free (hot-path contract).
+    // untraced: the hit path stays event-free (hot-path contract).
     TraceEvent ev;
     ev.kind = TraceEventKind::kAccessSpan;
     ev.clock = req.now;
@@ -833,8 +739,7 @@ MIND_SERIALIZED_PATH AccessResult Rack::Access(const AccessRequest& req) {
 // ---------------------------------------------------------------------------
 
 bool Rack::ServiceViaPrefetch(const AccessRequest& req, SimTime now, uint64_t page,
-                              DramCache::Frame** frame, bool* pslot_valid,
-                              AccessResult* res) {
+                              DramCache::Frame** frame, AccessResult* res) {
   ComputeBlade& blade = *compute_blades_[req.blade];
   InstallReadyPrefetches(req.blade, now);
   BladePrefetchState& bp = blade_prefetch_[req.blade];
@@ -843,9 +748,9 @@ bool Rack::ServiceViaPrefetch(const AccessRequest& req, SimTime now, uint64_t pa
   // so re-resolve before anything dereferences it.
   *frame = blade.cache().Find(page);
   if (!had_frame && *frame != nullptr) {
-    // An arrived prefetch covers this fault: replay the ordinary hit path (LRU, memo,
-    // useful classification, domain re-validation) at the same timestamp.
-    if (TryLocalHit(req, now, res, frame, pslot_valid)) {
+    // An arrived prefetch covers this fault: replay the ordinary hit path (LRU, useful
+    // classification, domain re-validation) at the same timestamp.
+    if (TryLocalHit(req, now, res, frame)) {
       ++stats_.local_hits;
       if (trace_ != nullptr) [[unlikely]] {
         TraceEvent ev;
@@ -878,7 +783,6 @@ bool Rack::ServiceViaPrefetch(const AccessRequest& req, SimTime now, uint64_t pa
       InsertIntoCache(req.blade, page, /*writable=*/false, PeekPageBytes(req.va), landed,
                       req.pdid);
       const SimTime done = landed + lat_.pte_install;
-      PopulatePipeline(req, page, blade.cache().Find(page), nullptr);
       res->local_hit = false;
       res->latency = done - req.now;
       res->completion = done;
@@ -933,11 +837,11 @@ const PageData* Rack::PeekPageBytes(VirtAddr va) {
   if (!config_.store_data) {
     return nullptr;
   }
-  Translation tr;
-  if (!TranslatePage(va, &tr)) {
+  const auto tr = translator_.Translate(PageBase(va));
+  if (!tr.ok()) {
     return nullptr;
   }
-  return memory_blades_[tr.blade]->ReadPage(PageNumber(tr.phys_addr));
+  return memory_blades_[tr->blade]->ReadPage(PageNumber(tr->phys_addr));
 }
 
 void Rack::InstallReadyPrefetches(ComputeBladeId blade_id, SimTime now) {
@@ -995,12 +899,13 @@ void Rack::IssuePrefetches(PrefetchEngine& engine, ComputeBladeId blade_id,
   // Occupancy feedback: when the trigger page's home blade port is already saturated with
   // demand traffic, speculative fetches would only deepen the queue the demand stream is
   // stuck in. Shrink the window instead of issuing (it regrows on useful touches).
-  if (Translation tr; config_.prefetch.fabric_pressure_threshold < 1.0 &&
-                      TranslatePage(PageToAddr(page), &tr) &&
-                      fabric_.Utilization(Endpoint::Memory(tr.blade)) >
-                          config_.prefetch.fabric_pressure_threshold) {
-    engine.OnFabricPressure();
-    return;
+  if (config_.prefetch.fabric_pressure_threshold < 1.0) {
+    const auto tr = translator_.Translate(PageToAddr(page));
+    if (tr.ok() && fabric_.Utilization(Endpoint::Memory(tr->blade)) >
+                       config_.prefetch.fabric_pressure_threshold) {
+      engine.OnFabricPressure();
+      return;
+    }
   }
   BladePrefetchState& bp = blade_prefetch_[blade_id];
   DramCache& cache = compute_blades_[blade_id]->cache();
@@ -1310,7 +1215,6 @@ MIND_SERIALIZED_PATH void Rack::AdvanceTo(SimTime now) {
 }
 
 void Rack::ShootDownRange(VirtAddr base, uint64_t size, bool write_back) {
-  ++cache_epoch_;
   const uint64_t first = PageNumber(base);
   const uint64_t last = PageNumber(base + size - 1) + 1;
   for (auto& blade : compute_blades_) {
@@ -1352,7 +1256,6 @@ Status Rack::Munmap(ProcessId pid, VirtAddr base) {
   const VirtAddr end = vma->end();
   // Drop cached pages everywhere (no write-back — the mapping is going away) and remove the
   // covered directory entries.
-  ++cache_epoch_;
   for (auto& blade : compute_blades_) {
     (void)blade->cache().InvalidateRange(PageNumber(begin), PageNumber(end - 1) + 1);
   }

@@ -12,7 +12,6 @@
 #ifndef MIND_SRC_CORE_RACK_H_
 #define MIND_SRC_CORE_RACK_H_
 
-#include <array>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -76,16 +75,16 @@ class Rack {
   //
   // Opens the per-(thread, blade) submit/complete channel over the blade-local hit path.
   // Submit classifies a run as pure blade-local hits without mutating anything: the
-  // accepted prefix is exactly the ops for which Access would return at step 0/1 (local
+  // accepted prefix is exactly the ops for which Access would return at step 1 (local
   // DRAM hit), with exact per-op latencies, tagged-frame-pointer commit tokens and the end
   // clock. It only reads the blade's cache index, the protection table and the channel
   // thread's PSO pending-write list. The blade's group commit applies those hits' side
-  // effects — LRU recency and dirty bits — touching only the blade's own cache. The
-  // pipeline memo and PSO pruning are deliberately skipped: both are pure memoization
-  // whose absence never changes an access outcome, so channel-driven and serial replay
-  // stay bit-identical. Run validity is stamped per 2 MB cache region (plus the
-  // protection-table version), so an invalidation wave over a shared region leaves runs
-  // over private regions of the same blade valid.
+  // effects — LRU recency and dirty bits — touching only the blade's own cache. PSO
+  // pruning is deliberately skipped: it only drops pending stores that can never raise a
+  // later barrier, so channel-driven and serial replay stay bit-identical. Run validity
+  // is stamped per 2 MB cache region (plus the protection-table version), so an
+  // invalidation wave over a shared region leaves runs over private regions of the same
+  // blade valid.
   std::unique_ptr<AccessChannel> OpenChannel(ThreadId tid, ComputeBladeId blade,
                                              ProtDomainId pdid);
 
@@ -285,57 +284,15 @@ class Rack {
   // installs arrived pages (retrying the hit), joins in-flight fetches (late) and
   // classifies prefetched write-upgrades. True when the access was fully serviced.
   bool ServiceViaPrefetch(const AccessRequest& req, SimTime now, uint64_t page,
-                          DramCache::Frame** frame, bool* pslot_valid, AccessResult* res);
+                          DramCache::Frame** frame, AccessResult* res);
 
-  // The blade-local hit path of Access (steps 0/1): pipeline-memo short-circuit, then the
-  // MMU/DRAM-cache probe with domain re-validation. `now` is the post-PSO-barrier time.
-  // Mutates LRU recency (also when a present frame fails the hit checks, matching the
-  // historical Lookup-then-fall-through behavior) and primes the pipeline memo on
-  // success. Does NOT touch stats. On failure, `*frame_out` / `*pslot_valid_out` return
-  // the probed frame and memo validity so the fault path does not redo either.
+  // The blade-local hit path of Access (step 1): the MMU/DRAM-cache probe with domain
+  // re-validation. `now` is the post-PSO-barrier time. Mutates LRU recency (also when a
+  // present frame fails the hit checks, matching the historical Lookup-then-fall-through
+  // behavior). Does NOT touch stats. On failure, `*frame_out` returns the probed frame so
+  // the fault path does not probe again.
   bool TryLocalHit(const AccessRequest& req, SimTime now, AccessResult* res,
-                   DramCache::Frame** frame_out, bool* pslot_valid_out);
-
-  // --- Fused pipeline cache (the ASIC's single-pass match-action traversal) ---
-  //
-  // Per-thread memo of {protection verdict, cached frame, directory entry} for the last
-  // page the thread touched. A slot is valid only while the generation it snapshotted
-  // still equals PipelineGeneration(), which is the sum of monotonic mutation counters of
-  // every structure the verdict depends on: the directory (create/remove/split/merge and
-  // capacity evictions), the protection table (mmap/mprotect/grant/revoke/munmap), the
-  // translator (blade ranges, migration outliers) and `cache_epoch_` (bumped whenever any
-  // blade's DRAM cache drops or evicts frames: invalidation waves, shoot-downs, LRU
-  // evictions). Any control-plane mutation, invalidation wave, split/merge or migration
-  // therefore invalidates every slot at once — stale translations, permissions, directory
-  // pointers and frame pointers can never be replayed.
-  static constexpr uint32_t kPipelineSlots = 256;  // Power of two; direct-mapped by tid.
-  struct PipelineSlot {
-    uint64_t generation = UINT64_MAX;
-    uint64_t page = UINT64_MAX;
-    ThreadId tid = 0;
-    ComputeBladeId blade = kInvalidComputeBlade;
-    ProtDomainId pdid = 0;
-    bool read_ok = false;   // Protection verdict known-allowed for reads.
-    bool write_ok = false;  // Protection verdict known-allowed for writes.
-    DramCache::Frame* frame = nullptr;
-    DirectoryEntry* dir_entry = nullptr;
-  };
-  [[nodiscard]] uint64_t PipelineGeneration() const {
-    return directory_.version() + protection_.version() + translator_.version() +
-           cache_epoch_;
-  }
-  void PopulatePipeline(const AccessRequest& req, uint64_t page, DramCache::Frame* frame,
-                        DirectoryEntry* dir_entry);
-
-  // Direct-mapped translation memo (the switch's translation MAU result for a page),
-  // validated against the translator's mutation counter.
-  struct TranslationSlot {
-    uint64_t page = UINT64_MAX;
-    uint64_t version = UINT64_MAX;
-    Translation tr;
-  };
-  // Translates the page containing `va` through the memo; false on kFault.
-  bool TranslatePage(VirtAddr va, Translation* out);
+                   DramCache::Frame** frame_out);
 
   RackConfig config_;
 
@@ -363,17 +320,12 @@ class Rack {
   // paths, like stats_; see SetTraceSink above.
   TraceSink* trace_ = nullptr;
   std::unordered_map<ThreadId, std::vector<PendingWrite>> pending_writes_;
-  std::array<PipelineSlot, kPipelineSlots> pipeline_{};
-  std::array<TranslationSlot, kPipelineSlots> translation_cache_{};
-  // Bumped whenever frames leave any blade's DRAM cache (see PipelineGeneration above).
-  uint64_t cache_epoch_ = 0;
   // Physical arena on destination blades for migrated ranges; grows monotonically. A full
   // implementation would reuse the balanced allocator; a bump cursor suffices for the
   // migration feature and keeps PAs disjoint from the identity-mapped partitions.
   PhysAddr migration_cursor_ = 1ull << 44;
   // Prefetch state: per-thread engines plus per-blade in-flight/unused tables (mutated on
-  // the serialized drain; channel commits touch only their own blade's entry). Kept after
-  // the hot pipeline/translation memo arrays so their cache placement is unchanged.
+  // the serialized drain; channel commits touch only their own blade's entry).
   std::unordered_map<ThreadId, std::unique_ptr<PrefetchEngine>> prefetch_engines_;
   std::vector<BladePrefetchState> blade_prefetch_;
   std::vector<uint64_t> prefetch_scratch_;

@@ -64,7 +64,6 @@ Result<DirectoryEntry*> CacheDirectory::Create(VirtAddr base, uint32_t size_log2
   ordered_.emplace_hint(it, base, idx);
   AddToClass(size_log2);
   RecordMaturity(entry);
-  ++version_;
   return &entry;
 }
 
@@ -79,7 +78,6 @@ Status CacheDirectory::Remove(VirtAddr base) {
   by_base_.Erase(base);
   ordered_.erase(base);
   FreeIndex(idx);
-  ++version_;
   return slots_.Free(base);
 }
 
@@ -136,7 +134,6 @@ Status CacheDirectory::Split(VirtAddr base) {
   // half needs its own, or a pair formed by splitting it again would never be examined
   // when it matures. If the stamp has matured, this watches the new pair instead.
   RecordMaturity(upper);
-  ++version_;
   return Status::Ok();
 }
 
@@ -221,7 +218,6 @@ Status CacheDirectory::MergeWithBuddy(VirtAddr base, uint32_t max_size_log2) {
   by_base_.Erase(upper_key);
   ordered_.erase(upper_key);
   FreeIndex(upper_idx);
-  ++version_;
   return slots_.Free(upper_key);
 }
 

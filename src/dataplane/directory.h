@@ -216,10 +216,6 @@ class CacheDirectory {
   // next epoch and has its count reset; the total and the active list empty.
   void EndEpoch();
 
-  // Monotonic mutation counter: bumped by every Create/Remove/Split/Merge. The rack's
-  // fused pipeline cache snapshots this to detect stale memoized directory entries.
-  [[nodiscard]] uint64_t version() const { return version_; }
-
   [[nodiscard]] uint64_t entry_count() const { return by_base_.size(); }
   [[nodiscard]] uint64_t capacity() const { return slots_.total(); }
   [[nodiscard]] double utilization() const { return slots_.utilization(); }
@@ -260,7 +256,6 @@ class CacheDirectory {
 
   SramSlotStore slots_;
   uint32_t clock_idx_ = 0;   // Arena slot where the next eviction sweep resumes.
-  uint64_t version_ = 0;
 
   // Epoch bookkeeping. The lists hold bases, not slots: an entry removed since it was
   // listed is skipped when its base no longer resolves (or resolves to a newer entry,

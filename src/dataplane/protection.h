@@ -45,7 +45,8 @@ class ProtectionTable {
 
   // Monotonic mutation counter, bumped by every Grant/Revoke (even failed ones — the
   // counter over-approximates change, which is always safe for cache invalidation). The
-  // rack's fused pipeline cache snapshots this to detect stale memoized verdicts.
+  // rack's channels stamp this on every submitted run, so a grant or revoke invalidates
+  // runs classified under the old permissions.
   [[nodiscard]] uint64_t version() const { return version_; }
 
   // Decomposes [base, base+size) into aligned power-of-two pieces (exposed for tests:

@@ -51,7 +51,6 @@ class AddressTranslator {
       return Status(ErrorCode::kResourceExhausted, "no TCAM capacity for blade range");
     }
     blade_ranges_.emplace_hint(next, va_start, BladeRange{blade, size});
-    ++version_;
     return Status::Ok();
   }
 
@@ -62,7 +61,6 @@ class AddressTranslator {
     if (capacity_ != nullptr) {
       capacity_->Release();
     }
-    ++version_;
     return Status::Ok();
   }
 
@@ -71,20 +69,11 @@ class AddressTranslator {
   // embedded in binaries and for page migration (§4.1, "Transparency via outlier entries").
   Status AddOutlier(VirtAddr va_base, uint32_t size_log2, MemoryBladeId blade,
                     PhysAddr pa_base) {
-    const Status s =
-        outliers_.InsertRange(va_base, size_log2, OutlierTarget{blade, pa_base, va_base});
-    if (s.ok()) {
-      ++version_;
-    }
-    return s;
+    return outliers_.InsertRange(va_base, size_log2, OutlierTarget{blade, pa_base, va_base});
   }
 
   Status RemoveOutlier(VirtAddr va_base, uint32_t size_log2) {
-    const Status s = outliers_.RemoveRange(va_base, size_log2);
-    if (s.ok()) {
-      ++version_;
-    }
-    return s;
+    return outliers_.RemoveRange(va_base, size_log2);
   }
 
   // Translates a VA. Outlier entries take precedence (longest-prefix match); otherwise the
@@ -112,10 +101,6 @@ class AddressTranslator {
   [[nodiscard]] uint64_t outlier_count() const { return outliers_.entries(); }
   [[nodiscard]] size_t blade_range_count() const { return blade_ranges_.size(); }
 
-  // Monotonic mutation counter; the rack's pipeline/translation caches snapshot this to
-  // detect stale memoized translations.
-  [[nodiscard]] uint64_t version() const { return version_; }
-
  private:
   struct BladeRange {
     MemoryBladeId blade = kInvalidMemoryBlade;
@@ -130,7 +115,6 @@ class AddressTranslator {
   TcamCapacity* capacity_;
   std::map<VirtAddr, BladeRange> blade_ranges_;  // Keyed by range start.
   Tcam<OutlierTarget> outliers_;
-  uint64_t version_ = 0;
 };
 
 }  // namespace mind

@@ -1,14 +1,18 @@
-// Unit tests for src/common: types, bit ops, RNG/zipfian, histogram, fairness index.
+// Unit tests for src/common: types, bit ops, RNG/zipfian, histogram, fairness index,
+// table printing and the parallel-phase guard.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "src/common/bitops.h"
 #include "src/common/histogram.h"
+#include "src/common/phase_guard.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/status.h"
+#include "src/common/table_printer.h"
 #include "src/common/types.h"
 
 namespace mind {
@@ -189,6 +193,35 @@ TEST(Result, ValueAndStatusPaths) {
   Result<int> err(Status(ErrorCode::kNotFound));
   EXPECT_FALSE(err.ok());
   EXPECT_EQ(err.status().code(), ErrorCode::kNotFound);
+}
+
+TEST(TablePrinter, FullWidthCellIsFollowedBySpace) {
+  const TablePrinter table({"configuration!", "mops"}, 14);
+  testing::internal::CaptureStdout();
+  table.PrintHeader();
+  table.PrintRow(std::string("sharded-1shard"), 11.9);  // Fills its 14-wide column.
+  table.PrintRow(std::string("one-shard"), 2.5);        // Narrower: padded as before.
+  const std::string out = testing::internal::GetCapturedStdout();
+  EXPECT_EQ(out, "configuration! mops          \n" + std::string(28, '-') +
+                     "\n"
+                     "sharded-1shard 11.9          \n"
+                     "one-shard     2.5           \n");
+}
+
+// The Rng entry assertion is the dynamic half of the determinism contract. Builds with
+// NDEBUG compile it out, so this test also shows whether a build has assertions live.
+TEST(PhaseGuardDeathTest, RngDrawInParallelPhaseDies) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "assertions are compiled out (NDEBUG)";
+#else
+  Rng rng(1);
+  EXPECT_DEATH(
+      {
+        const ParallelPhaseScope in_phase;
+        (void)rng.Next();
+      },
+      "serialized-path primitive");
+#endif
 }
 
 }  // namespace

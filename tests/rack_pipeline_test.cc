@@ -1,9 +1,10 @@
-// Safety tests for the fused pipeline cache on the Rack access path: the per-thread memo
-// of {translation, protection verdict, directory entry, cached frame} must be invalidated
-// by every event that could change the answer — mprotect, munmap, domain revocation,
-// migration, invalidation waves from other blades, and region split/merge — so a warmed
-// fast path can never replay a stale verdict. Each test first *warms* the memo with
-// repeated same-page hits, then mutates, then asserts the post-mutation behavior.
+// Safety tests for the Rack access path under repeated same-page hits: every event that
+// could change the answer — mprotect, munmap, domain revocation, migration, invalidation
+// waves from other blades, and region split/merge — must be seen by the next access, so a
+// warmed hit path (DramCache::Lookup with domain re-validation) can never replay a stale
+// verdict. Each test first *warms* the page with repeated same-page hits, then mutates,
+// then asserts the post-mutation behavior. (Case names and messages that say "memo" date
+// from a per-thread pipeline memo that Access no longer has.)
 #include <gtest/gtest.h>
 
 #include "src/core/mind.h"
@@ -37,7 +38,7 @@ class RackPipelineTest : public ::testing::Test {
     return rack_->Access(AccessRequest{tid, blade, pdid_, va, t, now});
   }
 
-  // Warms the pipeline slot: the second same-page access takes the memoized fast path.
+  // Warms the page: the first access faults it in, the later same-page accesses hit.
   SimTime Warm(ThreadId tid, ComputeBladeId blade, AccessType t, SimTime now) {
     SimTime done = now;
     for (int i = 0; i < 3; ++i) {
