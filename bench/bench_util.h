@@ -329,22 +329,22 @@ inline std::string SerializeEntry(const std::string& label,
   return os.str();
 }
 
-// Appends the entry to the trajectory file, creating it when absent. The writer always
-// emits the same shape (see bench/README.md), so the merge is a suffix splice.
+// Appends the entry to the trajectory file named by MIND_BENCH_JSON, creating it when
+// absent. Recording is opt-in: with the variable unset nothing is written, so a local run
+// never touches the committed trajectory. The writer always emits the same shape (see
+// bench/README.md), so the merge is a suffix splice.
 inline void AppendTrajectoryEntry(const std::vector<BenchResult>& results,
                                   const char* default_label = "run") {
   if (results.empty()) {
     return;
   }
   const char* path_env = std::getenv("MIND_BENCH_JSON");
-  std::string path = path_env != nullptr ? path_env : "BENCH_microbench.json";
-  if (path_env == nullptr && !std::ifstream(path).good() &&
-      std::ifstream("../BENCH_microbench.json").good()) {
-    // The usual workflow runs from build/ (gitignored): when no trajectory file exists
-    // here but the committed one sits in the parent directory, append there instead of
-    // silently growing an invisible copy.
-    path = "../BENCH_microbench.json";
+  if (path_env == nullptr) {
+    std::fprintf(stderr,
+                 "bench: MIND_BENCH_JSON is unset; trajectory entry not recorded\n");
+    return;
   }
+  const std::string path = path_env;
   const char* label_env = std::getenv("MIND_BENCH_LABEL");
   const std::string label = label_env != nullptr ? label_env : default_label;
   const std::string entry = SerializeEntry(label, results);

@@ -16,9 +16,9 @@
 // Loss draws and schedules are deterministic (fixed seed, serialized-path draws only), so
 // every number here is bit-identical between channel replay and the per-op reference —
 // the fault conformance suite (tests/fault_injection_test.cc) enforces exactly that. The
-// loss-free rows append `FigFaultTolerance/*/loss-free-sim-ns-op` to BENCH_microbench.json
-// and are gated by tools/check_bench_regression.py: fault-plane plumbing must stay free
-// on healthy racks.
+// loss-free rows append `FigFaultTolerance/*/loss-free-sim-ns-op` to the trajectory file
+// named by MIND_BENCH_JSON and are gated by tools/check_bench_regression.py: fault-plane
+// plumbing must stay free on healthy racks.
 //
 // Scale the trace with MIND_BENCH_SCALE (CI runs 0.1; the committed baseline rows use the
 // same scale).

@@ -18,7 +18,7 @@
 //
 // Every number is simulated time from a deterministic replay — rerunning this bench
 // cannot produce different output. The zero-think rows append
-// `FigLoadLatency/<system>/saturated-sim-ns-op` to BENCH_microbench.json, gated by
+// `FigLoadLatency/<system>/saturated-sim-ns-op` to the MIND_BENCH_JSON trajectory, gated by
 // tools/check_bench_regression.py: queue-model or routing drift shows up as a
 // trajectory step, not runner noise. CI runs MIND_BENCH_SCALE=0.1 like the other figs.
 #include <cstdio>

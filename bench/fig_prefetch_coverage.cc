@@ -14,7 +14,8 @@
 // Rows print coverage (useful / would-be faults), accuracy (useful / issued), the raw
 // issued/useful/late counters, and the simulated makespan speedup vs the same system
 // with prefetching off. Appends `FigPrefetchCoverage/*` coverage entries (percent in the
-// value slot) to BENCH_microbench.json. Scale ops with MIND_BENCH_SCALE.
+// value slot) to the trajectory file named by MIND_BENCH_JSON. Scale ops with
+// MIND_BENCH_SCALE.
 #include <cstdio>
 #include <memory>
 #include <string>

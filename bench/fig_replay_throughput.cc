@@ -13,8 +13,8 @@
 // The row names predate the removal of replay shards and are kept so that new entries
 // stay comparable with the committed trajectory.
 //
-// Appends `FigReplayWallclock/*` entries (ns/op over total replayed ops) to
-// BENCH_microbench.json. Scale the trace with MIND_BENCH_SCALE.
+// Appends `FigReplayWallclock/*` entries (ns/op over total replayed ops) to the
+// trajectory file named by MIND_BENCH_JSON. Scale the trace with MIND_BENCH_SCALE.
 #include <chrono>
 #include <cstdio>
 #include <sstream>

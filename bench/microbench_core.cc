@@ -3,10 +3,10 @@
 // benchmarks (how fast this library executes), complementing the figure benches (what the
 // modeled system would measure).
 //
-// Besides the console table, every run appends an entry to BENCH_microbench.json (path
-// overridable via MIND_BENCH_JSON, entry label via MIND_BENCH_LABEL) so the perf
-// trajectory of the O(1) access pipeline is recorded across PRs. Schema documented in
-// bench/README.md.
+// Besides the console table, a run with MIND_BENCH_JSON set appends an entry to that
+// trajectory file (entry label via MIND_BENCH_LABEL; BENCH_microbench.json is the
+// committed one) so the perf trajectory of the O(1) access pipeline is recorded across
+// PRs. Schema documented in bench/README.md.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>

@@ -18,12 +18,17 @@ struct AccessRequest {
   SimTime now = 0;
 };
 
-// Compact per-op input for the batched blade-local fast path (channel replay): the
-// resolved VA and the access type; everything else is per-run.
+// Width of LocalOp::va. The allocators hand out VAs below 2^47, well inside it.
+inline constexpr int kLocalOpVaBits = 56;
+
+// Compact per-op input for the batched blade-local fast path (channel replay), packed
+// into 8 bytes (va:56 | type:8): the resolved VA and the access type; everything else is
+// per-run.
 struct LocalOp {
-  VirtAddr va = 0;
-  AccessType type = AccessType::kRead;
+  VirtAddr va : kLocalOpVaBits = 0;
+  AccessType type : 8 = AccessType::kRead;
 };
+static_assert(sizeof(LocalOp) == 8, "LocalOp must pack into 8 bytes");
 
 // The additive latency decomposition of Fig. 7 (right): PgFault covers trap entry and PTE
 // install; Network covers hops, switch pipeline passes, serialization, memory service and

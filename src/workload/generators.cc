@@ -8,17 +8,30 @@ namespace mind {
 
 namespace {
 
-// Stateful per-thread page-index generator for one segment.
+// The zipfian table for one segment, or null when its pattern is not zipfian. The table
+// depends only on the page count and theta, and building it costs one pow() per page
+// (ZipfianGenerator's Zeta), so each segment's table is built once per trace and shared
+// by every thread's IndexGen; ZipfianGenerator::Next is const.
+std::unique_ptr<const ZipfianGenerator> ZipfTable(Pattern pattern, uint64_t pages,
+                                                  double theta) {
+  if (pattern != Pattern::kZipfian) {
+    return nullptr;
+  }
+  return std::make_unique<const ZipfianGenerator>(std::max<uint64_t>(pages, 1), theta);
+}
+
+// Stateful per-thread page-index generator for one segment. `zipf` is the segment's
+// shared table (ZipfTable), non-null exactly when the pattern is kZipfian; it must
+// outlive the generator.
 class IndexGen {
  public:
-  IndexGen(Pattern pattern, uint64_t pages, double zipf_theta, uint64_t seed,
+  IndexGen(Pattern pattern, uint64_t pages, const ZipfianGenerator* zipf, uint64_t seed,
            uint64_t stride_pages = 4)
       : pattern_(pattern),
         pages_(std::max<uint64_t>(pages, 1)),
-        stride_(std::max<uint64_t>(stride_pages % pages_, 1)) {
-    if (pattern_ == Pattern::kZipfian) {
-      zipf_ = std::make_unique<ZipfianGenerator>(pages_, zipf_theta);
-    }
+        stride_(std::max<uint64_t>(stride_pages % pages_, 1)),
+        zipf_(zipf) {
+    assert((pattern_ == Pattern::kZipfian) == (zipf_ != nullptr));
     if (pattern_ == Pattern::kPointerChase) {
       // Sattolo's algorithm yields a uniformly random *cyclic* permutation, so following
       // next = perm[current] walks every page exactly once before returning to the
@@ -61,8 +74,8 @@ class IndexGen {
   uint64_t pages_;
   uint64_t stride_;
   uint64_t cursor_ = 0;
-  std::unique_ptr<ZipfianGenerator> zipf_;
-  std::vector<uint64_t> perm_;  // kPointerChase only.
+  const ZipfianGenerator* zipf_;  // Not owned; kZipfian only.
+  std::vector<uint64_t> perm_;    // kPointerChase only.
 };
 
 }  // namespace
@@ -91,19 +104,24 @@ WorkloadTraces GenerateTraces(const WorkloadSpec& spec) {
           ? std::max<uint64_t>(spec.shared_pages / static_cast<uint64_t>(spec.num_blades), 1)
           : 0;
 
+  const uint64_t shared_gen_pages = spec.partitioned ? partition_pages : spec.shared_pages;
+  const auto shared_zipf = ZipfTable(spec.shared_pattern, shared_gen_pages, spec.zipf_theta);
+  const auto private_zipf =
+      ZipfTable(spec.private_pattern, spec.private_pages_per_thread, spec.zipf_theta);
+  // Metadata pages are few and hot: zipfian regardless of the main pattern.
+  const auto metadata_zipf = ZipfTable(Pattern::kZipfian, spec.metadata_pages, 0.99);
+
   traces.threads.resize(static_cast<size_t>(threads));
   for (int t = 0; t < threads; ++t) {
     Rng rng(spec.seed * 1000003ull + static_cast<uint64_t>(t));
     const int blade = t % spec.num_blades;
 
-    IndexGen shared_gen(spec.shared_pattern,
-                        spec.partitioned ? partition_pages : spec.shared_pages,
-                        spec.zipf_theta, static_cast<uint64_t>(t) * 7919,
-                        spec.stride_pages);
-    IndexGen private_gen(spec.private_pattern, spec.private_pages_per_thread, spec.zipf_theta,
-                         static_cast<uint64_t>(t) * 104729, spec.stride_pages);
-    // Metadata pages are few and hot: zipfian regardless of the main pattern.
-    IndexGen metadata_gen(Pattern::kZipfian, spec.metadata_pages, 0.99,
+    IndexGen shared_gen(spec.shared_pattern, shared_gen_pages, shared_zipf.get(),
+                        static_cast<uint64_t>(t) * 7919, spec.stride_pages);
+    IndexGen private_gen(spec.private_pattern, spec.private_pages_per_thread,
+                         private_zipf.get(), static_cast<uint64_t>(t) * 104729,
+                         spec.stride_pages);
+    IndexGen metadata_gen(Pattern::kZipfian, spec.metadata_pages, metadata_zipf.get(),
                           static_cast<uint64_t>(t));
 
     auto& ops = traces.threads[static_cast<size_t>(t)].ops;

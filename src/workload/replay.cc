@@ -19,6 +19,16 @@ Status ReplayEngine::Setup() {
   if (blades < 1) {
     return Status(ErrorCode::kInvalidArgument, "traces need at least one compute blade");
   }
+  // TraceOp's packed fields address at most kMaxTraceSegments segments of
+  // kMaxSegmentPages pages each (src/workload/trace.h).
+  if (traces_->segments.size() > kMaxTraceSegments) {
+    return Status(ErrorCode::kInvalidArgument, "trace has more segments than TraceOp holds");
+  }
+  for (const SegmentSpec& seg : traces_->segments) {
+    if (seg.pages > kMaxSegmentPages) {
+      return Status(ErrorCode::kInvalidArgument, "segment has more pages than TraceOp holds");
+    }
+  }
   for (const ThreadTrace& thread : traces_->threads) {
     for (const TraceOp& op : thread.ops) {
       if (op.segment >= traces_->segments.size() ||
@@ -75,7 +85,9 @@ void ReplayEngine::MaterializeOps() {
     const auto& ops = traces_->threads[t].ops;
     thread_ops_[t].reserve(ops.size());
     for (const TraceOp& op : ops) {
-      thread_ops_[t].push_back(LocalOp{AddressOf(op.segment, op.page), op.type});
+      const VirtAddr va = AddressOf(op.segment, op.page);
+      assert(va >> kLocalOpVaBits == 0 && "resolved VA does not fit LocalOp::va");
+      thread_ops_[t].push_back(LocalOp{va, op.type});
     }
   }
 }

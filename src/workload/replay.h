@@ -137,8 +137,9 @@ class ReplayEngine {
   // exactly once before Run. Large segments are allocated in 64 MB chunks, matching how
   // real applications grow their heaps (and letting the balanced allocator spread a big
   // segment's bandwidth across memory blades instead of pinning it to one). Malformed
-  // traces — no compute blade, or an op outside its segment — are rejected with
-  // kInvalidArgument before anything is allocated.
+  // traces — no compute blade, more segments or a larger segment than TraceOp's packed
+  // fields address, or an op outside its segment — are rejected with kInvalidArgument
+  // before anything is allocated.
   Status Setup();
 
   // Replays the traces on the calling thread. A non-null sampler needs exact global-order
@@ -178,8 +179,9 @@ class ReplayEngine {
 
   // Materializes the VA-resolved op stream per thread on first use: the scan phase hands
   // contiguous slices of these arrays straight to AccessChannel::Submit instead of
-  // re-resolving addresses per op (costs ~16 bytes per trace op; skipped entirely on the
-  // per-op reference path, which resolves through AddressOf as it drains).
+  // re-resolving addresses per op (costs one 8-byte LocalOp per trace op, on top of the
+  // trace's own 8-byte TraceOp; skipped entirely on the per-op reference path, which
+  // resolves through AddressOf as it drains).
   void MaterializeOps();
 
   MemorySystem* system_;          // Not owned.

@@ -16,11 +16,22 @@
 
 namespace mind {
 
+// Field widths of a packed TraceOp. A trace may hold at most kMaxTraceSegments segments
+// of at most kMaxSegmentPages pages each; ReplayEngine::Setup rejects any trace beyond
+// those limits with kInvalidArgument before it allocates anything.
+inline constexpr int kTraceSegmentBits = 16;
+inline constexpr int kTracePageBits = 40;
+inline constexpr uint64_t kMaxTraceSegments = 1ull << kTraceSegmentBits;
+inline constexpr uint64_t kMaxSegmentPages = 1ull << kTracePageBits;
+
+// One access, packed into 8 bytes (segment:16 | page:40 | type:8): a full-size trace
+// holds tens of millions of them.
 struct TraceOp {
-  uint32_t segment = 0;   // Index into WorkloadTraces::segments.
-  uint64_t page = 0;      // Page offset within the segment.
-  AccessType type = AccessType::kRead;
+  uint32_t segment : kTraceSegmentBits = 0;  // Index into WorkloadTraces::segments.
+  uint64_t page : kTracePageBits = 0;        // Page offset within the segment.
+  AccessType type : 8 = AccessType::kRead;
 };
+static_assert(sizeof(TraceOp) == 8, "TraceOp must pack into 8 bytes");
 
 struct SegmentSpec {
   uint64_t pages = 0;

@@ -15,6 +15,7 @@
 #include "src/baselines/fastswap.h"
 #include "src/baselines/gam.h"
 #include "src/baselines/mind_system.h"
+#include "src/core/access.h"
 #include "src/workload/generators.h"
 #include "src/workload/replay.h"
 
@@ -240,6 +241,33 @@ TEST(Generators, MicroFootprintMatchesTotalPages) {
   EXPECT_NEAR(static_cast<double>(traces.FootprintPages()), 400'000.0, 4000.0);
 }
 
+// --- Packed op records --------------------------------------------------------------------
+
+TEST(PackedOps, TraceOpHoldsItsWidestFields) {
+  for (const AccessType type : {AccessType::kRead, AccessType::kWrite}) {
+    const TraceOp op{65535, (1ull << 40) - 1, type};
+    EXPECT_EQ(op.segment, 65535u);
+    EXPECT_EQ(op.page, (1ull << 40) - 1);
+    EXPECT_EQ(op.type, type);
+  }
+  const TraceOp zero{};
+  EXPECT_EQ(zero.segment, 0u);
+  EXPECT_EQ(zero.page, 0u);
+  EXPECT_EQ(zero.type, AccessType::kRead);
+}
+
+TEST(PackedOps, LocalOpHoldsItsWidestVa) {
+  const VirtAddr top = (1ull << 56) - kPageSize;
+  for (const AccessType type : {AccessType::kRead, AccessType::kWrite}) {
+    const LocalOp op{top, type};
+    EXPECT_EQ(op.va, top);
+    EXPECT_EQ(op.type, type);
+  }
+  const LocalOp zero{};
+  EXPECT_EQ(zero.va, 0u);
+  EXPECT_EQ(zero.type, AccessType::kRead);
+}
+
 // --- Replay engine ------------------------------------------------------------------------
 
 TEST(Replay, RunsToCompletionAndCounts) {
@@ -311,13 +339,20 @@ TEST(Replay, SetupRejectsMalformedTraces) {
   bad_segment.threads[1].ops.push_back({2, 0, AccessType::kRead});
   WorkloadTraces bad_page = valid;
   bad_page.threads[0].ops.push_back({0, 4, AccessType::kWrite});
+  // Beyond what TraceOp's packed fields address: a segment past 2^40 pages, and more
+  // than 2^16 segments. Neither needs an op that reaches the excess.
+  WorkloadTraces huge_segment = valid;
+  huge_segment.segments.push_back(SegmentSpec{(1ull << 40) + 1});
+  WorkloadTraces too_many_segments = valid;
+  too_many_segments.segments.resize((1ull << 16) + 1, SegmentSpec{1});
 
   MindSystem fresh(cfg);
   ReplayEngine reference(&fresh, &valid);
   ASSERT_TRUE(reference.Setup().ok());
 
   MindSystem sys(cfg);
-  for (const WorkloadTraces* bad : {&no_blades, &bad_segment, &bad_page}) {
+  for (const WorkloadTraces* bad :
+       {&no_blades, &bad_segment, &bad_page, &huge_segment, &too_many_segments}) {
     ReplayEngine engine(&sys, bad);
     EXPECT_EQ(engine.Setup().code(), ErrorCode::kInvalidArgument);
   }
