@@ -11,9 +11,11 @@ namespace mind {
 FastSwapSystem::FastSwapSystem(FastSwapConfig config)
     : config_(config),
       fabric_(1, config.num_memory_blades, config.latency, config.fabric),
-      fault_plane_(config.fault) {
+      fault_plane_(config.fault),
+      prefetch_(config_.prefetch, this, /*writable_installs=*/true) {
   cache_ = std::make_unique<DramCache>(config_.compute_cache_bytes >> kPageShift,
                                        /*store_data=*/false);
+  prefetch_.AddBlade(*cache_);
 }
 
 Result<VirtAddr> FastSwapSystem::Alloc(uint64_t size) {
@@ -47,7 +49,7 @@ MIND_SERIALIZED_PATH AccessResult FastSwapSystem::Access(ThreadId tid, ComputeBl
     }
     if (frame->prefetched) [[unlikely]] {  // First touch: the prefetch was useful.
       frame->prefetched = false;
-      prefetch_.OnPrefetchedTouch(page);
+      prefetch_.blade(0).OnPrefetchedTouch(page);
     }
     res.local_hit = true;
     res.latency = lat().local_cache_hit;
@@ -61,43 +63,30 @@ MIND_SERIALIZED_PATH AccessResult FastSwapSystem::Access(ThreadId tid, ComputeBl
   // Prefetch hooks live on the fault path only (the stream a swap prefetcher observes):
   // install arrived pages, join an in-flight fetch, or fall through to the real fault.
   if (config_.prefetch.enabled()) {
-    InstallReadyPrefetches(now);
+    prefetch_.InstallReady(0, now);
     if (DramCache::Frame* frame = cache_->Lookup(page); frame != nullptr) {
       return hit(frame);  // An arrived prefetch covers this fault.
     }
-    if (auto it = prefetch_.in_flight.find(page); it != prefetch_.in_flight.end()) {
-      // Demand fault joins the in-flight swap-in: resolves when the data lands (a late
-      // prefetch — shortened the stall without hiding it). Read-write install, so the
-      // demand completes either way.
-      const BladePrefetchState::InFlight entry = it->second;
-      prefetch_.in_flight.erase(it);
-      prefetch_.RecomputeNextReady();
-      entry.owner->OnLate();
-      ++counters_.remote_accesses;
-      // The thread still takes the page-fault trap, then blocks until the data lands.
-      const SimTime landed =
-          std::max(now + lat().page_fault_entry, entry.ready_at);
-      InstallPage(page, landed, /*prefetched=*/false, nullptr);
-      if (type == AccessType::kWrite) {
-        cache_->MarkDirty(page);
-      }
-      const SimTime done = landed + lat().pte_install;
-      res.latency = done - now;
-      res.completion = done;
-      res.breakdown.fault =
-          lat().page_fault_entry + lat().pte_install;
-      res.breakdown.network = res.latency - res.breakdown.fault;
-      counters_.breakdown_sums += res.breakdown;
-      if (trace_ != nullptr) [[unlikely]] {
-        TraceEvent ev;
-        ev.kind = TraceEventKind::kPrefetchUseful;
-        ev.clock = now;
-        ev.dur = done - now;
-        ev.tid = tid;
-        ev.a = page;
-        trace_->Emit(ev);
-      }
-      PrefetchAfterFault(tid, page, done);
+    // The fault joins the in-flight swap-in, reads and writes alike (installs are
+    // read-write): the thread still takes the page-fault trap, then blocks until the
+    // data lands (a late prefetch — shortened the stall without hiding it).
+    if (prefetch_.JoinInFlight(
+            PrefetchUnit::Fault{tid, 0, /*pdid=*/0, page}, now, /*joinable=*/true,
+            [&](SimTime ready_at) {
+              ++counters_.remote_accesses;
+              const SimTime landed = std::max(now + lat().page_fault_entry, ready_at);
+              InstallPage(page, landed);
+              if (type == AccessType::kWrite) {
+                cache_->MarkDirty(page);
+              }
+              const SimTime done = landed + lat().pte_install;
+              res.latency = done - now;
+              res.completion = done;
+              res.breakdown.fault = lat().page_fault_entry + lat().pte_install;
+              res.breakdown.network = res.latency - res.breakdown.fault;
+              counters_.breakdown_sums += res.breakdown;
+              return done;
+            })) {
       return res;
     }
   }
@@ -117,7 +106,7 @@ MIND_SERIALIZED_PATH AccessResult FastSwapSystem::Access(ThreadId tid, ComputeBl
                   MessageKind::kRdmaReadResponse, t, lat().memory_blade_service);
   t = rtt.complete + lat().pte_install;
 
-  InstallPage(page, t, /*prefetched=*/false, nullptr);
+  InstallPage(page, t);
   if (type == AccessType::kWrite) {
     cache_->MarkDirty(page);
   }
@@ -144,138 +133,41 @@ MIND_SERIALIZED_PATH AccessResult FastSwapSystem::Access(ThreadId tid, ComputeBl
     trace_->Emit(ev);
   }
   if (config_.prefetch.enabled()) {
-    PrefetchAfterFault(tid, page, t);
+    prefetch_.AfterFault({tid, 0, /*pdid=*/0, page}, t);
   }
   return res;
 }
 
-// ---------------------------------------------------------------------------
-// Swap-path prefetching (src/prefetch/prefetch.h): predictions issue after the demand
-// fault completes, pages arrive asynchronously and fill the swap cache read-write.
-// ---------------------------------------------------------------------------
-
-PrefetchEngine& FastSwapSystem::EnsurePrefetchEngine(ThreadId tid) {
-  return EnsureEngine(prefetch_engines_, tid, config_.prefetch);
-}
-
-void FastSwapSystem::InstallPage(uint64_t page, SimTime now, bool prefetched,
-                                 PrefetchEngine* owner) {
-  // Speculative swap-ins enter at the adaptive cold LRU depth (prefetch-aware eviction
-  // priority); demand swap-ins stay MRU.
-  auto evicted = prefetched
-                     ? cache_->InsertPrefetched(page, /*writable=*/true, nullptr,
-                                                /*pdid=*/0, prefetch_.cold_insert_depth())
-                     : cache_->Insert(page, /*writable=*/true, nullptr);
+void FastSwapSystem::InstallPage(uint64_t page, SimTime now) {
+  auto evicted = cache_->Insert(page, /*writable=*/true, nullptr);
   if (evicted.has_value()) {
-    if (config_.prefetch.enabled()) {
-      prefetch_.OnPageEvicted(evicted->page);  // Evicted-unused feedback.
-    }
+    prefetch_.OnDemandEviction(0, evicted->page);
     if (evicted->dirty) {
-      // Asynchronous write-back of the victim page.
-      ++counters_.pages_flushed;
-      (void)fabric_.Route(Endpoint::Compute(0),
-                          Endpoint::Memory(BackingBlade(evicted->page)),
-                          MessageKind::kRdmaWriteRequest, now);
-    }
-  }
-  if (prefetched) {
-    prefetch_.unused[page] = owner;
-  }
-}
-
-void FastSwapSystem::InstallReadyPrefetches(SimTime now) {
-  for (const auto& [page, entry] : prefetch_.TakeReady(now)) {
-    entry.owner->OnInstalled();  // FastSwap has no invalidations: nothing goes stale.
-    if (cache_->Find(page) != nullptr) {
-      continue;
-    }
-    InstallPage(page, entry.ready_at, /*prefetched=*/true, entry.owner);
-  }
-  if (!prefetch_.rearm_requests.empty()) {
-    // Re-arm requests from hit paths and channel/group commits: issue the next window at
-    // the blade's first serialized point (see the same hook in Rack).
-    for (size_t i = 0; i < prefetch_.rearm_requests.size(); ++i) {
-      const BladePrefetchState::Rearm rearm = prefetch_.rearm_requests[i];
-      IssuePrefetches(*rearm.engine, rearm.page, now);
-    }
-    prefetch_.rearm_requests.clear();
-  }
-}
-
-MIND_SERIALIZED_PATH void FastSwapSystem::AdvanceTo(SimTime now) {
-  if (!config_.prefetch.enabled()) {
-    return;
-  }
-  InstallReadyPrefetches(now);
-}
-
-void FastSwapSystem::PrefetchAfterFault(ThreadId tid, uint64_t page, SimTime done) {
-  PrefetchEngine& engine = EnsurePrefetchEngine(tid);
-  engine.RecordFault(page);
-  IssuePrefetches(engine, page, done);
-}
-
-void FastSwapSystem::IssuePrefetches(PrefetchEngine& engine, uint64_t page, SimTime done) {
-  prefetch_scratch_.clear();
-  engine.Predict(page, &prefetch_scratch_);
-  // Occupancy feedback: skip (and shrink) the window when the trigger page's backing
-  // blade port is already saturated with demand traffic.
-  if (config_.prefetch.fabric_pressure_threshold < 1.0 &&
-      fabric_.Utilization(Endpoint::Memory(BackingBlade(page))) >
-          config_.prefetch.fabric_pressure_threshold) {
-    engine.OnFabricPressure();
-    return;
-  }
-  uint64_t last_issued = page;
-  bool issued_any = false;
-  uint64_t issued_count = 0;
-  for (const uint64_t p : prefetch_scratch_) {
-    if (!engine.HasInFlightRoom()) {
-      break;  // Bounded in-flight queue.
-    }
-    const VirtAddr va = PageToAddr(p);
-    if (va < first_va_ || va >= next_va_) {
-      continue;  // Never swap in past the allocated address space.
-    }
-    if (cache_->Find(p) != nullptr ||
-        prefetch_.in_flight.find(p) != prefetch_.in_flight.end()) {
-      continue;
-    }
-    // Frontswap read-ahead: the demand fetch's exact hops, issued after it and queueing
-    // behind it on the single blade's NIC.
-    const MemoryBladeId m = BackingBlade(p);
-    const auto pf_rtt = fabric_.Rtt(Endpoint::Compute(0), Endpoint::Memory(m),
-                                    MessageKind::kRdmaReadRequest,
-                                    MessageKind::kRdmaReadResponse, done,
-                                    lat().memory_blade_service);
-    const SimTime ready = pf_rtt.complete + lat().pte_install;
-    engine.OnIssued();
-    prefetch_.in_flight[p] =
-        BladePrefetchState::InFlight{ready, 0, &engine, /*pdid=*/0};
-    prefetch_.NoteIssued(ready);
-    last_issued = p;
-    issued_any = true;
-    ++issued_count;
-  }
-  if (issued_any) {
-    engine.NoteIssuedWindow(page, last_issued);
-    if (trace_ != nullptr) [[unlikely]] {
-      TraceEvent ev;
-      ev.kind = TraceEventKind::kPrefetchIssue;
-      ev.clock = done;
-      ev.a = page;
-      ev.b = issued_count;
-      trace_->Emit(ev);
+      WriteBackVictim(0, *evicted, now);
     }
   }
 }
 
-PrefetchStats FastSwapSystem::prefetch_stats() {
-  prefetch_.ResolveEvictedUnused([&](uint64_t page) {
-    const DramCache::Frame* f = cache_->Peek(page);
-    return f != nullptr && f->prefetched;
-  });
-  return MergeEngineStats(prefetch_engines_);
+void FastSwapSystem::WriteBackVictim(ComputeBladeId /*blade*/,
+                                     const DramCache::Eviction& victim, SimTime now) {
+  ++counters_.pages_flushed;
+  (void)fabric_.Route(Endpoint::Compute(0), Endpoint::Memory(BackingBlade(victim.page)),
+                      MessageKind::kRdmaWriteRequest, now);
+}
+
+// Frontswap read-ahead for the shared prefetch pipeline (see FastSwapConfig::prefetch).
+std::optional<SimTime> FastSwapSystem::AdmitPrefetch(ComputeBladeId /*blade*/,
+                                                     ProtDomainId /*pdid*/, uint64_t page,
+                                                     SimTime start) {
+  const VirtAddr va = PageToAddr(page);
+  if (va < first_va_ || va >= next_va_) {
+    return std::nullopt;  // Never swap in past the allocated address space.
+  }
+  const auto rtt =
+      fabric_.Rtt(Endpoint::Compute(0), Endpoint::Memory(BackingBlade(page)),
+                  MessageKind::kRdmaReadRequest, MessageKind::kRdmaReadResponse, start,
+                  lat().memory_blade_service);
+  return rtt.complete + lat().pte_install;
 }
 
 // ---------------------------------------------------------------------------
@@ -354,6 +246,7 @@ class FastSwapSystem::Group final : public ChannelGroup {
   MIND_PARALLEL_PHASE uint64_t CommitMerged(GroupLane* lanes, size_t n, SimTime horizon,
                                             SimTime think, Histogram& hist) override {
     DramCache& cache = *sys_->cache_;
+    BladePrefetchState& bp = sys_->prefetch_.blade(0);
     return GroupMergeCommit(
         lanes, n, horizon, think, hist,
         [](GroupLane& ln, size_t idx) {
@@ -361,7 +254,7 @@ class FastSwapSystem::Group final : public ChannelGroup {
         },
         [&](GroupLane& ln, size_t idx) {
           ApplyCommitToken(cache, ln.comps[idx],
-                           [&](uint64_t page) { sys_->prefetch_.OnPrefetchedTouch(page); });
+                           [&](uint64_t page) { bp.OnPrefetchedTouch(page); });
         });
   }
 

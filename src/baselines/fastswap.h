@@ -5,6 +5,9 @@
 // *no* coherence machinery — and therefore no cross-blade sharing: a process is confined to
 // one compute blade (the non-transparent end of the paper's design space, §2.2). Intra-blade
 // it scales almost linearly, like MIND (Fig. 5 left).
+// Prefetching runs the pipeline all three systems share (src/prefetch/prefetch_unit.h);
+// FastSwap supplies the swap-in RTT, its served-join charge and its victim write-back,
+// and installs read-write.
 #ifndef MIND_SRC_BASELINES_FASTSWAP_H_
 #define MIND_SRC_BASELINES_FASTSWAP_H_
 
@@ -18,7 +21,7 @@
 #include "src/common/types.h"
 #include "src/fault/fault_plane.h"
 #include "src/net/fabric.h"
-#include "src/prefetch/prefetch.h"
+#include "src/prefetch/prefetch_unit.h"
 #include "src/sim/latency_model.h"
 
 namespace mind {
@@ -30,9 +33,10 @@ struct FastSwapConfig {
   LatencyModel latency;
   // Fabric queueing discipline (src/net/queue_model.h); default kFifo = historical timing.
   FabricConfig fabric;
-  // Swap-path prefetching (the canonical beneficiary — Leap runs exactly here): engines
-  // watch the fault stream and fill the swap cache ahead of it, read-write like every
-  // swapped-in page. Default off (src/prefetch/prefetch.h).
+  // Swap-path prefetching (the canonical beneficiary — Leap runs exactly here): the
+  // shared pipeline (src/prefetch/prefetch_unit.h) fills the swap cache ahead of the
+  // fault stream, each candidate timed as one swap-in RTT and installed read-write like
+  // every swapped-in page. Default off.
   PrefetchConfig prefetch;
   // Fault injection on the swap RTT (loss model only). The kernel retries a lost RDMA
   // read, so an exhausted retransmission budget just pays the summed timeouts before the
@@ -40,7 +44,7 @@ struct FastSwapConfig {
   FaultPlaneConfig fault;
 };
 
-class FastSwapSystem final : public MemorySystem {
+class FastSwapSystem final : public MemorySystem, private PrefetchUnit::Host {
  public:
   explicit FastSwapSystem(FastSwapConfig config);
 
@@ -69,7 +73,7 @@ class FastSwapSystem final : public MemorySystem {
     config_.prefetch.policy = policy;
     return true;
   }
-  PrefetchStats prefetch_stats() override;
+  PrefetchStats prefetch_stats() override { return prefetch_.Stats(); }
 
   [[nodiscard]] FaultCounters fault_counters() const override {
     return fault_plane_.counters();
@@ -84,13 +88,14 @@ class FastSwapSystem final : public MemorySystem {
   // Drains pending prefetch installs and re-armed windows (the re-arm gap fix; see
   // MemorySystem::AdvanceTo). Called once after the final op in every replay mode, so it
   // is mode-invariant.
-  MIND_SERIALIZED_PATH void AdvanceTo(SimTime now) override;
+  MIND_SERIALIZED_PATH void AdvanceTo(SimTime now) override { prefetch_.AdvanceTo(now); }
 
   // Semantic-event tracing (src/obs/): every FastSwap emission site is on the
   // serialized miss path; a null sink costs one pointer compare per miss.
   bool SetTraceSink(TraceSink* sink) override {
     trace_ = sink;
     fault_plane_.SetTraceSink(sink);
+    prefetch_.SetTraceSink(sink);
     return true;
   }
 
@@ -104,14 +109,20 @@ class FastSwapSystem final : public MemorySystem {
   // The single LatencyModel instance lives in the fabric; this is the constant view.
   [[nodiscard]] const LatencyModel& lat() const { return fabric_.latency(); }
 
-  // --- Prefetch internals (all driven from the serialized Access path) ---
-  PrefetchEngine& EnsurePrefetchEngine(ThreadId tid);
-  // Swap-in of one page at `now`: insert read-write, flush the dirty victim if any.
-  void InstallPage(uint64_t page, SimTime now, bool prefetched, PrefetchEngine* owner);
-  void InstallReadyPrefetches(SimTime now);
-  void PrefetchAfterFault(ThreadId tid, uint64_t page, SimTime done);
-  // The issue half of PrefetchAfterFault, also driven by re-arm requests.
-  void IssuePrefetches(PrefetchEngine& engine, uint64_t page, SimTime done);
+  // Demand swap-in of one page at `now`: insert read-write, then evicted-unused feedback
+  // and the dirty victim's write-back.
+  void InstallPage(uint64_t page, SimTime now);
+
+  // PrefetchUnit::Host. A candidate inside the allocated space is swapped in along the
+  // demand fault's exact hops, queueing behind it on the single blade's NIC.
+  std::optional<SimTime> AdmitPrefetch(ComputeBladeId blade, ProtDomainId pdid,
+                                       uint64_t page, SimTime start) override;
+  [[nodiscard]] double PrefetchPortUtilization(uint64_t page) const override {
+    return fabric_.Utilization(Endpoint::Memory(BackingBlade(page)));
+  }
+  // Asynchronous write-back of the victim page.
+  void WriteBackVictim(ComputeBladeId blade, const DramCache::Eviction& victim,
+                       SimTime now) override;
 
   FastSwapConfig config_;
   Fabric fabric_;
@@ -122,9 +133,7 @@ class FastSwapSystem final : public MemorySystem {
   VirtAddr next_va_ = 0x0000'7000'0000'0000ull;
   const VirtAddr first_va_ = next_va_;  // Prefetch candidates stay inside [first, next).
   ThreadId next_tid_ = 1;
-  std::unordered_map<ThreadId, std::unique_ptr<PrefetchEngine>> prefetch_engines_;
-  BladePrefetchState prefetch_;  // Single compute blade.
-  std::vector<uint64_t> prefetch_scratch_;
+  PrefetchUnit prefetch_;  // Single compute blade.
 };
 
 }  // namespace mind

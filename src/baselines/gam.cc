@@ -12,11 +12,13 @@ GamSystem::GamSystem(GamConfig config)
     : config_(config),
       fabric_(config.num_compute_blades, config.num_memory_blades, config.latency,
               config.fabric),
-      fault_plane_(config.fault) {
+      fault_plane_(config.fault),
+      prefetch_(config_.prefetch, this, /*writable_installs=*/false) {
   blades_.resize(static_cast<size_t>(config_.num_compute_blades));
   for (auto& b : blades_) {
     b.cache = std::make_unique<DramCache>(config_.compute_cache_bytes >> kPageShift,
                                           /*store_data=*/false);
+    prefetch_.AddBlade(*b.cache);
   }
 }
 
@@ -51,6 +53,23 @@ SimTime GamSystem::FlushToMemory(uint64_t page, ComputeBladeId from, SimTime t) 
   auto hop = fabric_.Route(Endpoint::Compute(from), Endpoint::Memory(BackingBlade(page)),
                            MessageKind::kRdmaWriteRequest, t);
   return hop.arrival + lat().memory_blade_service;
+}
+
+void GamSystem::InsertPage(ComputeBladeId blade, uint64_t page, bool writable,
+                           SimTime now) {
+  auto evicted = blades_[blade].cache->Insert(page, writable, nullptr);
+  if (evicted.has_value()) {
+    prefetch_.OnDemandEviction(blade, evicted->page);
+    if (evicted->dirty) {
+      WriteBackVictim(blade, *evicted, now);
+    }
+  }
+}
+
+void GamSystem::WriteBackVictim(ComputeBladeId blade, const DramCache::Eviction& victim,
+                                SimTime now) {
+  (void)FlushToMemory(victim.page, blade, now);
+  ++counters_.pages_flushed;
 }
 
 SimTime GamSystem::PsoReadBarrier(ThreadId tid, uint64_t page, SimTime now) {
@@ -101,74 +120,36 @@ MIND_SERIALIZED_PATH AccessResult GamSystem::Access(ThreadId tid, ComputeBladeId
   if (!hit && config_.prefetch.enabled()) {
     // Prefetch hooks live on the miss path only: install arrived pages, retry the hit,
     // then try joining an in-flight fetch before paying the full remote path.
-    InstallReadyPrefetches(blade, now);
+    prefetch_.InstallReady(blade, now);
     frame = local.cache->Lookup(page);
     hit = is_hit();
     if (!hit) {
-      if (auto it = local.prefetch.in_flight.find(page);
-          it != local.prefetch.in_flight.end()) {
-        const BladePrefetchState::InFlight entry = it->second;
-        local.prefetch.in_flight.erase(it);
-        local.prefetch.RecomputeNextReady();
-        const bool stale =
-            local.cache->region_inval_version(DramCache::RegionOf(page)) !=
-            entry.inval_stamp;
-        if (!stale && type == AccessType::kRead && frame == nullptr) {
-          // Demand read joins the in-flight fetch: the library blocks until the data
-          // lands (a late prefetch — shortened the stall without hiding it).
-          entry.owner->OnLate();
-          ++counters_.remote_accesses;
-          const SimTime landed = std::max(t, entry.ready_at);
-          auto evicted = local.cache->Insert(page, /*writable=*/false, nullptr);
-          if (evicted.has_value()) {
-            local.prefetch.OnPageEvicted(evicted->page);
-            if (evicted->dirty) {
-              (void)FlushToMemory(evicted->page, blade, landed);
-              ++counters_.pages_flushed;
-            }
-          }
-          const SimTime done = landed + lat().gam_local_access;
-          res.latency = done - req_now;
-          res.completion = done;
-          res.breakdown.fault = lat().gam_local_access;
-          res.breakdown.network = done - req_now > res.breakdown.fault
-                                      ? done - req_now - res.breakdown.fault
-                                      : 0;
-          counters_.breakdown_sums += res.breakdown;
-          if (trace_ != nullptr) [[unlikely]] {
-            TraceEvent ev;
-            ev.kind = TraceEventKind::kPrefetchUseful;
-            ev.clock = now;
-            ev.dur = done - now;
-            ev.tid = tid;
-            ev.blade = blade;
-            ev.a = page;
-            trace_->Emit(ev);
-          }
-          PrefetchAfterFault(tid, blade, page, done);
-          return res;
-        }
-        // Stale copy, or a write that needs M anyway: drop the speculation and miss.
-        if (stale) {
-          entry.owner->OnDiscardedStale();
-          if (trace_ != nullptr) [[unlikely]] {
-            TraceEvent ev;
-            ev.kind = TraceEventKind::kPrefetchDiscard;
-            ev.clock = now;
-            ev.tid = tid;
-            ev.blade = blade;
-            ev.a = page;
-            ev.b = 1;  // Stale at join.
-            trace_->Emit(ev);
-          }
-        } else {
-          entry.owner->OnLate();
-        }
+      // A demand read joins the in-flight fetch (a write needs M anyway): the library
+      // blocks until the data lands (a late prefetch — shortened the stall without
+      // hiding it).
+      const PrefetchUnit::Fault fault{tid, blade, /*pdid=*/0, page};
+      if (prefetch_.JoinInFlight(
+              fault, now, type == AccessType::kRead && frame == nullptr,
+              [&](SimTime ready_at) {
+                ++counters_.remote_accesses;
+                const SimTime landed = std::max(t, ready_at);
+                InsertPage(blade, page, /*writable=*/false, landed);
+                const SimTime done = landed + lat().gam_local_access;
+                res.latency = done - req_now;
+                res.completion = done;
+                res.breakdown.fault = lat().gam_local_access;
+                res.breakdown.network = done - req_now > res.breakdown.fault
+                                            ? done - req_now - res.breakdown.fault
+                                            : 0;
+                counters_.breakdown_sums += res.breakdown;
+                return done;
+              })) {
+        return res;
       }
       if (frame != nullptr && frame->prefetched) {
         // Write upgrade on a prefetched read-only page: its first real use.
         frame->prefetched = false;
-        local.prefetch.OnPrefetchedTouch(page);
+        prefetch_.blade(blade).OnPrefetchedTouch(page);
       }
     }
   }
@@ -179,7 +160,7 @@ MIND_SERIALIZED_PATH AccessResult GamSystem::Access(ThreadId tid, ComputeBladeId
     }
     if (frame->prefetched) [[unlikely]] {  // First touch: the prefetch was useful.
       frame->prefetched = false;
-      local.prefetch.OnPrefetchedTouch(page);
+      prefetch_.blade(blade).OnPrefetchedTouch(page);
     }
     res.local_hit = true;
     res.latency = t - req_now;  // Includes any PSO read-barrier stall.
@@ -297,16 +278,7 @@ MIND_SERIALIZED_PATH AccessResult GamSystem::Access(ThreadId tid, ComputeBladeId
 
   // Install locally; evict write-backs as needed.
   if (need_data) {
-    auto evicted = local.cache->Insert(page, type == AccessType::kWrite, nullptr);
-    if (evicted.has_value()) {
-      if (config_.prefetch.enabled()) {
-        local.prefetch.OnPageEvicted(evicted->page);  // Evicted-unused feedback.
-      }
-      if (evicted->dirty) {
-        (void)FlushToMemory(evicted->page, blade, done);
-        ++counters_.pages_flushed;
-      }
-    }
+    InsertPage(blade, page, type == AccessType::kWrite, done);
   } else if (type == AccessType::kWrite) {
     local.cache->MakeWritable(page);
   }
@@ -340,7 +312,7 @@ MIND_SERIALIZED_PATH AccessResult GamSystem::Access(ThreadId tid, ComputeBladeId
     res.latency = done - req_now;
   }
   if (config_.prefetch.enabled()) {
-    PrefetchAfterFault(tid, blade, page, done);
+    prefetch_.AfterFault({tid, blade, /*pdid=*/0, page}, done);
   }
   return res;
 }
@@ -371,167 +343,37 @@ SimTime GamSystem::ResetPage(uint64_t page, ComputeBladeId home, SimTime t) {
   return done;
 }
 
-MIND_SERIALIZED_PATH void GamSystem::AdvanceTo(SimTime now) {
-  if (!config_.prefetch.enabled()) {
-    return;
+// GAM's admission for the shared prefetch pipeline (see GamConfig::prefetch).
+std::optional<SimTime> GamSystem::AdmitPrefetch(ComputeBladeId blade, ProtDomainId /*pdid*/,
+                                                uint64_t page, SimTime start) {
+  const VirtAddr va = PageToAddr(page);
+  if (va < first_va_ || va >= next_va_) {
+    return std::nullopt;  // Never speculate past the allocated address space.
   }
-  // Re-arm gap fix: pending re-armed windows issue here even when the blade never takes
-  // another serialized access (see the same hook in Rack::AdvanceTo).
-  for (int b = 0; b < config_.num_compute_blades; ++b) {
-    InstallReadyPrefetches(static_cast<ComputeBladeId>(b), now);
+  const auto grant = blades_[blade].lock.Acquire(start, config_.lock_service);
+  SimTime t = grant.finish;
+  const ComputeBladeId home = HomeOf(page);
+  if (home != blade) {
+    t = BladeToBlade(blade, home, MessageKind::kRdmaReadRequest, t);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Software prefetching in the GAM library (src/prefetch/prefetch.h): predictions issue
-// behind the per-blade FIFO library lock and register as sharers at the home directory.
-// ---------------------------------------------------------------------------
-
-PrefetchEngine& GamSystem::EnsurePrefetchEngine(ThreadId tid) {
-  return EnsureEngine(prefetch_engines_, tid, config_.prefetch);
-}
-
-void GamSystem::InstallReadyPrefetches(ComputeBladeId blade, SimTime now) {
-  BladeState& local = blades_[blade];
-  BladePrefetchState& bp = local.prefetch;
-  for (const auto& [page, entry] : bp.TakeReady(now)) {
-    if (local.cache->region_inval_version(DramCache::RegionOf(page)) !=
-        entry.inval_stamp) {
-      // An invalidation reached the blade before the data: the copy is stale.
-      entry.owner->OnDiscardedStale();
-      if (trace_ != nullptr) [[unlikely]] {
-        TraceEvent ev;
-        ev.kind = TraceEventKind::kPrefetchDiscard;
-        ev.clock = now;
-        ev.blade = blade;
-        ev.a = page;
-        ev.b = 0;  // Stale at install.
-        trace_->Emit(ev);
-      }
-      continue;
-    }
-    entry.owner->OnInstalled();
-    if (local.cache->Find(page) != nullptr) {
-      continue;  // A demand fault re-fetched it meanwhile.
-    }
-    // Speculative install at the blade's adaptive cold LRU depth (prefetch-aware
-    // eviction priority): a mispredicting burst evicts its own guesses first.
-    auto evicted = local.cache->InsertPrefetched(page, /*writable=*/false, nullptr,
-                                                 /*pdid=*/0, bp.cold_insert_depth());
-    if (evicted.has_value()) {
-      bp.OnPageEvicted(evicted->page);
-      if (evicted->dirty) {
-        (void)FlushToMemory(evicted->page, blade, entry.ready_at);
-        ++counters_.pages_flushed;
-      }
-    }
-    bp.unused[page] = entry.owner;
+  BladeState& home_state = blades_[home];
+  t = home_state.handler.Acquire(t, lat().gam_software_handler).finish;
+  DirEntry& dir = home_state.directory[page];
+  if (dir.state == MsiState::kModified && dir.owner != blade) {
+    return std::nullopt;  // Fetching would force an owner flush: no invalidations.
   }
-  if (!bp.rearm_requests.empty()) {
-    // Re-arm requests from hit paths and channel/group commits: issue the next window at
-    // the blade's first serialized point (see the same hook in Rack).
-    for (size_t i = 0; i < bp.rearm_requests.size(); ++i) {
-      const BladePrefetchState::Rearm rearm = bp.rearm_requests[i];
-      IssuePrefetches(*rearm.engine, blade, rearm.page, now);
-    }
-    bp.rearm_requests.clear();
+  if (dir.busy_until > t) {
+    return std::nullopt;  // Transition in flight: never wait speculatively.
   }
-}
-
-void GamSystem::PrefetchAfterFault(ThreadId tid, ComputeBladeId blade, uint64_t page,
-                                   SimTime done) {
-  PrefetchEngine& engine = EnsurePrefetchEngine(tid);
-  engine.RecordFault(page);
-  IssuePrefetches(engine, blade, page, done);
-}
-
-void GamSystem::IssuePrefetches(PrefetchEngine& engine, ComputeBladeId blade,
-                                uint64_t page, SimTime done) {
-  prefetch_scratch_.clear();
-  engine.Predict(page, &prefetch_scratch_);
-  // Occupancy feedback: skip (and shrink) the window when the trigger page's backing
-  // blade port is already saturated with demand traffic.
-  if (config_.prefetch.fabric_pressure_threshold < 1.0 &&
-      fabric_.Utilization(Endpoint::Memory(BackingBlade(page))) >
-          config_.prefetch.fabric_pressure_threshold) {
-    engine.OnFabricPressure();
-    return;
+  // Register as a reader: the page installs Shared, so a later writer's invalidation
+  // reaches this blade (and an in-flight fetch goes stale through the region stamp).
+  if (dir.state == MsiState::kInvalid) {
+    dir.state = MsiState::kShared;
   }
-  BladeState& local = blades_[blade];
-  uint64_t last_issued = page;
-  bool issued_any = false;
-  uint64_t issued_count = 0;
-  for (const uint64_t p : prefetch_scratch_) {
-    if (!engine.HasInFlightRoom()) {
-      break;  // Bounded in-flight queue.
-    }
-    const VirtAddr va = PageToAddr(p);
-    if (va < first_va_ || va >= next_va_) {
-      continue;  // Never speculate past the allocated address space.
-    }
-    if (local.cache->Find(p) != nullptr ||
-        local.prefetch.in_flight.find(p) != local.prefetch.in_flight.end()) {
-      continue;
-    }
-    // The library issues the speculative read behind the blade's FIFO lock: speculation
-    // pays the same serialized entry every demand access does.
-    const auto grant = local.lock.Acquire(done, config_.lock_service);
-    SimTime t = grant.finish;
-    const ComputeBladeId home = HomeOf(p);
-    if (home != blade) {
-      t = BladeToBlade(blade, home, MessageKind::kRdmaReadRequest, t);
-    }
-    BladeState& home_state = blades_[home];
-    const auto handler_grant =
-        home_state.handler.Acquire(t, lat().gam_software_handler);
-    t = handler_grant.finish;
-    DirEntry& dir = home_state.directory[p];
-    if (dir.state == MsiState::kModified && dir.owner != blade) {
-      continue;  // Fetching would force an owner flush: no invalidations for guesses.
-    }
-    if (dir.busy_until > t) {
-      continue;  // Transition in flight: never wait speculatively.
-    }
-    // Register as a reader: the page installs Shared, so a later writer's invalidation
-    // reaches this blade (and an in-flight fetch goes stale through the region stamp).
-    if (dir.state == MsiState::kInvalid) {
-      dir.state = MsiState::kShared;
-    }
-    if (dir.state == MsiState::kShared) {
-      dir.sharers |= BladeBit(blade);
-    }
-    const SimTime ready = FetchFromMemory(p, blade, t);
-    engine.OnIssued();
-    local.prefetch.in_flight[p] = BladePrefetchState::InFlight{
-        ready, local.cache->region_inval_version(DramCache::RegionOf(p)), &engine,
-        /*pdid=*/0};
-    local.prefetch.NoteIssued(ready);
-    last_issued = p;
-    issued_any = true;
-    ++issued_count;
+  if (dir.state == MsiState::kShared) {
+    dir.sharers |= BladeBit(blade);
   }
-  if (issued_any) {
-    engine.NoteIssuedWindow(page, last_issued);
-    if (trace_ != nullptr) [[unlikely]] {
-      TraceEvent ev;
-      ev.kind = TraceEventKind::kPrefetchIssue;
-      ev.clock = done;
-      ev.blade = blade;
-      ev.a = page;
-      ev.b = issued_count;
-      trace_->Emit(ev);
-    }
-  }
-}
-
-PrefetchStats GamSystem::prefetch_stats() {
-  for (auto& b : blades_) {
-    b.prefetch.ResolveEvictedUnused([&](uint64_t page) {
-      const DramCache::Frame* f = b.cache->Peek(page);
-      return f != nullptr && f->prefetched;
-    });
-  }
-  return MergeEngineStats(prefetch_engines_);
+  return FetchFromMemory(page, blade, t);
 }
 
 // ---------------------------------------------------------------------------
@@ -630,6 +472,7 @@ class GamSystem::Group final : public ChannelGroup {
   MIND_PARALLEL_PHASE uint64_t CommitMerged(GroupLane* lanes, size_t n, SimTime horizon,
                                             SimTime think, Histogram& hist) override {
     BladeState& blade = sys_->blades_[blade_];
+    BladePrefetchState& bp = sys_->prefetch_.blade(blade_);
     const SimTime service = sys_->config_.lock_service;
     const SimTime local_work = sys_->lat().gam_local_access;
     SimTime busy = blade.lock.busy_until();
@@ -669,7 +512,7 @@ class GamSystem::Group final : public ChannelGroup {
         },
         [&](GroupLane& ln, size_t idx) {
           ApplyCommitToken(*blade.cache, ln.comps[idx],
-                           [&](uint64_t page) { blade.prefetch.OnPrefetchedTouch(page); });
+                           [&](uint64_t page) { bp.OnPrefetchedTouch(page); });
         });
     blade.lock.AcquireBatch(jobs, static_cast<SimTime>(jobs) * service, total_wait, busy);
     return total;

@@ -12,6 +12,9 @@
 //   3. PSO lets writes propagate asynchronously, and page-granularity directory entries in
 //      blade DRAM mean no capacity pressure and no false invalidations — which is why GAM
 //      overtakes MIND-TSO under heavy read-write sharing (Fig. 5 center, M_A/M_C).
+// Prefetching runs the pipeline all three systems share (src/prefetch/prefetch_unit.h);
+// GAM supplies its admission (library lock, home handler, sharer registration), its
+// served-join charge and its victim flush, and installs read-only.
 #ifndef MIND_SRC_BASELINES_GAM_H_
 #define MIND_SRC_BASELINES_GAM_H_
 
@@ -26,7 +29,7 @@
 #include "src/common/types.h"
 #include "src/fault/fault_plane.h"
 #include "src/net/fabric.h"
-#include "src/prefetch/prefetch.h"
+#include "src/prefetch/prefetch_unit.h"
 #include "src/sim/latency_model.h"
 #include "src/sim/resource.h"
 
@@ -41,9 +44,11 @@ struct GamConfig {
   // Fabric queueing discipline (src/net/queue_model.h); default kFifo = historical timing.
   FabricConfig fabric;
   SimTime lock_service = 150;       // Serialized slice of the per-access library work.
-  // Software prefetching in the user-level library: predictions issue behind the blade's
-  // FIFO library lock (speculation pays the same serialized entry every access does) and
-  // register as sharers at the home directory. Default off (src/prefetch/prefetch.h).
+  // Software prefetching in the user-level library: the shared pipeline
+  // (src/prefetch/prefetch_unit.h) with GAM's admission — each candidate takes the
+  // blade's FIFO library lock (speculation pays the same serialized entry every access
+  // does) and the home handler, and registers as a sharer. Installs are read-only.
+  // Default off.
   PrefetchConfig prefetch;
   // §4.4-style fault injection on the home-node request path (loss model only; stall
   // windows and scheduled drains are MIND control-plane machinery). An exhausted retry
@@ -52,7 +57,7 @@ struct GamConfig {
   FaultPlaneConfig fault;
 };
 
-class GamSystem final : public MemorySystem {
+class GamSystem final : public MemorySystem, private PrefetchUnit::Host {
  public:
   explicit GamSystem(GamConfig config);
 
@@ -86,7 +91,7 @@ class GamSystem final : public MemorySystem {
     config_.prefetch.policy = policy;
     return true;
   }
-  PrefetchStats prefetch_stats() override;
+  PrefetchStats prefetch_stats() override { return prefetch_.Stats(); }
 
   [[nodiscard]] FaultCounters fault_counters() const override {
     return fault_plane_.counters();
@@ -101,13 +106,14 @@ class GamSystem final : public MemorySystem {
   // Drains pending prefetch installs and re-armed windows for every blade (the re-arm gap
   // fix; see MemorySystem::AdvanceTo). Called once after the final op in every replay
   // mode, so it is mode-invariant.
-  MIND_SERIALIZED_PATH void AdvanceTo(SimTime now) override;
+  MIND_SERIALIZED_PATH void AdvanceTo(SimTime now) override { prefetch_.AdvanceTo(now); }
 
   // Semantic-event tracing (src/obs/): every GAM emission site is on the
   // serialized Access path; a null sink costs one pointer compare per miss.
   bool SetTraceSink(TraceSink* sink) override {
     trace_ = sink;
     fault_plane_.SetTraceSink(sink);
+    prefetch_.SetTraceSink(sink);
     return true;
   }
 
@@ -127,7 +133,6 @@ class GamSystem final : public MemorySystem {
     FifoResource lock;     // User-level library lock (every access).
     FifoResource handler;  // Home-node request handler (software, one CPU path).
     std::unordered_map<uint64_t, DirEntry> directory;  // Pages homed at this blade.
-    BladePrefetchState prefetch;  // In-flight/unused prefetch tables for this blade.
   };
 
   [[nodiscard]] ComputeBladeId HomeOf(uint64_t page) const {
@@ -147,6 +152,9 @@ class GamSystem final : public MemorySystem {
   SimTime FetchFromMemory(uint64_t page, ComputeBladeId to, SimTime t);
   // Page flush from `from` to the backing memory blade.
   SimTime FlushToMemory(uint64_t page, ComputeBladeId from, SimTime t);
+  // Demand install at `blade`: insert, then evicted-unused feedback and the dirty
+  // victim's flush at `now`.
+  void InsertPage(ComputeBladeId blade, uint64_t page, bool writable, SimTime now);
 
   // PSO pending-store bookkeeping (same semantics as Rack's).
   struct PendingWrite {
@@ -167,13 +175,16 @@ class GamSystem final : public MemorySystem {
   // dirty ones to the backing memory blade. Returns the last flush's landing time.
   SimTime ResetPage(uint64_t page, ComputeBladeId home, SimTime t);
 
-  // --- Prefetch internals (all driven from the serialized Access path) ---
-  PrefetchEngine& EnsurePrefetchEngine(ThreadId tid);
-  void InstallReadyPrefetches(ComputeBladeId blade, SimTime now);
-  void PrefetchAfterFault(ThreadId tid, ComputeBladeId blade, uint64_t page, SimTime done);
-  // The issue half of PrefetchAfterFault, also driven by re-arm requests.
-  void IssuePrefetches(PrefetchEngine& engine, ComputeBladeId blade, uint64_t page,
-                       SimTime done);
+  // PrefetchUnit::Host. A candidate inside the allocated space is admitted behind the
+  // blade's library lock and the home handler unless another blade owns it or its entry
+  // is mid-transition; it then registers as a sharer and is fetched from memory.
+  std::optional<SimTime> AdmitPrefetch(ComputeBladeId blade, ProtDomainId pdid,
+                                       uint64_t page, SimTime start) override;
+  [[nodiscard]] double PrefetchPortUtilization(uint64_t page) const override {
+    return fabric_.Utilization(Endpoint::Memory(BackingBlade(page)));
+  }
+  void WriteBackVictim(ComputeBladeId blade, const DramCache::Eviction& victim,
+                       SimTime now) override;
 
   GamConfig config_;
   Fabric fabric_;
@@ -185,8 +196,7 @@ class GamSystem final : public MemorySystem {
   VirtAddr next_va_ = 0x0000'7000'0000'0000ull;
   const VirtAddr first_va_ = next_va_;  // Prefetch candidates stay inside [first, next).
   ThreadId next_tid_ = 1;
-  std::unordered_map<ThreadId, std::unique_ptr<PrefetchEngine>> prefetch_engines_;
-  std::vector<uint64_t> prefetch_scratch_;
+  PrefetchUnit prefetch_;
 };
 
 }  // namespace mind

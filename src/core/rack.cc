@@ -22,14 +22,15 @@ Rack::Rack(RackConfig config)
       fabric_(config.num_compute_blades, config.num_memory_blades, config.latency,
               config.fabric),
       lat_(fabric_.latency()),
-      fault_plane_(config.fault) {
+      fault_plane_(config.fault),
+      prefetch_(config_.prefetch, this, /*writable_installs=*/false) {
   compute_blades_.reserve(static_cast<size_t>(config.num_compute_blades));
   for (int i = 0; i < config.num_compute_blades; ++i) {
     compute_blades_.push_back(std::make_unique<ComputeBlade>(
         static_cast<ComputeBladeId>(i), config.cache_frames(), config.store_data,
         config.latency));
+    prefetch_.AddBlade(compute_blades_.back()->cache());
   }
-  blade_prefetch_.resize(static_cast<size_t>(config.num_compute_blades));
   memory_blades_.reserve(static_cast<size_t>(config.num_memory_blades));
   for (int i = 0; i < config.num_memory_blades; ++i) {
     memory_blades_.push_back(std::make_unique<MemoryBlade>(static_cast<MemoryBladeId>(i),
@@ -82,25 +83,22 @@ SimTime Rack::WriteBackPage(ComputeBladeId from, uint64_t page, const PageData* 
 }
 
 void Rack::InsertIntoCache(ComputeBladeId blade_id, uint64_t page, bool writable,
-                           const PageData* bytes, SimTime now, ProtDomainId pdid,
-                           bool prefetched) {
-  auto& cache = compute_blades_[blade_id]->cache();
+                           const PageData* bytes, SimTime now, ProtDomainId pdid) {
   // Payload storage comes from the blade's slab arena inside Insert (copy of `bytes`, or
-  // a zero-filled recycled slot) — no per-fault heap allocation. Speculative installs
-  // enter at the blade's adaptive cold LRU depth (prefetch-aware eviction priority).
-  auto evicted =
-      prefetched ? cache.InsertPrefetched(page, writable, bytes, pdid,
-                                          blade_prefetch_[blade_id].cold_insert_depth())
-                 : cache.Insert(page, writable, bytes, pdid);
-  if (evicted.has_value() && config_.prefetch.enabled()) {
-    blade_prefetch_[blade_id].OnPageEvicted(evicted->page);  // Evicted-unused feedback.
+  // a zero-filled recycled slot) — no per-fault heap allocation.
+  auto evicted = compute_blades_[blade_id]->cache().Insert(page, writable, bytes, pdid);
+  if (evicted.has_value()) {
+    prefetch_.OnDemandEviction(blade_id, evicted->page);
+    if (evicted->dirty) {
+      WriteBackVictim(blade_id, *evicted, now);
+    }
   }
-  if (evicted.has_value() && evicted->dirty) {
-    // Write-back on eviction keeps memory the source of truth for uncached pages — the
-    // invariant that lets M-state owner faults fetch from memory in one RTT.
-    ++stats_.evict_writebacks;
-    WriteBackPage(blade_id, evicted->page, evicted->data.get(), now);
-  }
+}
+
+void Rack::WriteBackVictim(ComputeBladeId blade, const DramCache::Eviction& victim,
+                           SimTime now) {
+  ++stats_.evict_writebacks;
+  WriteBackPage(blade, victim.page, victim.data.get(), now);
 }
 
 Rack::InvalidationWave Rack::InvalidateBlades(SharerMask targets, const DirectoryEntry& entry,
@@ -209,6 +207,15 @@ DirectoryEntry* Rack::EnsureDirectoryEntry(VirtAddr va, SimTime& t, Status* erro
   int eviction_rounds = 0;
   const uint32_t max_region_log2 = Log2Floor(config_.splitting.base_region_size);
   while (!created.ok()) {
+    if (created.status().code() == ErrorCode::kExists && region_size > kPageSize) {
+      // The region overlaps a surviving entry: the buddy of a removed split half, or a
+      // pair merged to make room. Retry with the half holding `va`, down to one page —
+      // no entry covers `va` itself, so the 4 KB region cannot overlap.
+      region_size >>= 1;
+      base = AlignDown(va, region_size);
+      created = directory_.Create(base, Log2Floor(region_size));
+      continue;
+    }
     if (created.status().code() != ErrorCode::kResourceExhausted || eviction_rounds >= 64) {
       *error = created.status();
       return nullptr;
@@ -317,7 +324,7 @@ bool Rack::TryLocalHit(const AccessRequest& req, SimTime now, AccessResult* res,
   }
   if (frame->prefetched) [[unlikely]] {  // First touch: the prefetch was useful.
     frame->prefetched = false;
-    blade_prefetch_[req.blade].OnPrefetchedTouch(page, req.pdid);
+    prefetch_.blade(req.blade).OnPrefetchedTouch(page, req.pdid);
   }
   res->local_hit = true;
   res->latency = (now - req.now) + lat_.local_cache_hit;
@@ -441,7 +448,7 @@ class Rack::Group final : public ChannelGroup {
   MIND_PARALLEL_PHASE uint64_t CommitMerged(GroupLane* lanes, size_t n, SimTime horizon,
                                             SimTime think, Histogram& hist) override {
     DramCache& cache = rack_->compute_blades_[blade_]->cache();
-    BladePrefetchState& bp = rack_->blade_prefetch_[blade_];
+    BladePrefetchState& bp = rack_->prefetch_.blade(blade_);
     return GroupMergeCommit(
         lanes, n, horizon, think, hist,
         [](GroupLane& ln, size_t idx) {
@@ -729,7 +736,7 @@ MIND_SERIALIZED_PATH AccessResult Rack::Access(const AccessRequest& req) {
   if (config_.prefetch.enabled()) {
     // Speculative fetches go out once the demand fault is fully serviced — off its
     // critical path, serialized behind it on the blade's egress link.
-    PrefetchAfterFault(req, page, done);
+    prefetch_.AfterFault({req.tid, req.blade, req.pdid, page}, done);
   }
   return res;
 }
@@ -740,252 +747,113 @@ MIND_SERIALIZED_PATH AccessResult Rack::Access(const AccessRequest& req) {
 
 bool Rack::ServiceViaPrefetch(const AccessRequest& req, SimTime now, uint64_t page,
                               DramCache::Frame** frame, AccessResult* res) {
-  ComputeBlade& blade = *compute_blades_[req.blade];
-  InstallReadyPrefetches(req.blade, now);
-  BladePrefetchState& bp = blade_prefetch_[req.blade];
+  prefetch_.InstallReady(req.blade, now);
   const bool had_frame = *frame != nullptr;
   // Installs may evict arbitrary frames — including the one the hit path just probed —
   // so re-resolve before anything dereferences it.
-  *frame = blade.cache().Find(page);
+  *frame = compute_blades_[req.blade]->cache().Find(page);
+  const PrefetchUnit::Fault fault{req.tid, req.blade, req.pdid, page};
   if (!had_frame && *frame != nullptr) {
     // An arrived prefetch covers this fault: replay the ordinary hit path (LRU, useful
     // classification, domain re-validation) at the same timestamp.
     if (TryLocalHit(req, now, res, frame)) {
       ++stats_.local_hits;
-      if (trace_ != nullptr) [[unlikely]] {
-        TraceEvent ev;
-        ev.kind = TraceEventKind::kPrefetchUseful;
-        ev.clock = now;
-        ev.tid = req.tid;
-        ev.blade = req.blade;
-        ev.a = page;
-        trace_->Emit(ev);
-      }
+      prefetch_.TraceUseful(fault, now, now);
       return true;
     }
   }
   // Speculation never widens access: everything below re-checks the protection table
   // for the *demanding* (thread, domain), exactly as the fault path would.
   const bool allowed = protection_.Allows(req.pdid, req.va, req.type);
-  if (auto it = bp.in_flight.find(page); allowed && it != bp.in_flight.end()) {
-    const BladePrefetchState::InFlight entry = it->second;
-    bp.in_flight.erase(it);
-    bp.RecomputeNextReady();
-    const bool stale = blade.cache().region_inval_version(DramCache::RegionOf(page)) !=
-                       entry.inval_stamp;
-    if (!stale && req.type == AccessType::kRead && *frame == nullptr) {
-      // Demand read joins the in-flight fetch: the thread still takes the page-fault
-      // trap, then blocks until the data lands (a late prefetch — it shortened the
-      // stall without hiding it).
-      entry.owner->OnLate();
-      ++stats_.remote_accesses;
-      const SimTime landed = std::max(now + lat_.page_fault_entry, entry.ready_at);
-      InsertIntoCache(req.blade, page, /*writable=*/false, PeekPageBytes(req.va), landed,
-                      req.pdid);
-      const SimTime done = landed + lat_.pte_install;
-      res->local_hit = false;
-      res->latency = done - req.now;
-      res->completion = done;
-      res->breakdown.fault = lat_.page_fault_entry + lat_.pte_install;
-      res->breakdown.network =
-          res->latency > res->breakdown.fault ? res->latency - res->breakdown.fault : 0;
-      stats_.breakdown_sums += res->breakdown;
-      if (trace_ != nullptr) [[unlikely]] {
-        TraceEvent ev;
-        ev.kind = TraceEventKind::kPrefetchUseful;
-        ev.clock = now;
-        ev.dur = done - now;
-        ev.tid = req.tid;
-        ev.blade = req.blade;
-        ev.a = page;
-        trace_->Emit(ev);
-      }
-      PrefetchAfterFault(req, page, done);
-      return true;
-    }
-    // Stale copy, or a write that needs M anyway: drop the speculation and fault.
-    if (stale) {
-      entry.owner->OnDiscardedStale();
-      if (trace_ != nullptr) [[unlikely]] {
-        TraceEvent ev;
-        ev.kind = TraceEventKind::kPrefetchDiscard;
-        ev.clock = now;
-        ev.tid = req.tid;
-        ev.blade = req.blade;
-        ev.a = page;
-        ev.b = 1;  // Stale discovered at demand-join time.
-        trace_->Emit(ev);
-      }
-    } else {
-      entry.owner->OnLate();
-    }
+  // A demand read joins an in-flight fetch; a write needs M anyway and faults. The
+  // joining thread still takes the page-fault trap, then blocks until the data lands
+  // (a late prefetch — it shortened the stall without hiding it).
+  if (allowed && prefetch_.JoinInFlight(
+                     fault, now, req.type == AccessType::kRead && *frame == nullptr,
+                     [&](SimTime ready_at) {
+                       ++stats_.remote_accesses;
+                       const SimTime landed =
+                           std::max(now + lat_.page_fault_entry, ready_at);
+                       InsertIntoCache(req.blade, page, /*writable=*/false,
+                                       PrefetchPayload(page), landed, req.pdid);
+                       const SimTime done = landed + lat_.pte_install;
+                       res->local_hit = false;
+                       res->latency = done - req.now;
+                       res->completion = done;
+                       res->breakdown.fault = lat_.page_fault_entry + lat_.pte_install;
+                       res->breakdown.network = res->latency > res->breakdown.fault
+                                                    ? res->latency - res->breakdown.fault
+                                                    : 0;
+                       stats_.breakdown_sums += res->breakdown;
+                       return done;
+                     })) {
+    return true;
   }
   if (*frame != nullptr && (*frame)->prefetched && allowed) {
     // Write upgrade on a prefetched read-only page: its first real use. Denied accesses
     // never count as useful — the fault path is about to reject them untouched.
     (*frame)->prefetched = false;
-    bp.OnPrefetchedTouch(page, req.pdid);
+    prefetch_.blade(req.blade).OnPrefetchedTouch(page, req.pdid);
   }
   return false;
 }
 
-PrefetchEngine& Rack::EnsurePrefetchEngine(ThreadId tid) {
-  return EnsureEngine(prefetch_engines_, tid, config_.prefetch);
+std::optional<SimTime> Rack::AdmitPrefetch(ComputeBladeId blade_id, ProtDomainId pdid,
+                                           uint64_t page, SimTime start) {
+  const VirtAddr va = PageToAddr(page);
+  if (!protection_.Allows(pdid, va, AccessType::kRead)) {
+    return std::nullopt;  // Speculation never crosses a protection boundary.
+  }
+  if (directory_.Lookup(va) == nullptr &&
+      directory_.entry_count() >= directory_.capacity()) {
+    return std::nullopt;  // A guess never evicts a directory entry.
+  }
+  SimTime t = start;
+  Status err;
+  DirectoryEntry* entry = EnsureDirectoryEntry(va, t, &err);
+  if (entry == nullptr) {
+    return std::nullopt;
+  }
+  if (entry->busy_until > t) {
+    return std::nullopt;  // Transition in flight: never wait speculatively.
+  }
+  if ((entry->state == MsiState::kModified || entry->state == MsiState::kExclusive) &&
+      entry->owner != blade_id) {
+    return std::nullopt;  // Fetching would force an owner flush: no invalidations.
+  }
+  const SttEntry& row =
+      stt_.Lookup(entry->state, AccessType::kRead, entry->RoleOf(blade_id));
+  if (row.invalidate != InvalidateTargets::kNone) {
+    return std::nullopt;  // Defensive: mirrors the owner check above.
+  }
+  // Join the sharer list through the ordinary read transition, demoted to Shared: a
+  // speculative page never takes E/M, so its first write still pays the upgrade.
+  if (entry->state == MsiState::kInvalid) {
+    entry->state = MsiState::kShared;
+  }
+  entry->sharers |= BladeBit(blade_id);
+  // Requester NIC -> switch (pipeline + directory recirculation) -> memory blade ->
+  // requester: the demand fetch's exact hops, issued after it and queueing behind it.
+  auto up = fabric_.Route(Endpoint::Compute(blade_id), Endpoint::Switch(),
+                          MessageKind::kRdmaReadRequest, t, /*recirculate=*/true);
+  const PageData* bytes = nullptr;  // Payload is re-read from memory at install time.
+  return FetchPageFromMemory(va, blade_id, up.arrival, &bytes) + lat_.pte_install;
 }
 
-const PageData* Rack::PeekPageBytes(VirtAddr va) {
+double Rack::PrefetchPortUtilization(uint64_t page) const {
+  const auto tr = translator_.Translate(PageToAddr(page));
+  return tr.ok() ? fabric_.Utilization(Endpoint::Memory(tr->blade)) : 0.0;
+}
+
+const PageData* Rack::PrefetchPayload(uint64_t page) {
   if (!config_.store_data) {
     return nullptr;
   }
-  const auto tr = translator_.Translate(PageBase(va));
+  const auto tr = translator_.Translate(PageToAddr(page));
   if (!tr.ok()) {
     return nullptr;
   }
   return memory_blades_[tr->blade]->ReadPage(PageNumber(tr->phys_addr));
-}
-
-void Rack::InstallReadyPrefetches(ComputeBladeId blade_id, SimTime now) {
-  BladePrefetchState& bp = blade_prefetch_[blade_id];
-  DramCache& cache = compute_blades_[blade_id]->cache();
-  for (const auto& [page, entry] : bp.TakeReady(now)) {
-    if (cache.region_inval_version(DramCache::RegionOf(page)) != entry.inval_stamp) {
-      // An invalidation wave outran the fetch: the copy is stale, never install it.
-      entry.owner->OnDiscardedStale();
-      if (trace_ != nullptr) [[unlikely]] {
-        TraceEvent ev;
-        ev.kind = TraceEventKind::kPrefetchDiscard;
-        ev.clock = now;
-        ev.blade = blade_id;
-        ev.a = page;
-        ev.b = 0;  // Stale discovered at install time.
-        trace_->Emit(ev);
-      }
-      continue;
-    }
-    entry.owner->OnInstalled();
-    if (cache.Find(page) != nullptr) {
-      continue;  // A demand fault re-fetched it meanwhile; nothing to install.
-    }
-    InsertIntoCache(blade_id, page, /*writable=*/false, PeekPageBytes(PageToAddr(page)),
-                    entry.ready_at, entry.pdid, /*prefetched=*/true);
-    bp.unused[page] = entry.owner;
-  }
-  if (!bp.rearm_requests.empty()) {
-    // Re-arm requests recorded by hit paths and channel/group commits: engines whose
-    // useful touches crossed their issued window's midpoint issue the next window here —
-    // the first serialized point on the blade — so a fully-covered stream keeps fetching
-    // without waiting for coverage to run dry and a real fault to restart the pipeline.
-    for (size_t i = 0; i < bp.rearm_requests.size(); ++i) {
-      const BladePrefetchState::Rearm rearm = bp.rearm_requests[i];
-      IssuePrefetches(*rearm.engine, blade_id, rearm.pdid, rearm.page, now);
-    }
-    bp.rearm_requests.clear();
-  }
-}
-
-void Rack::PrefetchAfterFault(const AccessRequest& req, uint64_t page, SimTime done) {
-  PrefetchEngine& engine = EnsurePrefetchEngine(req.tid);
-  engine.RecordFault(page);
-  IssuePrefetches(engine, req.blade, req.pdid, page, done);
-}
-
-void Rack::IssuePrefetches(PrefetchEngine& engine, ComputeBladeId blade_id,
-                           ProtDomainId pdid, uint64_t page, SimTime start) {
-  prefetch_scratch_.clear();
-  engine.Predict(page, &prefetch_scratch_);
-  if (prefetch_scratch_.empty()) {
-    return;
-  }
-  // Occupancy feedback: when the trigger page's home blade port is already saturated with
-  // demand traffic, speculative fetches would only deepen the queue the demand stream is
-  // stuck in. Shrink the window instead of issuing (it regrows on useful touches).
-  if (config_.prefetch.fabric_pressure_threshold < 1.0) {
-    const auto tr = translator_.Translate(PageToAddr(page));
-    if (tr.ok() && fabric_.Utilization(Endpoint::Memory(tr->blade)) >
-                       config_.prefetch.fabric_pressure_threshold) {
-      engine.OnFabricPressure();
-      return;
-    }
-  }
-  BladePrefetchState& bp = blade_prefetch_[blade_id];
-  DramCache& cache = compute_blades_[blade_id]->cache();
-  uint64_t last_issued = page;
-  uint64_t issued_count = 0;
-  bool issued_any = false;
-  for (const uint64_t p : prefetch_scratch_) {
-    if (!engine.HasInFlightRoom()) {
-      break;  // Bounded in-flight queue.
-    }
-    if (cache.Find(p) != nullptr || bp.in_flight.find(p) != bp.in_flight.end()) {
-      continue;
-    }
-    const VirtAddr va = PageToAddr(p);
-    if (!protection_.Allows(pdid, va, AccessType::kRead)) {
-      continue;  // Speculation never crosses a protection boundary.
-    }
-    SimTime t = start;
-    Status err;
-    DirectoryEntry* entry = EnsureDirectoryEntry(va, t, &err);
-    if (entry == nullptr) {
-      continue;
-    }
-    if (entry->busy_until > t) {
-      continue;  // Transition in flight: never wait speculatively.
-    }
-    if ((entry->state == MsiState::kModified || entry->state == MsiState::kExclusive) &&
-        entry->owner != blade_id) {
-      continue;  // Fetching would force an owner flush: no invalidations for guesses.
-    }
-    const SttEntry& row =
-        stt_.Lookup(entry->state, AccessType::kRead, entry->RoleOf(blade_id));
-    if (row.invalidate != InvalidateTargets::kNone) {
-      continue;  // Defensive: mirrors the owner check above.
-    }
-    // Join the sharer list through the ordinary read transition, demoted to Shared: a
-    // speculative page never takes E/M, so its first write still pays the upgrade.
-    if (entry->state == MsiState::kInvalid) {
-      entry->state = MsiState::kShared;
-    }
-    entry->sharers |= BladeBit(blade_id);
-    // Requester NIC -> switch (pipeline + directory recirculation) -> memory blade ->
-    // requester: the demand fetch's exact hops, issued after it and queueing behind it.
-    auto up = fabric_.Route(Endpoint::Compute(blade_id), Endpoint::Switch(),
-                            MessageKind::kRdmaReadRequest, t, /*recirculate=*/true);
-    const SimTime at_switch = up.arrival;
-    const PageData* bytes = nullptr;  // Payload is re-read from memory at install time.
-    const SimTime ready =
-        FetchPageFromMemory(va, blade_id, at_switch, &bytes) + lat_.pte_install;
-    engine.OnIssued();
-    bp.in_flight[p] = BladePrefetchState::InFlight{
-        ready, cache.region_inval_version(DramCache::RegionOf(p)), &engine, pdid};
-    bp.NoteIssued(ready);
-    last_issued = p;
-    ++issued_count;
-    issued_any = true;
-  }
-  if (issued_any) {
-    engine.NoteIssuedWindow(page, last_issued);
-    if (trace_ != nullptr) [[unlikely]] {
-      TraceEvent ev;
-      ev.kind = TraceEventKind::kPrefetchIssue;
-      ev.clock = start;
-      ev.blade = blade_id;
-      ev.a = page;
-      ev.b = issued_count;
-      trace_->Emit(ev);
-    }
-  }
-}
-
-PrefetchStats Rack::prefetch_stats() {
-  for (size_t b = 0; b < blade_prefetch_.size(); ++b) {
-    const DramCache& cache = compute_blades_[b]->cache();
-    blade_prefetch_[b].ResolveEvictedUnused([&](uint64_t page) {
-      const DramCache::Frame* f = cache.Peek(page);
-      return f != nullptr && f->prefetched;
-    });
-  }
-  return MergeEngineStats(prefetch_engines_);
 }
 
 AccessResult Rack::AccessByThread(ThreadId tid, VirtAddr va, AccessType type, SimTime now) {
@@ -1204,14 +1072,7 @@ Result<SimTime> Rack::DrainMemoryBlade(MemoryBladeId src, MemoryBladeId dst, Sim
 MIND_SERIALIZED_PATH void Rack::AdvanceTo(SimTime now) {
   splitting_.MaybeRunEpoch(now);
   MaybeRunScheduledDrains(now);
-  if (config_.prefetch.enabled()) {
-    // Re-arm gap fix: a fully covered stream records re-arm requests from hit paths and
-    // channel commits, but those only issue at the blade's next serialized access — which
-    // may never come. Drain installs and pending re-armed windows for every blade here.
-    for (int b = 0; b < config_.num_compute_blades; ++b) {
-      InstallReadyPrefetches(static_cast<ComputeBladeId>(b), now);
-    }
-  }
+  prefetch_.AdvanceTo(now);
 }
 
 void Rack::ShootDownRange(VirtAddr base, uint64_t size, bool write_back) {

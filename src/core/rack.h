@@ -9,6 +9,11 @@
 // The data path is driven by logical time: callers supply the access timestamp and receive
 // the thread-visible latency plus the absolute completion time, which lets the trace-replay
 // engine model a whole rack of concurrent threads deterministically.
+//
+// Prefetching runs the pipeline all three compared systems share
+// (src/prefetch/prefetch_unit.h); the rack supplies MIND's admission (protection,
+// directory, busy and STT checks plus the recirculated fetch route), its served-join
+// charge and its victim write-back, and installs read-only.
 #ifndef MIND_SRC_CORE_RACK_H_
 #define MIND_SRC_CORE_RACK_H_
 
@@ -36,10 +41,11 @@
 #include "src/fault/fault_plane.h"
 #include "src/net/fabric.h"
 #include "src/obs/trace.h"
+#include "src/prefetch/prefetch_unit.h"
 
 namespace mind {
 
-class Rack {
+class Rack final : private PrefetchUnit::Host {
  public:
   explicit Rack(RackConfig config);
 
@@ -108,16 +114,15 @@ class Rack {
   // runs here is mode-invariant.
   MIND_SERIALIZED_PATH void AdvanceTo(SimTime now);
 
-  // --- Pattern-aware prefetching (src/prefetch/prefetch.h) ---
+  // --- Pattern-aware prefetching (src/prefetch/prefetch_unit.h) ---
   //
-  // Per-(thread, blade) engines watch the fault stream and speculatively fetch ahead of
-  // it. Prefetched pages install Shared through the ordinary directory state machine
-  // (join-sharers transitions only — a prefetch never triggers an invalidation wave or
-  // takes E/M), and an in-flight fetch whose 2 MB region is hit by an invalidation wave
-  // before arrival is discarded via DramCache::region_inval_version. With the default
-  // kNone policy nothing here runs and the data path is bit-identical to pre-prefetch.
+  // The shared pipeline runs on the miss path (AdmitPrefetch below is MIND's admission).
+  // A guess joins its region's sharers demoted to Shared: it never takes E/M, never waits
+  // on a busy entry, never causes an invalidation wave and never evicts a directory
+  // entry. An in-flight fetch whose 2 MB region an invalidation wave hits before arrival
+  // is discarded. With the default kNone policy nothing here runs.
   void SetPrefetchPolicy(PrefetchPolicy policy) { config_.prefetch.policy = policy; }
-  [[nodiscard]] PrefetchStats prefetch_stats();
+  [[nodiscard]] PrefetchStats prefetch_stats() { return prefetch_.Stats(); }
 
   // Resolves the thread's blade and protection domain, then runs Access.
   AccessResult AccessByThread(ThreadId tid, VirtAddr va, AccessType type, SimTime now);
@@ -164,6 +169,7 @@ class Rack {
     trace_ = sink;
     fault_plane_.SetTraceSink(sink);
     splitting_.SetTraceSink(sink);
+    prefetch_.SetTraceSink(sink);
   }
 
   // --- Introspection (benches & tests) ---
@@ -214,7 +220,9 @@ class Rack {
                                     SimTime t);
 
   // Finds or lazily creates the directory entry covering `va`, evicting under capacity
-  // pressure. Advances `t` by any control-plane work performed. Null on kFault (no vma).
+  // pressure. A new entry takes the initial region size, halved until it overlaps no
+  // existing entry (a surviving split half). Advances `t` by any control-plane work
+  // performed. Null on kFault (no vma).
   DirectoryEntry* EnsureDirectoryEntry(VirtAddr va, SimTime& t, Status* error);
 
   // Fetches the page containing `va` from its memory blade towards `requester`. Returns the
@@ -227,17 +235,9 @@ class Rack {
   SimTime WriteBackPage(ComputeBladeId from, uint64_t page, const PageData* data,
                         SimTime start);
 
-  // Current backing bytes of the page containing `va` (store_data mode only; null
-  // otherwise, or when the va is no longer translated). Prefetch installs re-read the
-  // memory blade here instead of holding payload pointers across in-flight time.
-  [[nodiscard]] const PageData* PeekPageBytes(VirtAddr va);
-
   // Inserts a fetched page into the requester's cache, handling dirty LRU eviction.
-  // `prefetched` installs speculatively: marked Frame::prefetched and linked at the
-  // blade's adaptive cold LRU depth instead of MRU (prefetch-aware eviction priority).
   void InsertIntoCache(ComputeBladeId blade, uint64_t page, bool writable,
-                       const PageData* bytes, SimTime now, ProtDomainId pdid = 0,
-                       bool prefetched = false);
+                       const PageData* bytes, SimTime now, ProtDomainId pdid = 0);
 
   // Drops cached pages of [base, base+size) at every compute blade, writing dirty pages
   // back to memory first. Used on permission changes and teardown.
@@ -265,26 +265,31 @@ class Rack {
   // entries whose completion can never raise a later barrier, so skipping it is invisible).
   [[nodiscard]] SimTime PsoPeekBarrier(ThreadId tid, VirtAddr va, SimTime now) const;
 
-  // --- Prefetch internals (serialized drain only; see SetPrefetchPolicy above) ---
+  // --- Prefetch (serialized drain only; see SetPrefetchPolicy above) ---
 
-  // Lazily creates the (thread, blade) engine on the thread's first demand fault.
-  PrefetchEngine& EnsurePrefetchEngine(ThreadId tid);
-  // Installs arrived in-flight prefetches for `blade` (discarding stale ones) — runs at
-  // the top of every Access so a covered fault becomes a plain local hit.
-  void InstallReadyPrefetches(ComputeBladeId blade, SimTime now);
-  // Records the fault, predicts ahead and issues speculative fetches starting at the
-  // demand access's completion time `done`.
-  void PrefetchAfterFault(const AccessRequest& req, uint64_t page, SimTime done);
-  // The issue half of PrefetchAfterFault, also driven by re-arm requests (a useful touch
-  // past the issued window's midpoint, possibly observed by a channel/group commit):
-  // predicts from `page` and issues `engine`'s next window starting at `start`.
-  void IssuePrefetches(PrefetchEngine& engine, ComputeBladeId blade_id, ProtDomainId pdid,
-                       uint64_t page, SimTime start);
   // The prefetch slice of the miss path, out of line to keep Access's hit path tight:
   // installs arrived pages (retrying the hit), joins in-flight fetches (late) and
   // classifies prefetched write-upgrades. True when the access was fully serviced.
   bool ServiceViaPrefetch(const AccessRequest& req, SimTime now, uint64_t page,
                           DramCache::Frame** frame, AccessResult* res);
+
+  // PrefetchUnit::Host. A candidate is admitted when the prefetching domain may read it,
+  // its region has a directory entry or a free slot for one, the entry is not busy, and
+  // the read transition needs no invalidation. It then joins the sharers and is fetched
+  // along the demand path's hops (recirculated through the directory), queueing behind
+  // the demand fetch.
+  std::optional<SimTime> AdmitPrefetch(ComputeBladeId blade, ProtDomainId pdid,
+                                       uint64_t page, SimTime start) override;
+  // The port of the memory blade `page` is homed on (0 when no longer translated).
+  [[nodiscard]] double PrefetchPortUtilization(uint64_t page) const override;
+  // Current backing bytes of `page` (store_data mode only; null otherwise, or when the
+  // page is no longer translated). Installs re-read the memory blade here instead of
+  // holding payload pointers across in-flight time.
+  const PageData* PrefetchPayload(uint64_t page) override;
+  // Write-back on eviction keeps memory the source of truth for uncached pages — the
+  // invariant that lets M-state owner faults fetch from memory in one RTT.
+  void WriteBackVictim(ComputeBladeId blade, const DramCache::Eviction& victim,
+                       SimTime now) override;
 
   // The blade-local hit path of Access (step 1): the MMU/DRAM-cache probe with domain
   // re-validation. `now` is the post-PSO-barrier time. Mutates LRU recency (also when a
@@ -324,11 +329,9 @@ class Rack {
   // implementation would reuse the balanced allocator; a bump cursor suffices for the
   // migration feature and keeps PAs disjoint from the identity-mapped partitions.
   PhysAddr migration_cursor_ = 1ull << 44;
-  // Prefetch state: per-thread engines plus per-blade in-flight/unused tables (mutated on
-  // the serialized drain; channel commits touch only their own blade's entry).
-  std::unordered_map<ThreadId, std::unique_ptr<PrefetchEngine>> prefetch_engines_;
-  std::vector<BladePrefetchState> blade_prefetch_;
-  std::vector<uint64_t> prefetch_scratch_;
+  // The prefetch pipeline (mutated on the serialized drain; channel commits touch only
+  // their own blade's table).
+  PrefetchUnit prefetch_;
 };
 
 }  // namespace mind

@@ -27,6 +27,9 @@
 // after arrival) / late (demand arrived while still in flight) / evicted-unused /
 // discarded-stale, from which reports derive coverage and accuracy.
 //
+// Every system drives this machinery through one pipeline, PrefetchUnit
+// (src/prefetch/prefetch_unit.h), which owns the engines and the per-blade tables and
+// does the installs, joins and issue windows; a system supplies only its fetch timing.
 // State ownership mirrors the AccessChannel phase discipline: all state here is owned by
 // one blade (BladePrefetchState) or one (thread, blade) engine, mutated only on the
 // serialized drain or in same-blade channel commits.
@@ -36,7 +39,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <memory>
 #include <optional>
 #include <string_view>
 #include <unordered_map>
@@ -47,7 +49,7 @@
 #include "src/common/types.h"
 
 // detlint: mailbox(stats_)  -- PrefetchEngine::stats_ is per-(thread, blade) engine
-// state, folded into the system report only at serialized points (MergeEngineStats);
+// state, folded into the system report only at serialized points (PrefetchUnit::Stats);
 // mutations reached from channel/group commits are scratch writes, not global counters.
 
 namespace mind {
@@ -80,9 +82,6 @@ struct PrefetchConfig {
   uint32_t initial_window = 8;
   uint32_t max_window = 64;      // ...and ceiling.
   uint32_t max_in_flight = 128;  // Bounded in-flight prefetch queue per engine.
-  // Occupancy feedback: skip a prefetch window (and shrink) when the target memory
-  // blade's fabric-port utilization exceeds this fraction. >= 1.0 disables the throttle.
-  double fabric_pressure_threshold = 0.75;
 
   [[nodiscard]] bool enabled() const { return policy != PrefetchPolicy::kNone; }
 };
@@ -156,11 +155,11 @@ class StrideDetector {
 };
 
 // Per-(thread, blade) prefetcher: history + policy + adaptive window + bounded in-flight
-// budget + counters. The owning system wires its fetch path: it asks Predict for
-// candidate pages after each demand fault, models the fetches itself, and reports the
-// outcome of every issued prefetch back through exactly one of OnInstalled/OnLate/
-// OnDiscardedStale (freeing the in-flight slot), then OnUseful/OnEvictedUnused once the
-// installed page's fate is known.
+// budget + counters. PrefetchUnit wires it into a system's fetch path: it asks Predict
+// for candidate pages after each demand fault, has the system model the fetches, and
+// reports the outcome of every issued prefetch back through exactly one of OnInstalled/
+// OnLate/OnDiscardedStale (freeing the in-flight slot), then OnUseful/OnEvictedUnused
+// once the installed page's fate is known.
 class PrefetchEngine {
  public:
   explicit PrefetchEngine(const PrefetchConfig& config)
@@ -403,29 +402,6 @@ class BladePrefetchState {
   SimTime next_ready_ = ~SimTime{0};
   uint32_t cold_depth_ = 64;
 };
-
-// Per-thread engine registries, shared by the three systems' Access paths.
-using PrefetchEngineMap = std::unordered_map<ThreadId, std::unique_ptr<PrefetchEngine>>;
-
-// Lazily creates the (thread, blade) engine on the thread's first demand fault.
-inline PrefetchEngine& EnsureEngine(PrefetchEngineMap& engines, ThreadId tid,
-                                    const PrefetchConfig& config) {
-  auto it = engines.find(tid);
-  if (it == engines.end()) {
-    it = engines.emplace(tid, std::make_unique<PrefetchEngine>(config)).first;
-  }
-  return *it->second;
-}
-
-// Sums every engine's counters (integer adds: iteration order is irrelevant).
-inline PrefetchStats MergeEngineStats(const PrefetchEngineMap& engines) {
-  PrefetchStats total;
-  // detlint: allow(unordered-iteration): integer adds commute; order-invariant.
-  for (const auto& [tid, engine] : engines) {
-    total.Merge(engine->stats());
-  }
-  return total;
-}
 
 }  // namespace mind
 

@@ -5,13 +5,15 @@
 //   3. End-to-end coverage on all three systems: streaming/strided workloads must cover
 //      a large fraction of would-be remote faults; pointer chase must not speculate.
 //   4. Invalidation safety: a wave that lands between issue and arrival discards the
-//      stale in-flight copy.
+//      stale in-flight copy, and guesses never evict directory entries.
 //   5. kNone conformance: with the default policy, channel replay is bit-identical to
 //      the pre-prefetch per-op reference path for every system.
+//   6. The shared pipeline's fabric-pressure throttle (PrefetchUnit, stand-in host).
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/baselines/fastswap.h"
@@ -20,6 +22,7 @@
 #include "src/blade/dram_cache.h"
 #include "src/common/rng.h"
 #include "src/prefetch/prefetch.h"
+#include "src/prefetch/prefetch_unit.h"
 #include "src/workload/generators.h"
 #include "src/workload/replay.h"
 
@@ -485,6 +488,40 @@ TEST(PrefetchInvalidation, JoinPathRespectsProtectionDomains) {
   EXPECT_GT(rack.prefetch_stats().useful, 0u);
 }
 
+// With the directory full, a candidate whose region has no entry is skipped: creating
+// one would evict another entry, by buddy merge or by a forced invalidation wave, on the
+// strength of a guess. Candidates in regions that have an entry still go out.
+TEST(PrefetchInvalidation, GuessesNeverEvictDirectoryEntries) {
+  RackConfig cfg = SmallRack(1);
+  cfg.directory_slots = 4;
+  cfg.splitting.enabled = false;
+  Rack rack(cfg);
+  const ProcessId pid = *rack.Exec("scan");
+  const ProtDomainId pdid = *rack.controller().PdidOf(pid);
+  const ThreadId tid = rack.SpawnThread(pid, 0)->tid;
+  const VirtAddr base = *rack.Mmap(pid, 1 << 20, PermClass::kReadWrite);
+
+  // Four demand faults, 64 KB apart, fill the four slots with 16 KB regions.
+  SimTime t = 0;
+  for (uint64_t i = 0; i < 4; ++i) {
+    const AccessResult r =
+        rack.Access({tid, 0, pdid, base + i * 16 * kPageSize, AccessType::kRead, t});
+    ASSERT_TRUE(r.status.ok());
+    t = r.completion;
+  }
+  ASSERT_EQ(rack.directory().entry_count(), 4u);
+
+  // A fault on page 1 needs no new entry. Readahead predicts pages 2..9: pages 2 and 3
+  // share its region; pages 4..9 fall in two regions with no entry and no free slot.
+  rack.SetPrefetchPolicy(PrefetchPolicy::kNextN);
+  const AccessResult r = rack.Access({tid, 0, pdid, base + kPageSize, AccessType::kRead, t});
+  ASSERT_TRUE(r.status.ok());
+  EXPECT_EQ(rack.prefetch_stats().issued, 2u);
+  EXPECT_EQ(rack.directory().entry_count(), 4u);
+  EXPECT_EQ(rack.stats().directory_capacity_evictions, 0u);
+  EXPECT_EQ(rack.stats().invalidations_sent, 0u);
+}
+
 // --- Part 5: kNone conformance — bit-identical to the per-op reference --------
 
 void ExpectReportsIdentical(const ReplayReport& want, const ReplayReport& got) {
@@ -543,6 +580,83 @@ TEST(PrefetchNoneConformance, AllSystemsBitIdenticalToReference) {
     cfg.compute_cache_bytes = 8ull << 20;
     check(GenerateTraces(fs_spec), [cfg] { return std::make_unique<FastSwapSystem>(cfg); });
   }
+}
+
+// --- Part 6: the shared pipeline's fabric-pressure throttle -------------------
+
+// Stand-in for a system: every candidate is admitted and lands a microsecond after
+// issue; the trigger page's port utilization is whatever the test sets.
+class FakeHost final : public PrefetchUnit::Host {
+ public:
+  std::optional<SimTime> AdmitPrefetch(ComputeBladeId /*blade*/, ProtDomainId /*pdid*/,
+                                       uint64_t /*page*/, SimTime start) override {
+    return start + kMicrosecond;
+  }
+  [[nodiscard]] double PrefetchPortUtilization(uint64_t /*page*/) const override {
+    return utilization;
+  }
+  void WriteBackVictim(ComputeBladeId /*blade*/, const DramCache::Eviction& /*victim*/,
+                       SimTime /*now*/) override {}
+
+  double utilization = 0.0;
+};
+
+PrefetchConfig ThrottleConfig(PrefetchPolicy policy) {
+  PrefetchConfig c;
+  c.policy = policy;
+  c.min_window = 1;
+  c.initial_window = 8;
+  c.max_window = 64;
+  return c;
+}
+
+TEST(PrefetchThrottle, PressuredPortSkipsANonEmptyWindowAndHalvesIt) {
+  const PrefetchConfig config = ThrottleConfig(PrefetchPolicy::kNextN);
+  DramCache cache(/*capacity_frames=*/1024, /*store_data=*/false);
+  FakeHost host;
+  PrefetchUnit unit(config, &host, /*writable_installs=*/false);
+  unit.AddBlade(cache);
+
+  host.utilization = PrefetchUnit::kPressureThreshold;  // At the threshold: no pressure.
+  unit.AfterFault({/*tid=*/1, /*blade=*/0, /*pdid=*/0, /*page=*/100}, 0);
+  PrefetchStats s = unit.Stats();
+  EXPECT_EQ(s.issued, 8u);
+  EXPECT_EQ(s.throttled, 0u);
+
+  host.utilization = 0.9;
+  unit.AfterFault({1, 0, 0, 200}, 0);
+  s = unit.Stats();
+  EXPECT_EQ(s.issued, 8u) << "a pressured window issues nothing";
+  EXPECT_EQ(s.throttled, 1u);
+
+  host.utilization = 0.0;
+  unit.AfterFault({1, 0, 0, 300}, 0);
+  EXPECT_EQ(unit.Stats().issued, 8u + 4u) << "the throttled window halved 8 -> 4";
+}
+
+TEST(PrefetchThrottle, EmptyPredictionIsNeitherThrottledNorShrunk) {
+  const PrefetchConfig config = ThrottleConfig(PrefetchPolicy::kMajorityStride);
+  DramCache cache(/*capacity_frames=*/1024, /*store_data=*/false);
+  FakeHost host;
+  PrefetchUnit unit(config, &host, /*writable_installs=*/false);
+  unit.AddBlade(cache);
+
+  // Three faults are too few deltas for a majority stride: every prediction is empty,
+  // so the pressured port has nothing to throttle.
+  host.utilization = 0.9;
+  for (uint64_t page = 100; page < 103; ++page) {
+    unit.AfterFault({1, 0, 0, page}, 0);
+  }
+  PrefetchStats s = unit.Stats();
+  EXPECT_EQ(s.throttled, 0u);
+  EXPECT_EQ(s.issued, 0u);
+
+  // The fourth fault forms stride 1; with the port idle the full window goes out.
+  host.utilization = 0.0;
+  unit.AfterFault({1, 0, 0, 103}, 0);
+  s = unit.Stats();
+  EXPECT_EQ(s.issued, 8u) << "empty predictions must not shrink the window";
+  EXPECT_EQ(s.throttled, 0u);
 }
 
 }  // namespace

@@ -294,6 +294,43 @@ TEST_F(RackTest, ResetDropsEntryAndCaches) {
   EXPECT_GE(rack_->stats().pages_flushed, 1u);
 }
 
+// Removing one half of a split region leaves its buddy covering half of the region a new
+// entry would start at. The rack must create the half holding the address instead of
+// failing every later access to the removed half with kExists.
+TEST_F(RackTest, RemovedSplitHalfIsRecreated) {
+  for (const bool remove_lower : {true, false}) {
+    SCOPED_TRACE(remove_lower ? "lower half removed" : "upper half removed");
+    tids_.clear();
+    Init(TestConfig());
+    SimTime t = Go(0, va_, AccessType::kWrite, 0).completion;
+    const VirtAddr base = rack_->directory().Lookup(va_)->base;
+    ASSERT_EQ(rack_->directory().Lookup(va_)->size(), 16u * 1024);
+    ASSERT_TRUE(rack_->directory().Split(base).ok());
+    const VirtAddr lower = base;
+    const VirtAddr upper = base + 8 * 1024;
+    t = Go(1, upper, AccessType::kWrite, t).completion;
+    const VirtAddr removed = remove_lower ? lower : upper;
+    const VirtAddr kept = remove_lower ? upper : lower;
+    ASSERT_TRUE(rack_->ResetAddress(removed, t).ok());
+    ASSERT_EQ(rack_->directory().Lookup(removed), nullptr);
+    for (int blade = 0; blade < 4; ++blade) {
+      for (const VirtAddr va : {removed, removed + kPageSize}) {
+        const AccessResult r = Go(blade, va, AccessType::kRead, t);
+        ASSERT_TRUE(r.status.ok()) << "blade " << blade << ": " << r.status.ToString();
+        t = r.completion;
+      }
+    }
+    const DirectoryEntry* recreated = rack_->directory().Lookup(removed);
+    ASSERT_NE(recreated, nullptr);
+    EXPECT_EQ(recreated->base, removed);
+    EXPECT_EQ(recreated->size(), 8u * 1024);
+    const DirectoryEntry* buddy = rack_->directory().Lookup(kept);
+    ASSERT_NE(buddy, nullptr);
+    EXPECT_EQ(buddy->base, kept);
+    EXPECT_EQ(buddy->size(), 8u * 1024);
+  }
+}
+
 TEST_F(RackTest, LossyFabricEventuallyResets) {
   RackConfig lossy = TestConfig();
   lossy.fault.reliability.loss_probability = 1.0;
