@@ -241,18 +241,16 @@ inline void PrintPrefetchReportLine(const ReplayReport& report, PrefetchPolicy p
 }
 
 // Generates traces for `spec`, replays them on `sys`, returns the report. Replay runs
-// through the channel engine, whose results are bit-identical to the per-op reference
-// path. A sampler forces the per-op reference path (exact global observation points). The
-// MIND_PREFETCH env override (see PrefetchPolicyFromEnv) opts the replay into a prefetch
-// policy and prints the per-system accounting line.
+// through the channel engine, which is checked against the per-op oracle in
+// tests/replay_conformance.h. A sampler opens no channels (exact global observation
+// points), which leaves the results unchanged. The MIND_PREFETCH env override (see
+// PrefetchPolicyFromEnv) opts the replay into a prefetch policy and prints the
+// per-system accounting line.
 inline ReplayReport RunWorkload(MemorySystem& sys, const WorkloadSpec& spec,
                                 ReplayEngine::Sampler sampler = nullptr,
                                 SimTime sample_interval = 10 * kMillisecond) {
   const WorkloadTraces traces = GenerateTraces(spec);
   ReplayOptions opts;
-  // A sampler forces the per-op reference path anyway; opting out of channels up front
-  // also skips Setup's VA-resolved op materialization for those runs.
-  opts.use_channels = sampler == nullptr;
   opts.prefetch = PrefetchPolicyFromEnv();
   const std::string trace_path = TracePathFromEnv();
   opts.trace = !trace_path.empty();

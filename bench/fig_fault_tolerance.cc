@@ -14,8 +14,8 @@
 // the rack returns to steady state.
 //
 // Loss draws and schedules are deterministic (fixed seed, serialized-path draws only), so
-// every number here is bit-identical between channel replay and the per-op reference —
-// the fault conformance suite (tests/fault_injection_test.cc) enforces exactly that. The
+// every number here is bit-identical between channel replay and per-op replay — the
+// fault conformance suite (tests/fault_injection_test.cc) enforces exactly that. The
 // loss-free rows append `FigFaultTolerance/*/loss-free-sim-ns-op` to the trajectory file
 // named by MIND_BENCH_JSON and are gated by tools/check_bench_regression.py: fault-plane
 // plumbing must stay free on healthy racks.

@@ -1,13 +1,14 @@
 // End-to-end replay wall-clock throughput: how fast the *simulator* replays a figure-scale
-// workload, per-op reference path vs channel engine. This is the harness-performance
+// workload, per-op drain vs channel engine. This is the harness-performance
 // companion to the per-op microbenchmarks — ns/op of the whole replay loop (trace decode,
 // clock merge, access pipeline, histogramming), not of one isolated structure — so
 // regressions in the replay engine itself are tracked across PRs, not just hot-path
 // structure regressions.
 //
 // Compared configurations, both replaying the identical trace on identical racks:
-//   serial-1shard  — the per-op reference path (use_channels = false: every op through
-//                    the drain, one virtual Access per op — the pre-channel engine).
+//   serial-1shard  — replays with a sampler, i.e. without channels: a no-op sampler at
+//                    interval 0 opens no channel, so every op takes the drain, one
+//                    virtual Access per op — the pre-channel engine.
 //   sharded-1shard — the AccessChannel engine (results are bit-identical to serial by
 //                    construction; only wall-clock moves).
 // The row names predate the removal of replay shards and are kept so that new entries
@@ -96,28 +97,16 @@ std::unique_ptr<MemorySystem> MakeGam4() {
   return std::make_unique<GamSystem>(bench::PaperGamConfig(4));
 }
 
-Timed RunSerial(const WorkloadTraces& traces, SystemFactory make_system) {
-  auto sys = make_system();
-  ReplayOptions opts;
-  opts.use_channels = false;  // Per-op reference path: one virtual Access per op.
-  ReplayEngine engine(sys.get(), &traces, opts);
-  (void)engine.Setup();
-  const auto t0 = std::chrono::steady_clock::now();
-  Timed out;
-  out.report = engine.Run();
-  out.wall_ns = std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - t0)
-                    .count();
-  CollectAccounting(engine, &out);
-  return out;
-}
-
-Timed RunChannels(const WorkloadTraces& traces, SystemFactory make_system) {
+// Replays `traces` on a fresh system, timing Run alone. A non-null `sampler` opens no
+// channels.
+Timed RunTimed(const WorkloadTraces& traces, SystemFactory make_system,
+               const ReplayEngine::Sampler& sampler) {
   auto sys = make_system();
   ReplayEngine engine(sys.get(), &traces);
   (void)engine.Setup();
   const auto t0 = std::chrono::steady_clock::now();
   Timed out;
-  out.report = engine.Run();
+  out.report = sampler != nullptr ? engine.Run(sampler, /*sample_interval=*/0) : engine.Run();
   out.wall_ns = std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - t0)
                     .count();
   CollectAccounting(engine, &out);
@@ -153,8 +142,9 @@ int main() {
           bench::BenchResult{"FigReplayWallclock/" + tag + "/" + name, ns_per_op, ops});
       last = std::move(t);
     };
-    add("serial-1shard", RunSerial(traces, make_system));
-    add("sharded-1shard", RunChannels(traces, make_system));
+    // A no-op sampler that never fires (interval 0) only closes the channels.
+    add("serial-1shard", RunTimed(traces, make_system, [](SimTime) {}));
+    add("sharded-1shard", RunTimed(traces, make_system, nullptr));
     // Every per-run counter this table summarizes is also published through the unified
     // registry; one snapshot per series (the channel run) keeps the full detail in the
     // log without hand-rolled counter prints.

@@ -2,8 +2,8 @@
 // MIND rack through the AccessChannel engine, and print the report plus how many ops the
 // channel fast path committed versus how many the serialized coherence drain executed.
 //
-// Replay results are bit-identical to the per-op reference path
-// (ReplayOptions::use_channels = false): channels change how fast the simulator replays,
+// Replay results are bit-identical to per-op replay, as the oracle in
+// tests/replay_conformance.h checks: channels change how fast the simulator replays,
 // never what it computes.
 #include <chrono>
 #include <cstdio>

@@ -64,14 +64,16 @@ MIND_SERIALIZED_PATH AccessResult FastSwapSystem::Access(ThreadId tid, ComputeBl
   // install arrived pages, join an in-flight fetch, or fall through to the real fault.
   if (config_.prefetch.enabled()) {
     prefetch_.InstallReady(0, now);
+    const PrefetchUnit::Fault fault{tid, 0, /*pdid=*/0, page};
     if (DramCache::Frame* frame = cache_->Lookup(page); frame != nullptr) {
-      return hit(frame);  // An arrived prefetch covers this fault.
+      prefetch_.TraceUseful(fault, now, now);  // An arrived prefetch covers this fault.
+      return hit(frame);
     }
     // The fault joins the in-flight swap-in, reads and writes alike (installs are
     // read-write): the thread still takes the page-fault trap, then blocks until the
     // data lands (a late prefetch — shortened the stall without hiding it).
     if (prefetch_.JoinInFlight(
-            PrefetchUnit::Fault{tid, 0, /*pdid=*/0, page}, now, /*joinable=*/true,
+            fault, now, /*joinable=*/true,
             [&](SimTime ready_at) {
               ++counters_.remote_accesses;
               const SimTime landed = std::max(now + lat().page_fault_entry, ready_at);

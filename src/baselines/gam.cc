@@ -123,11 +123,13 @@ MIND_SERIALIZED_PATH AccessResult GamSystem::Access(ThreadId tid, ComputeBladeId
     prefetch_.InstallReady(blade, now);
     frame = local.cache->Lookup(page);
     hit = is_hit();
-    if (!hit) {
+    const PrefetchUnit::Fault fault{tid, blade, /*pdid=*/0, page};
+    if (hit) {
+      prefetch_.TraceUseful(fault, now, now);  // An arrived prefetch covers this fault.
+    } else {
       // A demand read joins the in-flight fetch (a write needs M anyway): the library
       // blocks until the data lands (a late prefetch — shortened the stall without
       // hiding it).
-      const PrefetchUnit::Fault fault{tid, blade, /*pdid=*/0, page};
       if (prefetch_.JoinInFlight(
               fault, now, type == AccessType::kRead && frame == nullptr,
               [&](SimTime ready_at) {

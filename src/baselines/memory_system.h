@@ -66,6 +66,8 @@ struct SystemCounters {
     d.breakdown_sums = breakdown_sums - before.breakdown_sums;
     return d;
   }
+
+  friend bool operator==(const SystemCounters&, const SystemCounters&) = default;
 };
 
 // Owner-drain contract, kept only as a declaration because bench/mindbench/traced_system.h
@@ -141,7 +143,7 @@ class MemorySystem {
   // ahead of global order. A channel only takes effect as a member of its blade's
   // ChannelGroup (OpenChannelGroup below). Returning null opts the system out: the engine
   // then drives every op of that thread through Access on the serialized drain, which is
-  // always correct (and is also the engine's reference mode for conformance testing).
+  // always correct.
   virtual std::unique_ptr<AccessChannel> OpenChannel(ThreadId /*tid*/,
                                                      ComputeBladeId /*blade*/) {
     return nullptr;

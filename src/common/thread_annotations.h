@@ -8,8 +8,8 @@
 //   MIND_PARALLEL_PHASE   — runs ahead of global order in a channel scan/commit phase.
 //                           Must not draw RNG and must not touch global counters: the
 //                           phase's work is committed before the serialized drain runs,
-//                           so anything order-sensitive would diverge from the per-op
-//                           reference.
+//                           so anything order-sensitive would diverge from per-op
+//                           replay.
 //
 // Under Clang they expand to [[clang::annotate]] so libclang-based tooling sees them in
 // the AST; under any compiler the macro token itself is what tools/detlint.py's regex

@@ -56,6 +56,8 @@ struct LatencyBreakdown {
     return *this;
   }
 
+  friend bool operator==(const LatencyBreakdown&, const LatencyBreakdown&) = default;
+
   // Field-wise delta between two monotonic breakdown sums (counter deltas over a run).
   // Keeping subtraction next to the fields means a future component cannot be silently
   // missed by a hand-rolled copy elsewhere.

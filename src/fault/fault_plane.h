@@ -13,7 +13,7 @@
 // Determinism contract (what keeps channel replay bit-identical): loss-RNG draws happen
 // only on serialized paths — replay's coherence drain executes those in exact global
 // (clock, thread) order in every execution mode — so the draw sequence is the same
-// under channel replay and the per-op reference mode. Blade death and stall
+// under channel replay and per-op replay. Blade death and stall
 // windows are pure functions of simulated time (no trigger state, no first-observation
 // effects), and scheduled drains execute at their scheduled clock, which the replay engine
 // guarantees by clamping its commit horizon at NextDrainAt().

@@ -22,8 +22,8 @@
 // Determinism contract (docs/determinism.md): models are pure functions of the serialized
 // Acquire call stream — no RNG, no wall clock, no iteration over unordered containers —
 // and are only ever called from MIND_SERIALIZED_PATH code (the fabric is part of the
-// serialized coherence path). Channel replay therefore stays bit-identical to the per-op
-// reference under any fault schedule with any model enabled.
+// serialized coherence path). Channel replay therefore stays bit-identical to per-op
+// replay under any fault schedule with any model enabled.
 #ifndef MIND_SRC_NET_QUEUE_MODEL_H_
 #define MIND_SRC_NET_QUEUE_MODEL_H_
 

@@ -10,7 +10,7 @@
 //     (Rack/GAM/FastSwap Access, the coherence drain, AdvanceTo, epoch hooks),
 //     so a single control sink receives them already in exact global
 //     (clock, thread) order. The semantic stream is bit-identical between
-//     channel replay and the per-op reference for a fixed seed and fault
+//     channel replay and per-op replay for a fixed seed and fault
 //     schedule; the determinism tests compare its byte serialization directly.
 //
 //   * EXECUTION events describe how the replay engine scheduled the work —

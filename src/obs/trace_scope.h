@@ -7,8 +7,8 @@
 //     already in exact global (clock, thread) order, and ONLY semantic events
 //     do: with the ring holding the pure semantic stream, drop-oldest overflow
 //     displaces the same events for every execution mode, which is what makes
-//     SemanticBytes() bit-identical between channel replay and the per-op
-//     reference for a fixed seed.
+//     SemanticBytes() bit-identical between channel replay and per-op
+//     replay for a fixed seed.
 //   * one EXECUTION sink — a scratch mailbox in the sense of
 //     docs/determinism.md: written only by the engine's commit phase (group
 //     commit execution events), merged here at the report boundary by a stable
@@ -51,7 +51,7 @@ class TraceScope {
 
   // Canonical little-endian byte serialization of the SEMANTIC events in
   // control-sink emission order. This is the determinism witness: bit-identical
-  // between channel replay and the per-op reference for the same seed + fault schedule.
+  // between channel replay and per-op replay for the same seed + fault schedule.
   [[nodiscard]] std::string SemanticBytes() const;
   // FNV-1a over SemanticBytes(), for cheap cross-run comparison in reports.
   [[nodiscard]] uint64_t SemanticDigest() const;

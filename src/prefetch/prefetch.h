@@ -122,6 +122,8 @@ struct PrefetchStats {
   [[nodiscard]] double Accuracy() const {
     return issued == 0 ? 0.0 : static_cast<double>(useful) / static_cast<double>(issued);
   }
+
+  friend bool operator==(const PrefetchStats&, const PrefetchStats&) = default;
 };
 
 // Majority-vote stride detector over a bounded access-history ring (page numbers at fault

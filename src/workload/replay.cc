@@ -67,19 +67,13 @@ Status ReplayEngine::Setup() {
     thread_blades_.push_back(blade);
   }
   setup_done_ = true;
-  if (options_.use_channels) {
-    // Channel-driven runs stream resolved ops into Submit; resolving here keeps Run's
-    // replay loop free of address arithmetic (and out of wall-clock measurements), like
-    // the rest of the setup phase. The reference path resolves lazily through AddressOf.
-    MaterializeOps();
-  }
+  // Resolving here keeps Run's replay loop free of address arithmetic (and out of
+  // wall-clock measurements), like the rest of the setup phase.
+  MaterializeOps();
   return Status::Ok();
 }
 
 void ReplayEngine::MaterializeOps() {
-  if (!thread_ops_.empty()) {
-    return;  // Segment maps are immutable after Setup; the arrays never go stale.
-  }
   thread_ops_.resize(traces_->threads.size());
   for (size_t t = 0; t < thread_ops_.size(); ++t) {
     const auto& ops = traces_->threads[t].ops;
@@ -150,10 +144,6 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
   const WorkloadTraces& traces = *traces_;
   const SimTime think = traces.think_time;
 
-  // A sampler observes the system between globally-ordered ops, so it forces the per-op
-  // reference path; use_channels = false selects it explicitly (conformance baseline).
-  const bool reference_mode = sampler != nullptr || !options_.use_channels;
-
   // --- Observability (src/obs/) -------------------------------------------
   // Constructed per Run so repeated Runs never mix artifacts. The trace scope's control
   // sink goes to the system (serialized-path semantic events); the engine itself writes
@@ -173,9 +163,10 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
   PhaseProfiler* const prof = profiler_.get();
   TraceSink* const exec_sink = trace_scope_ != nullptr ? trace_scope_->execution() : nullptr;
 
+  // A sampler observes the system between globally-ordered ops, so with one no channel
+  // opens: every op then takes the drain in exact (clock, index) order.
   std::vector<std::unique_ptr<AccessChannel>> channels(traces.threads.size());
-  if (!reference_mode) {
-    MaterializeOps();
+  if (sampler == nullptr) {
     for (size_t t = 0; t < channels.size(); ++t) {
       channels[t] = system->OpenChannel(thread_ids_[t], thread_blades_[t]);
     }
@@ -394,23 +385,20 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
   SimTime next_sample = sample_interval;
   // Metrics time series: sampled only on the serialized drain (exec_serial), so every
   // sampled value is a function of the serialized op stream — identical with tracing on
-  // or off. Reuses the sampler interval without forcing the reference path
-  // (CollectMetrics only reads).
+  // or off. Reuses the sampler interval without closing the channels (CollectMetrics
+  // only reads).
   SimTime next_metrics_at = sample_interval;
 
-  // One drained op: thread `t`'s next op through the reference per-op algorithm —
-  // sampler observation point, Access against the fully-merged state, accounting, clock
-  // advance and run-cursor alignment. Returns the local-hit verdict (the bounded exit
-  // policy's signal).
+  // One drained op: thread `t`'s next op through the per-op algorithm — sampler
+  // observation point, Access against the fully-merged state, accounting, clock advance
+  // and run-cursor alignment. Returns the local-hit verdict (the exit policy's signal).
   auto exec_serial = [&](size_t t) {  // MIND_SERIALIZED_PATH
     ThreadRt& th = threads[t];
     if (sampler != nullptr && sample_due(th.clock, &next_sample)) {
       sampler(th.clock);
     }
-    const TraceOp& op = traces.threads[t].ops[th.next_op];
-    const AccessResult r =
-        system->Access(th.tid, th.blade, AddressOf(op.segment, op.page), op.type,
-                       th.clock);
+    const LocalOp op = thread_ops_[t][th.next_op];
+    const AccessResult r = system->Access(th.tid, th.blade, op.va, op.type, th.clock);
     report.latency_histogram.Record(r.latency);
     latency_sum += r.latency;
     ++accounting_.drained_ops;
@@ -429,7 +417,7 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
       th.ran_in_drain = true;  // Past the classified prefix: the run is stale.
     }
     report.makespan = std::max(report.makespan, th.clock);
-    if (++th.next_op >= traces.threads[t].ops.size()) {
+    if (++th.next_op >= thread_ops_[t].size()) {
       th.finished = true;
     }
     if (sample_due(th.clock, &next_metrics_at)) {
@@ -456,12 +444,10 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
     }
   };
 
-  // Serialized drain: the reference algorithm over *all* threads — execute the exact
-  // global (clock, thread) minimum op, one at a time. In bounded mode it runs until the
-  // coherence burst passes and hands back to the channel rounds; unbounded it IS serial
-  // replay, with sampler observation points between ops. Correctness does not depend on
-  // the exit policy.
-  auto drain = [&](bool bounded, uint32_t max_coherence_ops,  // MIND_SERIALIZED_PATH
+  // Serialized drain over *all* threads — execute the exact global (clock, thread)
+  // minimum op, one at a time, until the coherence burst passes, then hand back to the
+  // channel rounds. Correctness does not depend on the exit policy.
+  auto drain = [&](uint32_t max_coherence_ops,  // MIND_SERIALIZED_PATH
                    uint32_t hit_streak_exit) {
     uint32_t coherence_ops = 0;
     uint32_t hit_streak = 0;
@@ -476,11 +462,7 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
       if (t_min == SIZE_MAX) {
         break;  // All threads finished.
       }
-      const bool hit = exec_serial(t_min);
-      if (!bounded) {
-        continue;
-      }
-      if (hit) {
+      if (exec_serial(t_min)) {
         if (++hit_streak >= hit_streak_exit) {
           break;
         }
@@ -494,72 +476,69 @@ ReplayReport ReplayEngine::Run(Sampler sampler, SimTime sample_interval) {
   };
 
   // Serialized drain stretches record on the profiler's serial lane.
-  auto timed_drain = [&](bool bounded, uint32_t max_coherence_ops,  // MIND_SERIALIZED_PATH
+  auto timed_drain = [&](uint32_t max_coherence_ops,  // MIND_SERIALIZED_PATH
                          uint32_t hit_streak_exit) {
     const uint64_t drain_start = prof != nullptr ? prof->Begin() : 0;
-    drain(bounded, max_coherence_ops, hit_streak_exit);
+    drain(max_coherence_ops, hit_streak_exit);
     if (prof != nullptr) {
       prof->End(prof->serial_lane(), PhaseProfiler::Phase::kSerialDrain, drain_start);
     }
   };
 
-  if (reference_mode) {
-    timed_drain(/*bounded=*/false, 0, 0);
-  } else {
-    // --- Round loop -------------------------------------------------------
+  // --- Round loop -------------------------------------------------------
 
-    // Adaptive drain exit policy (deterministic, hence result-invariant — the drain is
-    // always in exact global order): on coherence-dense stretches, rounds commit almost
-    // nothing and the scan/commit machinery is pure overhead, so each unproductive round
-    // lets the next drain run geometrically longer — both more coherence ops and a
-    // longer hit streak before it hands back — keeping the engine on the near-serial
-    // drain until real blade-local runs reappear; one productive round snaps the policy
-    // back to the base bounds.
-    uint32_t drain_coherence_budget = kDrainCoherenceOps;
-    uint32_t drain_streak_exit = kDrainHitStreakExit;
+  // Adaptive drain exit policy (deterministic, hence result-invariant — the drain is
+  // always in exact global order): on coherence-dense stretches, rounds commit almost
+  // nothing and the scan/commit machinery is pure overhead, so each unproductive round
+  // lets the next drain run geometrically longer — both more coherence ops and a
+  // longer hit streak before it hands back — keeping the engine on the near-serial
+  // drain until real blade-local runs reappear; one productive round snaps the policy
+  // back to the base bounds.
+  uint32_t drain_coherence_budget = kDrainCoherenceOps;
+  uint32_t drain_streak_exit = kDrainHitStreakExit;
 
-    for (;;) {
-      run_phase(PhaseProfiler::Phase::kScan, 0);
-      // A scheduled fault event (e.g. a blade drain) mutates caches at its chosen clock:
-      // channel hits at or past that clock must not commit before the event runs on the
-      // serialized path (the first drained Access with clock >= the event time fires it).
-      // kNever leaves the horizon untouched.
-      const SimTime horizon = std::min(barrier, system->NextScheduledFaultAt());
-      const uint64_t committed_before = accounting_.parallel_hits;
-      run_phase(PhaseProfiler::Phase::kCommit, horizon);
-      bool all_finished = true;
-      for (const ThreadRt& th : threads) {
-        if (!th.finished) {
-          all_finished = false;
-          break;
-        }
-      }
-      if (all_finished) {
+  for (;;) {
+    run_phase(PhaseProfiler::Phase::kScan, 0);
+    // A scheduled fault event (e.g. a blade drain) mutates caches at its chosen clock:
+    // channel hits at or past that clock must not commit before the event runs on the
+    // serialized path (the first drained Access with clock >= the event time fires it).
+    // kNever leaves the horizon untouched.
+    const SimTime horizon = std::min(barrier, system->NextScheduledFaultAt());
+    const uint64_t committed_before = accounting_.parallel_hits;
+    run_phase(PhaseProfiler::Phase::kCommit, horizon);
+    bool all_finished = true;
+    for (const ThreadRt& th : threads) {
+      if (!th.finished) {
+        all_finished = false;
         break;
       }
-      assert(horizon != kNoHorizon && "unfinished threads must contribute a barrier");
-      const uint64_t committed = accounting_.parallel_hits - committed_before;
-      // When every barrier came from window exhaustion (no blocked thread), the horizon
-      // thread committed its whole window and rescanning alone makes progress — except in
-      // degenerate zero-latency/zero-think configs where the horizon equals the frontier
-      // clock and nothing commits; the drain (always exact) then guarantees progress.
-      if (any_blocked || committed == 0) {
-        timed_drain(/*bounded=*/true, drain_coherence_budget, drain_streak_exit);
-        if (committed < threads.size()) {
-          drain_coherence_budget = std::min(drain_coherence_budget * 2, kMaxCoherenceBudget);
-          drain_streak_exit = std::min(drain_streak_exit * 2, kMaxStreakExit);
-        } else {
-          drain_coherence_budget = kDrainCoherenceOps;
-          drain_streak_exit = kDrainHitStreakExit;
-        }
+    }
+    if (all_finished) {
+      break;
+    }
+    assert(horizon != kNoHorizon && "unfinished threads must contribute a barrier");
+    const uint64_t committed = accounting_.parallel_hits - committed_before;
+    // When every barrier came from window exhaustion (no blocked thread), the horizon
+    // thread committed its whole window and rescanning alone makes progress — except in
+    // degenerate zero-latency/zero-think configs where the horizon equals the frontier
+    // clock and nothing commits; the drain (always exact) then guarantees progress.
+    if (any_blocked || committed == 0) {
+      timed_drain(drain_coherence_budget, drain_streak_exit);
+      if (committed < threads.size()) {
+        drain_coherence_budget = std::min(drain_coherence_budget * 2, kMaxCoherenceBudget);
+        drain_streak_exit = std::min(drain_streak_exit * 2, kMaxStreakExit);
+      } else {
+        drain_coherence_budget = kDrainCoherenceOps;
+        drain_streak_exit = kDrainHitStreakExit;
       }
     }
   }
 
   // Trailing time-driven control-plane work: per-op replay runs splitting epochs inside
   // every Access, including hits past the last coherence event; AdvanceTo replays those
-  // boundaries (same boundary timestamps, same entry stats) for full-state identity. On
-  // the reference path the final Access already ran them, making this a no-op.
+  // boundaries (same boundary timestamps, same entry stats) for full-state identity.
+  // When the op with the latest start drained, its Access already ran them, making this
+  // a no-op.
   const uint64_t total_ops = accounting_.parallel_hits + accounting_.drained_ops;
   SimTime max_start = 0;
   for (const ThreadRt& th : threads) {

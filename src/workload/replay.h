@@ -20,12 +20,11 @@
 // its next op through Access, book it, and hand back to the channel rounds under a
 // bounded exit policy (a streak of hits, or a budget of coherence ops).
 //
-// Two situations force the pure per-op reference path (every op through the drain in
-// global (clock, thread) order): a non-null sampler, which needs exact globally-ordered
-// observation points, and ReplayOptions::use_channels = false, the conformance baseline
-// the channel contract is tested against. An optional sampler observes the system at
-// fixed simulated-time intervals (used for the directory-occupancy time series of Fig. 8
-// left).
+// An optional sampler observes the system at fixed simulated-time intervals (used for
+// the directory-occupancy time series of Fig. 8 left). It needs exact globally-ordered
+// observation points, so a run with a sampler opens no channels: every op takes the
+// drain in (clock, index) order. Channel replay is checked against an engine-independent
+// per-op oracle in tests/replay_conformance.h.
 #ifndef MIND_SRC_WORKLOAD_REPLAY_H_
 #define MIND_SRC_WORKLOAD_REPLAY_H_
 
@@ -91,11 +90,6 @@ struct ReplayReport {
 struct ReplayOptions {
   // Ignored: replay has no shard partition. Kept because bench/mindbench still sets it.
   int shards = 1;
-  // Drive blade-local runs through the systems' AccessChannels, committed per blade
-  // through ChannelGroups (a blade without a group drains). Off = the per-op serial
-  // reference path (every op through Access in exact global order) that the channel
-  // conformance suite compares against.
-  bool use_channels = true;
   // Prefetch policy applied to the system at Setup (MemorySystem::SetPrefetchPolicy).
   // kNone — the default — leaves the system untouched, so replay stays bit-identical to
   // the pre-prefetch engine. With a real policy, replay is deterministic for a fixed
@@ -143,10 +137,10 @@ class ReplayEngine {
   Status Setup();
 
   // Replays the traces on the calling thread. A non-null sampler needs exact global-order
-  // observation points, so it forces the per-op reference path (documented fallback);
-  // otherwise the channel rounds run. `sample_interval` spaces both the sampler calls and
-  // the registry's mid-run series points; 0 disables mid-run sampling (the sampler never
-  // fires and metrics()->series() stays empty).
+  // observation points, so it opens no channels and every op drains; the results are the
+  // same either way. `sample_interval` spaces both the sampler calls and the registry's
+  // mid-run series points; 0 disables mid-run sampling (the sampler never fires and
+  // metrics()->series() stays empty).
   ReplayReport Run(Sampler sampler = nullptr, SimTime sample_interval = 10 * kMillisecond);
 
   // VA of `page` within `segment` after Setup (tests poke at specific addresses).
@@ -177,11 +171,10 @@ class ReplayEngine {
     std::vector<VirtAddr> chunk_bases;
   };
 
-  // Materializes the VA-resolved op stream per thread on first use: the scan phase hands
-  // contiguous slices of these arrays straight to AccessChannel::Submit instead of
-  // re-resolving addresses per op (costs one 8-byte LocalOp per trace op, on top of the
-  // trace's own 8-byte TraceOp; skipped entirely on the per-op reference path, which
-  // resolves through AddressOf as it drains).
+  // Materializes the VA-resolved op stream per thread at Setup: the scan phase hands
+  // contiguous slices of these arrays straight to AccessChannel::Submit, and the drain
+  // executes them, instead of re-resolving addresses per op (costs one 8-byte LocalOp
+  // per trace op, on top of the trace's own 8-byte TraceOp).
   void MaterializeOps();
 
   MemorySystem* system_;          // Not owned.
@@ -190,7 +183,7 @@ class ReplayEngine {
   std::vector<SegmentMap> segments_;
   std::vector<ThreadId> thread_ids_;
   std::vector<ComputeBladeId> thread_blades_;
-  std::vector<std::vector<LocalOp>> thread_ops_;  // Per-thread VA-resolved trace (lazy).
+  std::vector<std::vector<LocalOp>> thread_ops_;  // Per-thread VA-resolved trace.
   bool setup_done_ = false;
   ShardReport accounting_;
   std::unique_ptr<TraceScope> trace_scope_;    // Non-null after Run with options.trace.

@@ -2,10 +2,10 @@
 // against every compared system: MIND (TSO and PSO), GAM and FastSwap.
 //
 // Part 1 — engine-level conformance: channel-driven replay (every hit committed through
-// its blade's ChannelGroup) must be bit-identical (counters, every histogram bucket,
-// makespan, throughput) to the per-op reference path that issues one virtual
-// MemorySystem::Access per op in exact global order. This is the contract's whole point:
-// channels are an execution strategy, never a semantic.
+// its blade's ChannelGroup) must be bit-identical (every report field) to the per-op
+// oracle of tests/replay_conformance.h, which issues one virtual MemorySystem::Access per
+// op in exact global order. This is the contract's whole point: channels are an
+// execution strategy, never a semantic.
 //
 // Part 2 — channel-level contract: per-2MB-region validity stamps, checked through a
 // one-member group. A run submitted over private regions must survive an invalidation
@@ -13,7 +13,6 @@
 // wave lands inside one of its own stamped regions.
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -27,33 +26,16 @@
 #include "src/core/channel_group.h"
 #include "src/workload/generators.h"
 #include "src/workload/replay.h"
+#include "tests/replay_conformance.h"
 
 namespace mind {
 namespace {
-
-void ExpectReportsIdentical(const ReplayReport& want, const ReplayReport& got) {
-  EXPECT_EQ(want.makespan, got.makespan);
-  EXPECT_EQ(want.total_ops, got.total_ops);
-  EXPECT_EQ(want.counters.total_accesses, got.counters.total_accesses);
-  EXPECT_EQ(want.counters.local_hits, got.counters.local_hits);
-  EXPECT_EQ(want.counters.remote_accesses, got.counters.remote_accesses);
-  EXPECT_EQ(want.counters.invalidations, got.counters.invalidations);
-  EXPECT_EQ(want.counters.pages_flushed, got.counters.pages_flushed);
-  EXPECT_EQ(want.counters.false_invalidations, got.counters.false_invalidations);
-  EXPECT_EQ(want.counters.breakdown_sums.fault, got.counters.breakdown_sums.fault);
-  EXPECT_EQ(want.counters.breakdown_sums.network, got.counters.breakdown_sums.network);
-  EXPECT_EQ(want.counters.breakdown_sums.inv_queue, got.counters.breakdown_sums.inv_queue);
-  EXPECT_EQ(want.counters.breakdown_sums.inv_tlb, got.counters.breakdown_sums.inv_tlb);
-  EXPECT_TRUE(want.latency_histogram == got.latency_histogram);
-  EXPECT_DOUBLE_EQ(want.avg_latency_us, got.avg_latency_us);
-  EXPECT_DOUBLE_EQ(want.throughput_mops, got.throughput_mops);
-}
 
 // --- Part 1: engine-level conformance across systems -------------------------
 
 struct ConformanceCase {
   std::string name;
-  std::function<std::unique_ptr<MemorySystem>()> make_system;
+  SystemFactory make_system;
   WorkloadSpec spec;
   // The channel fast path must actually engage (not merely match by draining
   // everything).
@@ -183,27 +165,15 @@ std::vector<ConformanceCase> ConformanceCases() {
 
 class AccessChannelConformance : public ::testing::TestWithParam<ConformanceCase> {};
 
-TEST_P(AccessChannelConformance, BitIdenticalToPerOpReference) {
+TEST_P(AccessChannelConformance, BitIdenticalToPerOpOracle) {
   const ConformanceCase& c = GetParam();
   const WorkloadTraces traces = GenerateTraces(c.spec);
-
-  auto ref_sys = c.make_system();
-  ReplayOptions ref_opts;
-  ref_opts.use_channels = false;
-  ReplayEngine ref(ref_sys.get(), &traces, ref_opts);
-  ASSERT_TRUE(ref.Setup().ok());
-  const ReplayReport want = ref.Run();
-  ASSERT_GT(want.total_ops, 0u);
-
-  auto sys = c.make_system();
-  ReplayEngine engine(sys.get(), &traces);
-  ASSERT_TRUE(engine.Setup().ok());
-  ExpectReportsIdentical(want, engine.Run());
-  const ShardReport& accounting = engine.shard_reports()[0];
+  const Conformance result = ExpectEngineMatchesOracle(c.make_system, traces);
+  ASSERT_GT(result.oracle.total_ops, 0u);
   if (c.expect_parallel_hits) {
-    EXPECT_GT(accounting.parallel_hits, 0u) << "channel fast path never engaged";
+    EXPECT_GT(result.accounting.parallel_hits, 0u) << "channel fast path never engaged";
   }
-  EXPECT_EQ(accounting.grouped_ops, accounting.parallel_hits)
+  EXPECT_EQ(result.accounting.grouped_ops, result.accounting.parallel_hits)
       << "a channel op committed outside its blade's group";
 }
 

@@ -1,9 +1,10 @@
-// FaultPlane end-to-end tests (§4.4): the fault conformance oracle (an identical fault
-// seed/schedule must produce bit-identical counters, histograms and makespan on the
-// per-op reference and channel replay, for MIND, GAM and FastSwap, at every loss rate), the
-// reset path after a blade death (no deadlock, directory entry gone, cached copies flushed,
-// clean re-fault), scheduled blade drain/failover under live replay, stall windows, and the
-// FaultCounters block algebra. Reliability-tracker unit tests live in net_test.cc.
+// FaultPlane end-to-end tests (§4.4): the fault conformance matrix (an identical fault
+// seed/schedule must produce bit-identical reports on the per-op oracle of
+// tests/replay_conformance.h and channel replay, for MIND, GAM and FastSwap, at every
+// loss rate), the reset path after a blade death (no deadlock, directory entry gone,
+// cached copies flushed, clean re-fault), scheduled blade drain/failover under live
+// replay, stall windows, and the FaultCounters block algebra. Reliability-tracker unit
+// tests live in net_test.cc.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -16,50 +17,12 @@
 #include "src/core/mind.h"
 #include "src/workload/generators.h"
 #include "src/workload/replay.h"
+#include "tests/replay_conformance.h"
 
 namespace mind {
 namespace {
 
 // --- Shared helpers ------------------------------------------------------------------------
-
-void ExpectReportsIdentical(const ReplayReport& want, const ReplayReport& got) {
-  EXPECT_EQ(want.makespan, got.makespan);
-  EXPECT_EQ(want.total_ops, got.total_ops);
-  EXPECT_EQ(want.counters.total_accesses, got.counters.total_accesses);
-  EXPECT_EQ(want.counters.local_hits, got.counters.local_hits);
-  EXPECT_EQ(want.counters.remote_accesses, got.counters.remote_accesses);
-  EXPECT_EQ(want.counters.invalidations, got.counters.invalidations);
-  EXPECT_EQ(want.counters.pages_flushed, got.counters.pages_flushed);
-  EXPECT_EQ(want.counters.false_invalidations, got.counters.false_invalidations);
-  EXPECT_TRUE(want.latency_histogram == got.latency_histogram);
-  EXPECT_DOUBLE_EQ(want.avg_latency_us, got.avg_latency_us);
-  EXPECT_DOUBLE_EQ(want.throughput_mops, got.throughput_mops);
-  // The fault block is part of the oracle: same schedule => same timeouts, retransmissions,
-  // resets, reset flushes, drains and stalls, bit for bit.
-  EXPECT_TRUE(want.fault == got.fault);
-}
-
-ReplayReport RunReplay(MemorySystem* sys, const WorkloadTraces& traces, ReplayOptions opts) {
-  ReplayEngine engine(sys, &traces, opts);
-  EXPECT_TRUE(engine.Setup().ok());
-  return engine.Run();
-}
-
-// Every fault schedule must be execution-mode invariant: channel replay matches the
-// per-op reference path (`want`).
-void ExpectFaultConformance(const std::function<std::unique_ptr<MemorySystem>()>& make,
-                            const WorkloadTraces& traces, const ReplayReport& want) {
-  auto sys = make();
-  ExpectReportsIdentical(want, RunReplay(sys.get(), traces, ReplayOptions{}));
-}
-
-ReplayReport SerialReference(const std::function<std::unique_ptr<MemorySystem>()>& make,
-                             const WorkloadTraces& traces) {
-  auto sys = make();
-  ReplayOptions opts;
-  opts.use_channels = false;  // Per-op reference: one virtual Access per op.
-  return RunReplay(sys.get(), traces, opts);
-}
 
 RackConfig FaultRackConfig(double loss) {
   RackConfig c;
@@ -112,109 +75,114 @@ WorkloadSpec SwapSpec() {
   return spec;
 }
 
-// --- The fault conformance oracle: loss rates x systems x execution strategies -------------
+// --- The fault conformance matrix: loss rates x systems, channel replay vs the oracle ------
 
-TEST(FaultConformance, MindBitIdenticalAtEveryLossRate) {
-  const WorkloadTraces traces = GenerateTraces(CoherenceSpec(4));
+// Every loss rate must be execution-mode invariant, and the loss model must bite;
+// returns the oracle's report at each rate.
+std::vector<ReplayReport> ExpectEveryLossRateMatchesOracle(
+    const std::function<SystemFactory(double)>& make_at, const WorkloadTraces& traces) {
+  std::vector<ReplayReport> reports;
   for (const double loss : {0.0, 0.005, 0.05}) {
     SCOPED_TRACE(loss);
-    auto make = [loss] { return std::make_unique<MindSystem>(FaultRackConfig(loss)); };
-    const ReplayReport want = SerialReference(make, traces);
-    ASSERT_GT(want.total_ops, 0u);
+    const ReplayReport& want =
+        reports.emplace_back(ExpectEngineMatchesOracle(make_at(loss), traces).oracle);
+    EXPECT_GT(want.total_ops, 0u);
     if (loss == 0.0) {
       EXPECT_TRUE(want.fault == FaultCounters{});  // Loss-free stays fault-silent.
     } else {
       EXPECT_GT(want.fault.timeouts, 0u);  // The loss model actually bit.
     }
-    ExpectFaultConformance(make, traces, want);
   }
+  return reports;
+}
+
+TEST(FaultConformance, MindBitIdenticalAtEveryLossRate) {
+  ExpectEveryLossRateMatchesOracle(
+      [](double loss) -> SystemFactory {
+        return [loss] { return std::make_unique<MindSystem>(FaultRackConfig(loss)); };
+      },
+      GenerateTraces(CoherenceSpec(4)));
 }
 
 TEST(FaultConformance, GamBitIdenticalAtEveryLossRate) {
-  const WorkloadTraces traces = GenerateTraces(CoherenceSpec(4));
-  for (const double loss : {0.0, 0.005, 0.05}) {
-    SCOPED_TRACE(loss);
-    auto make = [loss] { return std::make_unique<GamSystem>(FaultGamConfig(loss)); };
-    const ReplayReport want = SerialReference(make, traces);
-    ASSERT_GT(want.total_ops, 0u);
-    if (loss == 0.0) {
-      EXPECT_TRUE(want.fault == FaultCounters{});
-    } else {
-      EXPECT_GT(want.fault.timeouts, 0u);
-    }
-    ExpectFaultConformance(make, traces, want);
-  }
+  ExpectEveryLossRateMatchesOracle(
+      [](double loss) -> SystemFactory {
+        return [loss] { return std::make_unique<GamSystem>(FaultGamConfig(loss)); };
+      },
+      GenerateTraces(CoherenceSpec(4)));
 }
 
 TEST(FaultConformance, FastSwapBitIdenticalAtEveryLossRate) {
-  const WorkloadTraces traces = GenerateTraces(SwapSpec());
-  for (const double loss : {0.0, 0.005, 0.05}) {
-    SCOPED_TRACE(loss);
-    auto make = [loss] {
-      return std::make_unique<FastSwapSystem>(FaultFastSwapConfig(loss));
-    };
-    const ReplayReport want = SerialReference(make, traces);
-    ASSERT_GT(want.total_ops, 0u);
-    if (loss == 0.0) {
-      EXPECT_TRUE(want.fault == FaultCounters{});
-    } else {
-      EXPECT_GT(want.fault.timeouts, 0u);
-      // FastSwap never resets: the kernel retries, so exhaustion only delays the fetch.
-      EXPECT_EQ(want.fault.resets_triggered, 0u);
-    }
-    ExpectFaultConformance(make, traces, want);
+  const std::vector<ReplayReport> reports = ExpectEveryLossRateMatchesOracle(
+      [](double loss) -> SystemFactory {
+        return [loss] { return std::make_unique<FastSwapSystem>(FaultFastSwapConfig(loss)); };
+      },
+      GenerateTraces(SwapSpec()));
+  for (const ReplayReport& want : reports) {
+    // FastSwap never resets: the kernel retries, so exhaustion only delays the fetch.
+    EXPECT_EQ(want.fault.resets_triggered, 0u);
   }
 }
 
 TEST(FaultConformance, MindBladeDeathScheduleIsModeInvariant) {
   const WorkloadTraces traces = GenerateTraces(CoherenceSpec(4));
   // Probe the fault-free makespan, then kill blade 1 halfway through the replay.
-  const SimTime makespan =
-      SerialReference([] { return std::make_unique<MindSystem>(FaultRackConfig(0.0)); },
-                      traces)
-          .makespan;
+  MindSystem fault_free(FaultRackConfig(0.0));
+  const SimTime makespan = PerOpLoop(&fault_free, traces).makespan;
   ASSERT_GT(makespan, 0u);
   RackConfig config = FaultRackConfig(0.0);
   config.fault.death.blade = 1;
   config.fault.death.at = makespan / 2;
   auto make = [config] { return std::make_unique<MindSystem>(config); };
-  const ReplayReport want = SerialReference(make, traces);
+  const ReplayReport want = ExpectEngineMatchesOracle(make, traces).oracle;
   // Waves targeting the dead blade exhaust their budgets deterministically (no RNG draw)
   // and reset their regions — the replay must survive and stay bit-identical.
   EXPECT_GT(want.fault.resets_triggered, 0u);
   EXPECT_GT(want.fault.timeouts, 0u);
   EXPECT_GT(want.fault.pages_flushed_by_reset, 0u);
-  ExpectFaultConformance(make, traces, want);
 }
 
 TEST(FaultConformance, MindScheduledDrainIsModeInvariant) {
-  const WorkloadTraces traces = GenerateTraces(CoherenceSpec(4));
-  const SimTime makespan =
-      SerialReference([] { return std::make_unique<MindSystem>(FaultRackConfig(0.0)); },
-                      traces)
-          .makespan;
-  ASSERT_GT(makespan, 0u);
-  RackConfig config = FaultRackConfig(0.0);
-  config.fault.drains.push_back(
-      FaultPlaneConfig::BladeDrain{/*blade=*/0, /*dst=*/1, /*at=*/makespan / 2});
-  auto make = [config] { return std::make_unique<MindSystem>(config); };
-  const ReplayReport want = SerialReference(make, traces);
-  // The drain completed mid-replay and actually moved memory off the blade. Channel
-  // replay's bit-identity is exactly what the engine's horizon clamp at
-  // NextScheduledFaultAt() guarantees: no channel hit commits past the drain's clock.
-  EXPECT_EQ(want.fault.drains_completed, 1u);
-  EXPECT_GT(want.fault.drain_pages_migrated, 0u);
-  ExpectFaultConformance(make, traces, want);
+  // Coherence-dense traffic drains mid-replay. Blade-resident private working sets drain
+  // three quarters in, once warm: channel runs then commit up to the drain's clock, so
+  // only the engine's horizon clamp at NextScheduledFaultAt() keeps them from committing
+  // hits past it that per-op replay would take after the drain.
+  WorkloadSpec resident;
+  resident.name = "blade-resident";
+  resident.num_blades = 4;
+  resident.private_pages_per_thread = 256;
+  resident.accesses_per_thread = 6000;
+  struct Case {
+    WorkloadSpec spec;
+    SimTime quarters;  // The drain's clock, in quarters of the fault-free makespan.
+    bool channels_commit;
+  };
+  for (const Case& c : {Case{CoherenceSpec(4), 2, false}, Case{resident, 3, true}}) {
+    SCOPED_TRACE(c.spec.name);
+    const WorkloadTraces traces = GenerateTraces(c.spec);
+    MindSystem fault_free(FaultRackConfig(0.0));
+    const SimTime makespan = PerOpLoop(&fault_free, traces).makespan;
+    ASSERT_GT(makespan, 0u);
+    RackConfig config = FaultRackConfig(0.0);
+    config.fault.drains.push_back(FaultPlaneConfig::BladeDrain{
+        /*blade=*/0, /*dst=*/1, /*at=*/makespan * c.quarters / 4});
+    auto make = [config] { return std::make_unique<MindSystem>(config); };
+    const Conformance result = ExpectEngineMatchesOracle(make, traces);
+    // The drain completed mid-replay and actually moved memory off the blade.
+    EXPECT_EQ(result.oracle.fault.drains_completed, 1u);
+    EXPECT_GT(result.oracle.fault.drain_pages_migrated, 0u);
+    if (c.channels_commit) {
+      EXPECT_GT(result.accounting.parallel_hits, 0u);
+    }
+  }
 }
 
 TEST(FaultConformance, MindFullFaultStormIsModeInvariant) {
   // Everything at once: seeded loss, a mid-replay blade death, a scheduled drain and a
   // stall window — the worst-case schedule must still be an execution-strategy invariant.
   const WorkloadTraces traces = GenerateTraces(CoherenceSpec(4));
-  const SimTime makespan =
-      SerialReference([] { return std::make_unique<MindSystem>(FaultRackConfig(0.0)); },
-                      traces)
-          .makespan;
+  MindSystem fault_free(FaultRackConfig(0.0));
+  const SimTime makespan = PerOpLoop(&fault_free, traces).makespan;
   ASSERT_GT(makespan, 0u);
   RackConfig config = FaultRackConfig(0.005);
   config.fault.death.blade = 2;
@@ -225,10 +193,9 @@ TEST(FaultConformance, MindFullFaultStormIsModeInvariant) {
       /*blade=*/3, /*from=*/makespan / 4, /*until=*/makespan / 2,
       /*delay=*/20 * kMicrosecond});
   auto make = [config] { return std::make_unique<MindSystem>(config); };
-  const ReplayReport want = SerialReference(make, traces);
+  const ReplayReport want = ExpectEngineMatchesOracle(make, traces).oracle;
   EXPECT_GT(want.fault.timeouts, 0u);
   EXPECT_EQ(want.fault.drains_completed, 1u);
-  ExpectFaultConformance(make, traces, want);
 }
 
 // --- The reset path after a blade death (§4.4), at rack level ------------------------------

@@ -3,17 +3,20 @@
 //      streams, random noise.
 //   2. PrefetchEngine policy predictions, adaptive window and in-flight bounds.
 //   3. End-to-end coverage on all three systems: streaming/strided workloads must cover
-//      a large fraction of would-be remote faults; pointer chase must not speculate.
+//      a large fraction of would-be remote faults; pointer chase must not speculate; a
+//      fault an arrived prefetch covers is traced useful.
 //   4. Invalidation safety: a wave that lands between issue and arrival discards the
 //      stale in-flight copy, and guesses never evict directory entries.
 //   5. kNone conformance: with the default policy, channel replay is bit-identical to
-//      the pre-prefetch per-op reference path for every system.
+//      the per-op oracle (tests/replay_conformance.h) for every system.
 //   6. The shared pipeline's fabric-pressure throttle (PrefetchUnit, stand-in host).
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/baselines/fastswap.h"
@@ -21,10 +24,13 @@
 #include "src/baselines/mind_system.h"
 #include "src/blade/dram_cache.h"
 #include "src/common/rng.h"
+#include "src/core/access_channel.h"
+#include "src/obs/trace.h"
 #include "src/prefetch/prefetch.h"
 #include "src/prefetch/prefetch_unit.h"
 #include "src/workload/generators.h"
 #include "src/workload/replay.h"
+#include "tests/replay_conformance.h"
 
 namespace mind {
 namespace {
@@ -314,6 +320,65 @@ TEST(PrefetchEndToEnd, PointerChaseProducesNoStrideSpeculation) {
   EXPECT_EQ(got.prefetch.issued, 0u);
 }
 
+// --- Part 3c: a fault an arrived prefetch covers is traced useful -------------
+
+// Replays a read-only stride-3 stream one Access at a time, with a think time long enough
+// for every window to land before the next demand. Before each access the thread's
+// channel classifies the op (Submit is a read-only hit check): a covered fault is an
+// access whose page was not cached but which Access serves as a local hit, because a
+// prefetch installed at the fault covers it. Each must be traced as one kPrefetchUseful
+// at the fault's clock with no duration; in-flight joins, the only other useful events,
+// last until their data lands.
+void ExpectCoveredFaultsTracedUseful(MemorySystem& sys) {
+  constexpr uint64_t kOps = 400;
+  constexpr SimTime kThink = 100 * kMicrosecond;
+  ASSERT_TRUE(sys.SetPrefetchPolicy(PrefetchPolicy::kMajorityStride));
+  const Result<VirtAddr> base = sys.Alloc(3 * kOps * kPageSize);
+  const Result<ThreadId> tid = sys.RegisterThread(0);
+  ASSERT_TRUE(base.ok() && tid.ok());
+  const std::unique_ptr<AccessChannel> probe = sys.OpenChannel(*tid, 0);
+  ASSERT_NE(probe, nullptr);
+  TraceSink sink(1 << 16);
+  ASSERT_TRUE(sys.SetTraceSink(&sink));
+  std::vector<std::pair<uint64_t, SimTime>> covered;  // (page, clock) per covered fault.
+  SimTime now = 0;
+  for (uint64_t i = 0; i < kOps; ++i) {
+    const LocalOp op{*base + 3 * i * kPageSize, AccessType::kRead};
+    Completion completion;
+    const bool cached = probe->Submit(&op, 1, now, kThink, &completion).accepted == 1;
+    const AccessResult r = sys.Access(*tid, 0, op.va, op.type, now);
+    if (!cached && r.local_hit) {
+      covered.emplace_back(PageNumber(op.va), now);
+    }
+    now += r.latency + kThink;
+  }
+  (void)sys.SetTraceSink(nullptr);
+  std::vector<std::pair<uint64_t, SimTime>> traced;
+  sink.ForEach([&](const TraceEvent& e) {
+    if (e.kind == TraceEventKind::kPrefetchUseful && e.dur == 0) {
+      EXPECT_EQ(e.tid, *tid);
+      traced.emplace_back(e.a, e.clock);
+    }
+  });
+  EXPECT_EQ(sink.dropped(), 0u);
+  EXPECT_FALSE(covered.empty()) << "the stream must produce covered faults";
+  EXPECT_EQ(traced, covered);
+}
+
+TEST(PrefetchTrace, CoveredFaultsAreTracedUsefulOnEverySystem) {
+  GamConfig gam_config;
+  gam_config.compute_cache_bytes = 8ull << 20;
+  FastSwapConfig fastswap_config;
+  fastswap_config.compute_cache_bytes = 8ull << 20;
+  MindSystem mind(SmallRack(1));
+  GamSystem gam(gam_config);
+  FastSwapSystem fastswap(fastswap_config);
+  for (MemorySystem* sys : std::initializer_list<MemorySystem*>{&mind, &gam, &fastswap}) {
+    SCOPED_TRACE(sys->name());
+    ExpectCoveredFaultsTracedUseful(*sys);
+  }
+}
+
 // --- Part 4: invalidation waves discard stale in-flight prefetches ------------
 
 // --- Part 3b: prefetch-aware eviction priority (DramCache cold inserts) -------
@@ -522,40 +587,18 @@ TEST(PrefetchInvalidation, GuessesNeverEvictDirectoryEntries) {
   EXPECT_EQ(rack.stats().invalidations_sent, 0u);
 }
 
-// --- Part 5: kNone conformance — bit-identical to the per-op reference --------
+// --- Part 5: kNone conformance — bit-identical to the per-op oracle ------------
 
-void ExpectReportsIdentical(const ReplayReport& want, const ReplayReport& got) {
-  EXPECT_EQ(want.makespan, got.makespan);
-  EXPECT_EQ(want.total_ops, got.total_ops);
-  EXPECT_EQ(want.counters.total_accesses, got.counters.total_accesses);
-  EXPECT_EQ(want.counters.local_hits, got.counters.local_hits);
-  EXPECT_EQ(want.counters.remote_accesses, got.counters.remote_accesses);
-  EXPECT_EQ(want.counters.invalidations, got.counters.invalidations);
-  EXPECT_EQ(want.counters.pages_flushed, got.counters.pages_flushed);
-  EXPECT_EQ(want.counters.false_invalidations, got.counters.false_invalidations);
-  EXPECT_TRUE(want.latency_histogram == got.latency_histogram);
-  EXPECT_DOUBLE_EQ(want.avg_latency_us, got.avg_latency_us);
-  EXPECT_DOUBLE_EQ(want.throughput_mops, got.throughput_mops);
-}
-
-TEST(PrefetchNoneConformance, AllSystemsBitIdenticalToReference) {
+TEST(PrefetchNoneConformance, AllSystemsBitIdenticalToOracle) {
   WorkloadSpec spec = MemcachedASpec(4, 2, /*accesses_per_thread=*/2000);
   spec.shared_pages = 4096;
   const WorkloadTraces traces = GenerateTraces(spec);
 
-  const auto check = [](const WorkloadTraces& traces, auto make_system) {
-    auto ref_sys = make_system();
-    ReplayOptions ref_opts;
-    ref_opts.use_channels = false;  // The pre-prefetch per-op reference path.
-    ReplayEngine ref(ref_sys.get(), &traces, ref_opts);
-    ASSERT_TRUE(ref.Setup().ok());
-    const ReplayReport want = ref.Run();
-    ASSERT_GT(want.total_ops, 0u);
-    auto sys = make_system();
-    const ReplayReport got = Replay(*sys, traces, PrefetchPolicy::kNone);
-    ExpectReportsIdentical(want, got);
-    EXPECT_EQ(got.prefetch.issued, 0u);
-    EXPECT_EQ(got.prefetch.useful, 0u);
+  const auto check = [](const WorkloadTraces& traces, const SystemFactory& make_system) {
+    const Conformance result = ExpectEngineMatchesOracle(make_system, traces);
+    ASSERT_GT(result.oracle.total_ops, 0u);
+    EXPECT_EQ(result.oracle.prefetch.issued, 0u);
+    EXPECT_EQ(result.oracle.prefetch.useful, 0u);
   };
 
   {

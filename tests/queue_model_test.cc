@@ -1,19 +1,17 @@
 // Unit tests for src/net/queue_model.h: kFifo equivalence with FifoResource,
-// windowed-M/G/1 load response, and the
-// determinism contract — replay stays bit-identical across the execution matrix with a
-// non-trivial queue model enabled under a live fault schedule.
+// windowed-M/G/1 load response, and the determinism contract — channel replay stays
+// bit-identical to the per-op oracle of tests/replay_conformance.h with a non-trivial
+// queue model enabled under a live fault schedule.
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "src/baselines/mind_system.h"
 #include "src/net/queue_model.h"
 #include "src/sim/resource.h"
 #include "src/workload/generators.h"
 #include "src/workload/replay.h"
+#include "tests/replay_conformance.h"
 
 namespace mind {
 namespace {
@@ -105,33 +103,12 @@ TEST(QueueModel, WindowedMG1UtilizationIsPureFunctionOfStream) {
   }
 }
 
-// --- Determinism: the execution matrix with a live queue model + fault schedule --------
-
-struct RunResult {
-  ReplayReport report;
-  std::string semantic_bytes;
-  uint64_t digest = 0;
-};
-
-RunResult RunMind(const RackConfig& config, const WorkloadTraces& traces,
-                  ReplayOptions opts) {
-  opts.trace = true;
-  MindSystem sys(config);
-  ReplayEngine engine(&sys, &traces, opts);
-  EXPECT_TRUE(engine.Setup().ok());
-  RunResult out;
-  out.report = engine.Run();
-  const TraceScope* scope = engine.trace_scope();
-  EXPECT_NE(scope, nullptr);
-  out.semantic_bytes = scope->SemanticBytes();
-  out.digest = scope->SemanticDigest();
-  return out;
-}
+// --- Determinism: a live queue model + fault schedule ------------------------------------
 
 TEST(QueueModel, ChannelReplayBitIdenticalWithMG1UnderFaults) {
   // The acceptance case: a coherence-dense trace on a kWindowedMG1 fabric with message
-  // loss, a blade death and a scheduled drain. Counters, histograms AND the canonical
-  // semantic byte stream must be identical between the reference and channel replay.
+  // loss, a blade death and a scheduled drain. Every report field AND the canonical
+  // semantic byte stream must be identical between the oracle and channel replay.
   RackConfig config;
   config.num_compute_blades = 4;
   config.num_memory_blades = 4;
@@ -152,21 +129,10 @@ TEST(QueueModel, ChannelReplayBitIdenticalWithMG1UnderFaults) {
   spec.shared_pages = 4096;
   const WorkloadTraces traces = GenerateTraces(spec);
 
-  ReplayOptions ref_opts;
-  ref_opts.use_channels = false;
-  const RunResult want = RunMind(config, traces, ref_opts);
-  ASSERT_GT(want.report.total_ops, 0u);
-
-  const RunResult got = RunMind(config, traces, ReplayOptions{});
-  EXPECT_EQ(want.report.makespan, got.report.makespan);
-  EXPECT_EQ(want.report.total_ops, got.report.total_ops);
-  EXPECT_EQ(want.report.counters.total_accesses, got.report.counters.total_accesses);
-  EXPECT_EQ(want.report.counters.invalidations, got.report.counters.invalidations);
-  EXPECT_EQ(want.report.counters.breakdown_sums.fabric_wait,
-            got.report.counters.breakdown_sums.fabric_wait);
-  EXPECT_TRUE(want.report.latency_histogram == got.report.latency_histogram);
-  EXPECT_EQ(want.digest, got.digest);
-  EXPECT_EQ(want.semantic_bytes, got.semantic_bytes);  // Byte-for-byte.
+  const Conformance result = ExpectEngineMatchesOracle(
+      [&] { return std::make_unique<MindSystem>(config); }, traces, /*trace=*/true);
+  ASSERT_GT(result.oracle.total_ops, 0u);
+  EXPECT_GT(result.oracle.counters.breakdown_sums.fabric_wait, 0u);
 }
 
 TEST(QueueModel, QueueModelsActuallyChangeTimingUnderLoad) {
@@ -185,12 +151,16 @@ TEST(QueueModel, QueueModelsActuallyChangeTimingUnderLoad) {
   spec.think_time = 0;  // Saturating offered load.
   const WorkloadTraces traces = GenerateTraces(spec);
 
-  ReplayOptions opts;
-  const RunResult fifo = RunMind(fifo_cfg, traces, opts);
-  const RunResult mg1 = RunMind(mg1_cfg, traces, opts);
-  EXPECT_GT(mg1.report.counters.breakdown_sums.fabric_wait, 0u);
-  EXPECT_NE(mg1.report.makespan, fifo.report.makespan);
-  EXPECT_NE(mg1.digest, fifo.digest);  // Access spans carry the changed timing.
+  MindSystem fifo_sys(fifo_cfg);
+  MindSystem mg1_sys(mg1_cfg);
+  TraceScope fifo_trace;
+  TraceScope mg1_trace;
+  const ReplayReport fifo = PerOpLoop(&fifo_sys, traces, &fifo_trace);
+  const ReplayReport mg1 = PerOpLoop(&mg1_sys, traces, &mg1_trace);
+  EXPECT_GT(mg1.counters.breakdown_sums.fabric_wait, 0u);
+  EXPECT_NE(mg1.makespan, fifo.makespan);
+  // Access spans carry the changed timing.
+  EXPECT_NE(mg1_trace.SemanticDigest(), fifo_trace.SemanticDigest());
 }
 
 }  // namespace

@@ -1,17 +1,20 @@
 // Determinism tests for the channel-based replay engine: channel replay must produce
-// results bit-identical to the per-op reference path (use_channels = false: every op
+// results bit-identical to the per-op oracle of tests/replay_conformance.h (every op
 // through MemorySystem::Access in global (clock, thread) order): same makespan, same
 // counter block, same latency histogram (every bucket), same throughput. The epoch-horizon
 // merge design makes this a hard invariant, not a tolerance. Cross-system conformance of
 // the AccessChannel contract itself (MIND, GAM, FastSwap) lives in access_channel_test.cc.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "src/baselines/gam.h"
 #include "src/baselines/mind_system.h"
 #include "src/workload/generators.h"
 #include "src/workload/replay.h"
+#include "tests/replay_conformance.h"
 
 namespace mind {
 namespace {
@@ -55,83 +58,41 @@ WorkloadSpec HitHeavySpec(int blades) {
   return spec;
 }
 
-void ExpectReportsIdentical(const ReplayReport& want, const ReplayReport& got) {
-  EXPECT_EQ(want.makespan, got.makespan);
-  EXPECT_EQ(want.total_ops, got.total_ops);
-  EXPECT_EQ(want.counters.total_accesses, got.counters.total_accesses);
-  EXPECT_EQ(want.counters.local_hits, got.counters.local_hits);
-  EXPECT_EQ(want.counters.remote_accesses, got.counters.remote_accesses);
-  EXPECT_EQ(want.counters.invalidations, got.counters.invalidations);
-  EXPECT_EQ(want.counters.pages_flushed, got.counters.pages_flushed);
-  EXPECT_EQ(want.counters.false_invalidations, got.counters.false_invalidations);
-  EXPECT_EQ(want.counters.breakdown_sums.fault, got.counters.breakdown_sums.fault);
-  EXPECT_EQ(want.counters.breakdown_sums.network, got.counters.breakdown_sums.network);
-  EXPECT_EQ(want.counters.breakdown_sums.inv_queue, got.counters.breakdown_sums.inv_queue);
-  EXPECT_EQ(want.counters.breakdown_sums.inv_tlb, got.counters.breakdown_sums.inv_tlb);
-  EXPECT_TRUE(want.latency_histogram == got.latency_histogram);
-  EXPECT_DOUBLE_EQ(want.avg_latency_us, got.avg_latency_us);
-  EXPECT_DOUBLE_EQ(want.throughput_mops, got.throughput_mops);
-}
-
-ReplayReport SerialReference(const WorkloadTraces& traces, const RackConfig& config) {
-  MindSystem sys(config);
-  ReplayOptions opts;
-  opts.use_channels = false;  // Per-op reference: one virtual Access per op.
-  ReplayEngine engine(&sys, &traces, opts);
-  EXPECT_TRUE(engine.Setup().ok());
-  return engine.Run();
-}
-
-ReplayReport RunChannels(const WorkloadTraces& traces, const RackConfig& config,
-                         ShardReport* accounting = nullptr) {
-  MindSystem sys(config);
-  ReplayEngine engine(&sys, &traces);
-  EXPECT_TRUE(engine.Setup().ok());
-  ReplayReport report = engine.Run();
-  if (accounting != nullptr) {
-    *accounting = engine.shard_reports()[0];
-  }
-  return report;
+// Expects channel replay of `traces` on a MIND rack to match the per-op oracle.
+Conformance ExpectMindMatchesOracle(const WorkloadTraces& traces, const RackConfig& config) {
+  return ExpectEngineMatchesOracle([&] { return std::make_unique<MindSystem>(config); },
+                                   traces);
 }
 
 TEST(ShardedReplay, BitIdenticalCoherenceHeavy) {
-  const RackConfig config = TestRackConfig(4);
   const WorkloadTraces traces = GenerateTraces(CoherenceHeavySpec(4));
-  const ReplayReport want = SerialReference(traces, config);
-  ASSERT_GT(want.total_ops, 0u);
-  ASSERT_GT(want.counters.invalidations, 0u);  // The workload must cross blades.
-  ExpectReportsIdentical(want, RunChannels(traces, config));
+  const Conformance result = ExpectMindMatchesOracle(traces, TestRackConfig(4));
+  ASSERT_GT(result.oracle.total_ops, 0u);
+  ASSERT_GT(result.oracle.counters.invalidations, 0u);  // The workload must cross blades.
 }
 
 TEST(ShardedReplay, BitIdenticalHitHeavy) {
-  const RackConfig config = TestRackConfig(8);
   const WorkloadTraces traces = GenerateTraces(HitHeavySpec(8));
-  const ReplayReport want = SerialReference(traces, config);
-  ShardReport accounting;
-  const ReplayReport got = RunChannels(traces, config, &accounting);
-  ExpectReportsIdentical(want, got);
-  // Accounting closes: every op was committed by a channel round or drained.
-  EXPECT_EQ(accounting.parallel_hits + accounting.drained_ops, got.total_ops);
-  EXPECT_GT(accounting.parallel_hits, 0u);  // The channel fast path must actually engage.
+  const Conformance result = ExpectMindMatchesOracle(traces, TestRackConfig(8));
+  // The channel fast path must actually engage.
+  EXPECT_GT(result.accounting.parallel_hits, 0u);
 }
 
 TEST(ShardedReplay, BitIdenticalUnderPso) {
   RackConfig config = TestRackConfig(4);
   config.consistency = ConsistencyModel::kPso;
-  const WorkloadTraces traces = GenerateTraces(CoherenceHeavySpec(4));
-  ExpectReportsIdentical(SerialReference(traces, config), RunChannels(traces, config));
+  ExpectMindMatchesOracle(GenerateTraces(CoherenceHeavySpec(4)), config);
 }
 
 TEST(ShardedReplay, BitIdenticalWithStoredPayloads) {
   RackConfig config = TestRackConfig(2);
   config.store_data = true;  // Payloads flow through the per-blade slab arenas.
-  const WorkloadTraces traces = GenerateTraces(CoherenceHeavySpec(2));
-  ExpectReportsIdentical(SerialReference(traces, config), RunChannels(traces, config));
+  ExpectMindMatchesOracle(GenerateTraces(CoherenceHeavySpec(2)), config);
 }
 
 // Forwards every MemorySystem call but inherits the default (null) OpenChannelGroup —
 // and, unless `forward_channels`, the default (null) OpenChannel: the opt-out contracts
-// must route every op through the serialized drain and still match the per-op reference
+// must route every op through the serialized drain and still match the per-op oracle
 // exactly. Channels without a group never commit.
 class NoChannelSystem final : public MemorySystem {
  public:
@@ -163,11 +124,13 @@ class NoChannelSystem final : public MemorySystem {
 void ExpectSerializesWithoutGroups(bool forward_channels) {
   const RackConfig config = TestRackConfig(4);
   const WorkloadTraces traces = GenerateTraces(HitHeavySpec(4));
+  MindSystem oracle_sys(config);
+  const ReplayReport want = PerOpLoop(&oracle_sys, traces);
   MindSystem inner(config);
   NoChannelSystem channel_sys(&inner, forward_channels);
   ReplayEngine engine(&channel_sys, &traces);
   ASSERT_TRUE(engine.Setup().ok());
-  ExpectReportsIdentical(SerialReference(traces, config), engine.Run());
+  ExpectReportsIdentical(want, engine.Run());
   EXPECT_EQ(engine.shard_reports()[0].parallel_hits, 0u);
 }
 
@@ -179,21 +142,34 @@ TEST(ShardedReplay, ChannelsWithoutGroupsSerialize) {
   ExpectSerializesWithoutGroups(/*forward_channels=*/true);
 }
 
-TEST(ShardedReplay, SamplerFallsBackToReferencePath) {
+// A sampler opens no channels, so it observes the rack at exactly the points per-op
+// replay does: the same (clock, directory entry count) at every call. This is the series
+// fig8_directory_entries prints.
+TEST(ShardedReplay, SamplerSeesWhatPerOpReplaySees) {
   const RackConfig config = TestRackConfig(4);
   const WorkloadTraces traces = GenerateTraces(HitHeavySpec(4));
+  constexpr SimTime kInterval = 50 * kMicrosecond;
+  using Samples = std::vector<std::pair<SimTime, size_t>>;
+  const auto recorder = [](MindSystem* sys, Samples* out) {
+    return [sys, out](SimTime now) {
+      out->emplace_back(now, sys->rack().directory().entry_count());
+    };
+  };
+  MindSystem oracle_sys(config);
+  Samples want;
+  const ReplayReport want_report =
+      PerOpLoop(&oracle_sys, traces, nullptr, recorder(&oracle_sys, &want), kInterval);
+  ASSERT_GT(want.size(), 1u);
+  EXPECT_NE(want.front().second, want.back().second);  // The directory fills meanwhile.
+
   MindSystem sys(config);
   ReplayEngine engine(&sys, &traces);
   ASSERT_TRUE(engine.Setup().ok());
-  int samples = 0;
-  const ReplayReport report =
-      engine.Run([&](SimTime) { ++samples; }, /*sample_interval=*/50 * kMicrosecond);
-  EXPECT_GT(samples, 0);
-  EXPECT_GT(report.total_ops, 0u);
-  // Everything drained: the reference path never touches a channel.
+  Samples got;
+  ExpectReportsIdentical(want_report, engine.Run(recorder(&sys, &got), kInterval));
+  EXPECT_EQ(got, want);
   ASSERT_EQ(engine.shard_reports().size(), 1u);
   EXPECT_EQ(engine.shard_reports()[0].parallel_hits, 0u);
-  EXPECT_EQ(engine.shard_reports()[0].drained_ops, report.total_ops);
 }
 
 // A zero sample interval means "no mid-run sampling": Run returns, the sampler never
@@ -223,7 +199,7 @@ TEST(ShardedReplay, ZeroSampleIntervalDisablesSampling) {
 // 0's writes launch invalidation waves into blade 1 mid-run while thread 1 replays long
 // blade-local runs over its own private segment. Each wave cuts the round horizon short
 // and kills thread 1's runs over the shared region, and the result must still be
-// bit-identical to the serial reference.
+// bit-identical to the per-op oracle.
 WorkloadTraces CrossBladeWaveTraces() {
   WorkloadTraces t;
   t.name = "cross-blade-wave";
@@ -254,11 +230,9 @@ WorkloadTraces CrossBladeWaveTraces() {
 }
 
 TEST(ShardedReplay, CrossBladeWaveInvalidatesPeerRuns) {
-  const RackConfig config = TestRackConfig(2);
-  const WorkloadTraces traces = CrossBladeWaveTraces();
-  const ReplayReport want = SerialReference(traces, config);
-  ASSERT_GT(want.counters.invalidations, 0u);  // The waves actually cross blades.
-  ExpectReportsIdentical(want, RunChannels(traces, config));
+  const Conformance result = ExpectMindMatchesOracle(CrossBladeWaveTraces(), TestRackConfig(2));
+  // The waves actually cross blades.
+  ASSERT_GT(result.oracle.counters.invalidations, 0u);
 }
 
 TEST(SystemCountersMerge, AddsEveryFieldWithoutDoubleCounting) {

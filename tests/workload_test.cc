@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -18,6 +17,7 @@
 #include "src/core/access.h"
 #include "src/workload/generators.h"
 #include "src/workload/replay.h"
+#include "tests/replay_conformance.h"
 
 namespace mind {
 namespace {
@@ -299,28 +299,6 @@ TEST(Replay, SetupTwiceRejected) {
   EXPECT_FALSE(engine.Setup().ok());
 }
 
-TEST(Replay, SamplerFiresAtIntervals) {
-  RackConfig cfg;
-  cfg.num_compute_blades = 1;
-  cfg.num_memory_blades = 1;
-  MindSystem sys(cfg);
-  auto spec = MicroSpec(1, 0.5, 0.0, 2000, 2000);
-  const auto traces = GenerateTraces(spec);
-  ReplayEngine engine(&sys, &traces);
-  ASSERT_TRUE(engine.Setup().ok());
-  int samples = 0;
-  SimTime last = 0;
-  const auto report = engine.Run(
-      [&](SimTime now) {
-        ++samples;
-        EXPECT_GE(now, last);
-        last = now;
-      },
-      kMillisecond);
-  EXPECT_GT(samples, 0);
-  EXPECT_LE(last, report.makespan);
-}
-
 TEST(Replay, SetupRejectsMalformedTraces) {
   RackConfig cfg;
   cfg.num_compute_blades = 2;
@@ -365,62 +343,6 @@ TEST(Replay, SetupRejectsMalformedTraces) {
   EXPECT_EQ(engine.Run().total_ops, valid.TotalOps());
 }
 
-// Replays `traces` with a loop written independently of ReplayEngine: the same
-// allocations and thread placement as Setup, then one Access per op in global
-// (clock, thread index) order, then the trailing AdvanceTo.
-ReplayReport PerOpLoop(MemorySystem* sys, const WorkloadTraces& traces) {
-  constexpr uint64_t kChunk = ReplayEngine::kChunkPages;
-  std::vector<std::vector<VirtAddr>> chunk_bases(traces.segments.size());
-  for (size_t s = 0; s < traces.segments.size(); ++s) {
-    const uint64_t pages = traces.segments[s].pages;
-    for (uint64_t first = 0; first < pages; first += kChunk) {
-      auto base = sys->Alloc(std::min(kChunk, pages - first) * kPageSize);
-      EXPECT_TRUE(base.ok());
-      chunk_bases[s].push_back(*base);
-    }
-  }
-  const size_t n = traces.threads.size();
-  const auto blades =
-      static_cast<size_t>(std::min(traces.num_blades, sys->num_compute_blades()));
-  std::vector<ThreadId> tids(n);
-  std::vector<ComputeBladeId> thread_blade(n);
-  for (size_t t = 0; t < n; ++t) {
-    thread_blade[t] = static_cast<ComputeBladeId>(t % blades);
-    auto tid = sys->RegisterThread(thread_blade[t]);
-    EXPECT_TRUE(tid.ok());
-    tids[t] = *tid;
-  }
-
-  const SystemCounters before = sys->counters();
-  std::vector<SimTime> clock(n, 0);
-  std::vector<size_t> next(n, 0);
-  SimTime max_start = 0;
-  ReplayReport report;
-  for (;;) {
-    size_t pick = n;
-    for (size_t t = 0; t < n; ++t) {
-      if (next[t] < traces.threads[t].ops.size() && (pick == n || clock[t] < clock[pick])) {
-        pick = t;
-      }
-    }
-    if (pick == n) {
-      break;
-    }
-    const TraceOp& op = traces.threads[pick].ops[next[pick]++];
-    const VirtAddr va =
-        chunk_bases[op.segment][op.page / kChunk] + PageToAddr(op.page % kChunk);
-    const AccessResult r = sys->Access(tids[pick], thread_blade[pick], va, op.type, clock[pick]);
-    max_start = std::max(max_start, clock[pick]);
-    clock[pick] += r.latency + traces.think_time;
-    report.makespan = std::max(report.makespan, clock[pick]);
-    report.latency_histogram.Record(r.latency);
-    ++report.total_ops;
-  }
-  sys->AdvanceTo(max_start);
-  report.counters = sys->counters().DeltaSince(before);
-  return report;
-}
-
 TEST(Replay, MatchesPerOpLoop) {
   // Private working sets that fit the cache (channel runs) plus a zipfian shared table
   // with writes (invalidation waves, upgrades, splitting epochs) on 2 blades x 2 threads.
@@ -454,42 +376,42 @@ TEST(Replay, MatchesPerOpLoop) {
   gam.num_memory_blades = 2;
   gam.compute_cache_bytes = 8ull << 20;
 
-  const std::vector<std::pair<const char*, std::function<std::unique_ptr<MemorySystem>()>>>
-      systems = {
-          {"MindTso", [&] { return std::make_unique<MindSystem>(rack); }},
-          {"MindPso", [&] { return std::make_unique<MindSystem>(pso); }},
-          {"Gam", [&] { return std::make_unique<GamSystem>(gam); }},
-      };
+  const std::vector<std::pair<const char*, SystemFactory>> systems = {
+      {"MindTso", [&] { return std::make_unique<MindSystem>(rack); }},
+      {"MindPso", [&] { return std::make_unique<MindSystem>(pso); }},
+      {"Gam", [&] { return std::make_unique<GamSystem>(gam); }},
+  };
+  // The sampler column records the op count at every sample point: a sampler opens no
+  // channels, so it must fire before the same op as on the oracle.
+  using Samples = std::vector<std::pair<SimTime, uint64_t>>;
+  const auto recorder = [](MemorySystem* sys, Samples* out) {
+    return [sys, out](SimTime now) { out->emplace_back(now, sys->counters().total_accesses); };
+  };
+  constexpr SimTime kInterval = 100 * kMicrosecond;
   for (const auto& [name, make] : systems) {
     SCOPED_TRACE(name);
     auto loop_sys = make();
-    const ReplayReport want = PerOpLoop(loop_sys.get(), traces);
+    Samples want_samples;
+    const ReplayReport want = PerOpLoop(loop_sys.get(), traces, nullptr,
+                                        recorder(loop_sys.get(), &want_samples), kInterval);
     ASSERT_EQ(want.total_ops, traces.TotalOps());
     ASSERT_GT(want.counters.invalidations, 0u);
-    for (const bool use_channels : {false, true}) {
-      SCOPED_TRACE(use_channels ? "channels" : "per-op");
+    ASSERT_GT(want_samples.size(), 1u);
+    for (const bool with_sampler : {false, true}) {
+      SCOPED_TRACE(with_sampler ? "sampler" : "channels");
       auto sys = make();
-      ReplayOptions opts;
-      opts.use_channels = use_channels;
-      ReplayEngine engine(sys.get(), &traces, opts);
+      ReplayEngine engine(sys.get(), &traces);
       ASSERT_TRUE(engine.Setup().ok());
-      const ReplayReport got = engine.Run();
-      EXPECT_EQ(got.makespan, want.makespan);
-      EXPECT_EQ(got.total_ops, want.total_ops);
-      EXPECT_EQ(got.counters.total_accesses, want.counters.total_accesses);
-      EXPECT_EQ(got.counters.local_hits, want.counters.local_hits);
-      EXPECT_EQ(got.counters.remote_accesses, want.counters.remote_accesses);
-      EXPECT_EQ(got.counters.invalidations, want.counters.invalidations);
-      EXPECT_EQ(got.counters.pages_flushed, want.counters.pages_flushed);
-      EXPECT_EQ(got.counters.false_invalidations, want.counters.false_invalidations);
-      EXPECT_EQ(got.counters.breakdown_sums.fault, want.counters.breakdown_sums.fault);
-      EXPECT_EQ(got.counters.breakdown_sums.network, want.counters.breakdown_sums.network);
-      EXPECT_EQ(got.counters.breakdown_sums.inv_queue, want.counters.breakdown_sums.inv_queue);
-      EXPECT_EQ(got.counters.breakdown_sums.inv_tlb, want.counters.breakdown_sums.inv_tlb);
-      EXPECT_EQ(got.counters.breakdown_sums.fabric_wait,
-                want.counters.breakdown_sums.fabric_wait);
-      EXPECT_TRUE(got.latency_histogram == want.latency_histogram);
-      if (use_channels) {
+      Samples got_samples;
+      ReplayEngine::Sampler sampler;
+      if (with_sampler) {
+        sampler = recorder(sys.get(), &got_samples);
+      }
+      ExpectReportsIdentical(want, engine.Run(sampler, kInterval));
+      if (with_sampler) {
+        EXPECT_EQ(got_samples, want_samples);
+        EXPECT_EQ(engine.shard_reports()[0].parallel_hits, 0u);
+      } else {
         // The channel rounds actually engaged.
         EXPECT_GT(engine.shard_reports()[0].parallel_hits, 0u);
       }

@@ -6,7 +6,7 @@ The replay engine's determinism contract (docs/determinism.md) has two halves:
   * RNG draws and global-counter mutation happen only on SERIALIZED paths —
     replay executes those in exact global (clock, thread) order in every
     execution mode, so the draw/mutation sequence is the same under channel
-    replay and the per-op reference mode.
+    replay and per-op replay (the oracle in tests/replay_conformance.h).
   * PARALLEL phases (channel Submit rounds and group merges, which run
     ahead of global order on the replay thread) may only touch blade- or
     thread-confined state; counters go to the engine's own report block,
