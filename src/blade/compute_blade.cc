@@ -4,8 +4,6 @@ namespace mind {
 
 ComputeBlade::InvalidationOutcome ComputeBlade::HandleInvalidation(VirtAddr base, VirtAddr end,
                                                                    SimTime arrival) {
-  ++invalidations_received_;
-
   InvalidationOutcome out;
   auto range = cache_.InvalidateRange(PageNumber(base), PageNumber(end - 1) + 1);
   out.flushed = std::move(range.flushed);

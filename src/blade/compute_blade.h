@@ -43,17 +43,14 @@ class ComputeBlade {
   InvalidationOutcome HandleInvalidation(VirtAddr base, VirtAddr end, SimTime arrival);
 
   // Per-blade counters.
-  [[nodiscard]] uint64_t invalidations_received() const { return invalidations_received_; }
   [[nodiscard]] uint64_t pages_flushed() const { return pages_flushed_; }
   [[nodiscard]] uint64_t tlb_shootdowns() const { return tlb_shootdowns_; }
-  [[nodiscard]] const FifoResource& handler_queue() const { return handler_queue_; }
 
  private:
   ComputeBladeId id_;
   DramCache cache_;
   LatencyModel latency_;
   FifoResource handler_queue_;  // Serial kernel invalidation path.
-  uint64_t invalidations_received_ = 0;
   uint64_t pages_flushed_ = 0;
   uint64_t tlb_shootdowns_ = 0;
 };

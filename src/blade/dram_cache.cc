@@ -291,26 +291,6 @@ DramCache::RangeInvalidation DramCache::InvalidateRange(uint64_t page_begin,
   return result;
 }
 
-DramCache::RangeInvalidation DramCache::DowngradeRange(uint64_t page_begin,
-                                                       uint64_t page_end) {
-  RangeInvalidation result;
-  ForEachPageInRange<false>(page_begin, page_end, [&](uint64_t page) {
-    BumpRegion(page);  // Writability changes below; per-region so other runs survive.
-    Frame& frame = FrameAt(*index_.Find(page));
-    if (frame.dirty) {
-      // Flush a copy; the page stays cached read-only.
-      Eviction flushed{page, true, nullptr};
-      if (frame.data != nullptr) {
-        flushed.data = MakePayload(frame.data.get());
-      }
-      result.flushed.push_back(std::move(flushed));
-      frame.dirty = false;
-    }
-    frame.writable = false;
-  });
-  return result;
-}
-
 uint64_t DramCache::CountRange(uint64_t page_begin, uint64_t page_end) const {
   uint64_t count = 0;
   ForEachPageInRange<false>(page_begin, page_end, [&](uint64_t) { ++count; });

@@ -117,10 +117,6 @@ class DramCache {
   };
   RangeInvalidation InvalidateRange(uint64_t page_begin, uint64_t page_end);
 
-  // Downgrade to read-only without dropping: flushes dirty pages (returned) and clears
-  // write permission. Used by the ablation that keeps M->S sharers resident.
-  RangeInvalidation DowngradeRange(uint64_t page_begin, uint64_t page_end);
-
   [[nodiscard]] uint64_t CountRange(uint64_t page_begin, uint64_t page_end) const;
 
   [[nodiscard]] uint64_t size() const { return index_.size(); }

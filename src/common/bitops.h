@@ -44,8 +44,6 @@ namespace mind {
   return (x & (alignment - 1)) == 0;
 }
 
-[[nodiscard]] constexpr int PopCount(uint64_t x) { return std::popcount(x); }
-
 // Index of the lowest set bit; x must be non-zero.
 [[nodiscard]] constexpr uint32_t LowestSetBit(uint64_t x) {
   return static_cast<uint32_t>(std::countr_zero(x));

@@ -108,14 +108,6 @@ class Histogram {
     }
   }
 
-  void Reset() {
-    count_ = 0;
-    sum_ = 0;
-    max_ = 0;
-    min_ = 0;
-    buckets_.fill(0);
-  }
-
   // Exact state equality (every bucket), used by the replay determinism tests.
   friend bool operator==(const Histogram& a, const Histogram& b) = default;
 

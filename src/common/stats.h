@@ -35,7 +35,6 @@ namespace mind {
 struct Counter {
   uint64_t value = 0;
   void Add(uint64_t delta = 1) { value += delta; }
-  void Reset() { value = 0; }
 };
 
 // Periodic samples of a gauge (e.g. #used directory entries) against a monotonically
@@ -50,14 +49,6 @@ class GaugeSeries {
   };
 
   [[nodiscard]] const std::vector<Point>& samples() const { return samples_; }
-  [[nodiscard]] uint64_t MaxValue() const {
-    uint64_t m = 0;
-    for (const auto& p : samples_) {
-      m = std::max(m, p.value);
-    }
-    return m;
-  }
-  void Reset() { samples_.clear(); }
 
  private:
   std::vector<Point> samples_;

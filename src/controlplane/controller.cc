@@ -5,7 +5,6 @@
 namespace mind {
 
 Status Controller::MemoryBladeOnline(MemoryBladeId blade, uint64_t capacity_bytes) {
-  ++syscall_count_;
   const VirtAddr start = next_partition_start_;
   if (Status s = allocator_.AddBlade(blade, start, capacity_bytes); !s.ok()) {
     return s;
@@ -18,7 +17,6 @@ Status Controller::MemoryBladeOnline(MemoryBladeId blade, uint64_t capacity_byte
 }
 
 Result<VirtAddr> Controller::Mmap(ProcessId pid, uint64_t size, PermClass perm) {
-  ++syscall_count_;
   auto pdid = processes_.PdidOf(pid);
   if (!pdid.ok()) {
     return pdid.status();
@@ -45,7 +43,6 @@ Result<VirtAddr> Controller::Mmap(ProcessId pid, uint64_t size, PermClass perm) 
 }
 
 Status Controller::Munmap(ProcessId pid, VirtAddr base) {
-  ++syscall_count_;
   auto it = vmas_.find(base);
   if (it == vmas_.end()) {
     return Status(ErrorCode::kFault, "no vma at address");
@@ -65,7 +62,6 @@ Status Controller::Munmap(ProcessId pid, VirtAddr base) {
 }
 
 Status Controller::Mprotect(ProcessId pid, VirtAddr base, uint64_t size, PermClass perm) {
-  ++syscall_count_;
   const VmaRecord* vma = FindVma(base);
   if (vma == nullptr || vma->pid != pid) {
     return Status(ErrorCode::kFault, "range not mapped by this process");
@@ -78,7 +74,6 @@ Status Controller::Mprotect(ProcessId pid, VirtAddr base, uint64_t size, PermCla
 
 Status Controller::GrantToDomain(ProcessId owner, ProtDomainId grantee, VirtAddr base,
                                  uint64_t size, PermClass perm) {
-  ++syscall_count_;
   const VmaRecord* vma = FindVma(base);
   if (vma == nullptr || vma->pid != owner) {
     return Status(ErrorCode::kPermissionDenied, "granting process does not own the range");
@@ -90,18 +85,15 @@ Status Controller::GrantToDomain(ProcessId owner, ProtDomainId grantee, VirtAddr
 }
 
 Status Controller::RevokeFromDomain(ProtDomainId grantee, VirtAddr base, uint64_t size) {
-  ++syscall_count_;
   return protection_->Revoke(grantee, base, size);
 }
 
 Status Controller::MigrateRange(VirtAddr base, uint32_t size_log2, MemoryBladeId dst,
                                 PhysAddr dst_pa) {
-  ++syscall_count_;
   return translator_->AddOutlier(base, size_log2, dst, dst_pa);
 }
 
 Status Controller::Exit(ProcessId pid) {
-  ++syscall_count_;
   // Tear down all vmas owned by the process, then the task itself.
   for (auto it = vmas_.begin(); it != vmas_.end();) {
     if (it->second.pid == pid) {

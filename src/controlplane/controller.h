@@ -98,7 +98,6 @@ class Controller {
   }
   [[nodiscard]] ProcessManager& processes() { return processes_; }
   [[nodiscard]] const BalancedAllocator& allocator() const { return allocator_; }
-  [[nodiscard]] uint64_t syscall_count() const { return syscall_count_; }
   [[nodiscard]] size_t vma_count() const { return vmas_.size(); }
 
  private:
@@ -109,7 +108,6 @@ class Controller {
   ProcessManager processes_;
   std::map<VirtAddr, VmaRecord> vmas_;  // Keyed by vma base.
   VirtAddr next_partition_start_ = kPartitionStart;
-  uint64_t syscall_count_ = 0;
 
   static constexpr VirtAddr kPartitionStart = 0x0000'7000'0000'0000ull;
 };

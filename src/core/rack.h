@@ -186,7 +186,6 @@ class Rack final : private PrefetchUnit::Host {
   [[nodiscard]] const StateTransitionTable& stt() const { return stt_; }
   [[nodiscard]] ComputeBlade& compute_blade(ComputeBladeId id) { return *compute_blades_[id]; }
   [[nodiscard]] MemoryBlade& memory_blade(MemoryBladeId id) { return *memory_blades_[id]; }
-  [[nodiscard]] TcamCapacity& tcam_capacity() { return tcam_capacity_; }
   [[nodiscard]] FaultPlane& fault_plane() { return fault_plane_; }
   [[nodiscard]] const FaultPlane& fault_plane() const { return fault_plane_; }
 

@@ -32,12 +32,6 @@ struct RackStats {
 
   LatencyBreakdown breakdown_sums;   // Summed over remote accesses.
 
-  [[nodiscard]] double PerAccess(uint64_t counter) const {
-    return total_accesses == 0
-               ? 0.0
-               : static_cast<double>(counter) / static_cast<double>(total_accesses);
-  }
-
   RackStats Delta(const RackStats& earlier) const {
     RackStats d = *this;
     d.total_accesses -= earlier.total_accesses;

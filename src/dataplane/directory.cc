@@ -50,9 +50,8 @@ Result<DirectoryEntry*> CacheDirectory::Create(VirtAddr base, uint32_t size_log2
       return Status(ErrorCode::kExists, "region overlaps predecessor");
     }
   }
-  auto slot = slots_.Allocate(base);
-  if (!slot.ok()) {
-    return slot.status();
+  if (entry_count() == capacity_) {
+    return Status(ErrorCode::kResourceExhausted, "directory SRAM full");
   }
   const uint32_t idx = AllocIndex();
   DirectoryEntry& entry = EntryAt(idx);
@@ -61,6 +60,7 @@ Result<DirectoryEntry*> CacheDirectory::Create(VirtAddr base, uint32_t size_log2
   entry.size_log2 = size_log2;
   entry.quiet_since = epochs_ended_;
   by_base_.Upsert(base, idx);
+  high_water_ = std::max(high_water_, entry_count());
   ordered_.emplace_hint(it, base, idx);
   AddToClass(size_log2);
   RecordMaturity(entry);
@@ -78,7 +78,7 @@ Status CacheDirectory::Remove(VirtAddr base) {
   by_base_.Erase(base);
   ordered_.erase(base);
   FreeIndex(idx);
-  return slots_.Free(base);
+  return Status::Ok();
 }
 
 uint64_t CacheDirectory::RemoveRange(VirtAddr begin, VirtAddr end) {
@@ -108,9 +108,8 @@ Status CacheDirectory::Split(VirtAddr base) {
   const uint32_t child_log2 = parent.size_log2 - 1;
   const VirtAddr upper_base = base + (uint64_t{1} << child_log2);
 
-  auto slot = slots_.Allocate(upper_base);
-  if (!slot.ok()) {
-    return slot.status();
+  if (entry_count() == capacity_) {
+    return Status(ErrorCode::kResourceExhausted, "directory SRAM full");
   }
 
   const uint32_t upper_idx = AllocIndex();
@@ -130,6 +129,7 @@ Status CacheDirectory::Split(VirtAddr base) {
 
   by_base_.Upsert(upper_base, upper_idx);
   ordered_.emplace(upper_base, upper_idx);
+  high_water_ = std::max(high_water_, entry_count());
   // The lower half keeps the parent's base, stamp and pending maturity event; the upper
   // half needs its own, or a pair formed by splitting it again would never be examined
   // when it matures. If the stamp has matured, this watches the new pair instead.
@@ -218,7 +218,7 @@ Status CacheDirectory::MergeWithBuddy(VirtAddr base, uint32_t max_size_log2) {
   by_base_.Erase(upper_key);
   ordered_.erase(upper_key);
   FreeIndex(upper_idx);
-  return slots_.Free(upper_key);
+  return Status::Ok();
 }
 
 void CacheDirectory::RecordMaturity(DirectoryEntry& e) {

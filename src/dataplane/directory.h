@@ -53,7 +53,6 @@
 #include "src/common/flat_map.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
-#include "src/dataplane/sram.h"
 #include "src/dataplane/stt.h"
 
 namespace mind {
@@ -101,7 +100,7 @@ struct DirectoryEntry {
 
 class CacheDirectory {
  public:
-  explicit CacheDirectory(uint32_t capacity_slots) : slots_(capacity_slots) {}
+  explicit CacheDirectory(uint32_t capacity_slots) : capacity_(capacity_slots) {}
 
   // Returns the entry whose region contains `va`, or nullptr if none exists (region is in
   // the implicit I state). Entry pointers are stable until the entry is removed or merged.
@@ -125,11 +124,11 @@ class CacheDirectory {
   }
 
   // Creates an entry for the aligned region [base, base + 2^size_log2). Fails with
-  // kResourceExhausted when no SRAM slot is free (caller should evict) and kExists when the
-  // region would overlap an existing entry.
+  // kResourceExhausted when the directory holds capacity() entries (caller should evict)
+  // and kExists when the region would overlap an existing entry.
   Result<DirectoryEntry*> Create(VirtAddr base, uint32_t size_log2);
 
-  // Removes the entry at `base`, freeing its SRAM slot.
+  // Removes the entry at `base`, freeing its slot.
   Status Remove(VirtAddr base);
 
   // Removes every entry overlapping [begin, end), in ascending base order, and returns how
@@ -137,10 +136,10 @@ class CacheDirectory {
   // straddle it) to `end`, so the cost is the range's entries, not the directory's.
   uint64_t RemoveRange(VirtAddr begin, VirtAddr end);
 
-  // Splits the region at `base` into two buddies; the upper half takes a fresh SRAM slot.
+  // Splits the region at `base` into two buddies; the upper half takes a fresh slot.
   // Children inherit state/owner/sharers/busy horizon and the quiet stamp conservatively;
   // both start the epoch count at zero. Fails when the region is already at the 4 KB floor
-  // or when no slot is free.
+  // or when the directory is full.
   Status Split(VirtAddr base);
 
   // Merges the region at `base` with its buddy if the buddy exists, both are the same size,
@@ -216,20 +215,22 @@ class CacheDirectory {
   // next epoch and has its count reset; the total and the active list empty.
   void EndEpoch();
 
+  // Live entries, the SRAM slot budget, and the most entries ever live at once. Only the
+  // count of used slots is modelled: the switch's free list and base -> slot map (§6.3)
+  // decide nothing any result depends on.
   [[nodiscard]] uint64_t entry_count() const { return by_base_.size(); }
-  [[nodiscard]] uint64_t capacity() const { return slots_.total(); }
-  [[nodiscard]] double utilization() const { return slots_.utilization(); }
-  [[nodiscard]] uint64_t high_water() const { return slots_.high_water(); }
-  [[nodiscard]] const SramSlotStore& slots() const { return slots_; }
+  [[nodiscard]] uint64_t capacity() const { return capacity_; }
+  [[nodiscard]] double utilization() const {
+    return capacity_ == 0 ? 0.0
+                          : static_cast<double>(entry_count()) / static_cast<double>(capacity_);
+  }
+  [[nodiscard]] uint64_t high_water() const { return high_water_; }
 
  private:
   [[nodiscard]] DirectoryEntry& EntryAt(uint32_t idx) { return arena_.At(idx); }
   [[nodiscard]] DirectoryEntry* AtBase(VirtAddr base) {
     const uint32_t* idx = by_base_.Find(base);
     return idx != nullptr ? &EntryAt(*idx) : nullptr;
-  }
-  [[nodiscard]] bool LiveAt(uint32_t idx) const {
-    return (live_[idx >> 6] & (uint64_t{1} << (idx & 63))) != 0;
   }
 
   uint32_t AllocIndex();
@@ -254,7 +255,8 @@ class CacheDirectory {
   // Ordered side-index (base -> arena slot), maintained off the hot path.
   std::map<VirtAddr, uint32_t> ordered_;
 
-  SramSlotStore slots_;
+  uint64_t capacity_;
+  uint64_t high_water_ = 0;
   uint32_t clock_idx_ = 0;   // Arena slot where the next eviction sweep resumes.
 
   // Epoch bookkeeping. The lists hold bases, not slots: an entry removed since it was

@@ -164,9 +164,6 @@ class FaultPlane {
     return out;
   }
 
-  [[nodiscard]] bool BladeDead(ComputeBladeId b, SimTime t) const {
-    return config_.death.at != 0 && b == config_.death.blade && t >= config_.death.at;
-  }
   [[nodiscard]] bool AnyDead(SharerMask targets, SimTime t) const {
     return config_.death.at != 0 && t >= config_.death.at &&
            (targets & BladeBit(config_.death.blade)) != 0;

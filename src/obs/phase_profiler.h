@@ -76,7 +76,6 @@ class PhaseProfiler {
   [[nodiscard]] size_t serial_lane() const { return 1; }
   [[nodiscard]] size_t num_lanes() const { return lanes_.size(); }
   [[nodiscard]] const Lane& lane(size_t i) const { return lanes_[i]; }
-  [[nodiscard]] uint64_t origin_ns() const { return origin_ns_; }
 
   [[nodiscard]] static const char* PhaseName(Phase p) {
     switch (p) {

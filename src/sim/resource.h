@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 
 #include "src/common/types.h"
 
@@ -42,10 +41,6 @@ class FifoResource {
     return g;
   }
 
-  // Extend the busy horizon without enqueuing work (used when a region must stay locked
-  // until invalidation ACKs return, not just while the switch pipeline processes a packet).
-  void BlockUntil(SimTime t) { busy_until_ = std::max(busy_until_, t); }
-
   // Applies a batch of `jobs` grants simulated externally in one pass (a ChannelGroup
   // replaying the FIFO queue over a merged same-blade stream): advances the horizon and
   // folds in exactly the aggregate stats the equivalent per-op Acquire calls would have
@@ -63,33 +58,11 @@ class FifoResource {
   [[nodiscard]] SimTime total_wait() const { return total_wait_; }
   [[nodiscard]] uint64_t jobs() const { return jobs_; }
 
-  void Reset() {
-    busy_until_ = 0;
-    total_busy_ = 0;
-    total_wait_ = 0;
-    jobs_ = 0;
-  }
-
  private:
   SimTime busy_until_ = 0;
   SimTime total_busy_ = 0;
   SimTime total_wait_ = 0;
   uint64_t jobs_ = 0;
-};
-
-// A keyed family of FIFO resources, created on first use (e.g. one per directory region).
-template <typename Key>
-class ResourceMap {
- public:
-  FifoResource& Get(const Key& key) { return resources_[key]; }
-
-  [[nodiscard]] size_t size() const { return resources_.size(); }
-
-  void Erase(const Key& key) { resources_.erase(key); }
-  void Clear() { resources_.clear(); }
-
- private:
-  std::unordered_map<Key, FifoResource> resources_;
 };
 
 }  // namespace mind

@@ -1,189 +1,31 @@
-// Conformance suite for the AccessChannel contract (src/core/access_channel.h), run
-// against every compared system: MIND (TSO and PSO), GAM and FastSwap.
+// Contract tests for AccessChannel and ChannelGroup (src/core/access_channel.h). That
+// channel replay is bit-identical to per-op replay on every system is checked by the
+// seeded conformance fuzzer, tests/replay_fuzz_test.cc.
 //
-// Part 1 — engine-level conformance: channel-driven replay (every hit committed through
-// its blade's ChannelGroup) must be bit-identical (every report field) to the per-op
-// oracle of tests/replay_conformance.h, which issues one virtual MemorySystem::Access per
-// op in exact global order. This is the contract's whole point: channels are an
-// execution strategy, never a semantic.
+// Part 1 — per-2MB-region validity stamps, checked through a one-member group. A run
+// submitted over private regions must survive an invalidation wave that hits a
+// *different* (shared) region of the same blade, and must die when the wave lands inside
+// one of its own stamped regions.
 //
-// Part 2 — channel-level contract: per-2MB-region validity stamps, checked through a
-// one-member group. A run submitted over private regions must survive an invalidation
-// wave that hits a *different* (shared) region of the same blade, and must die when the
-// wave lands inside one of its own stamped regions.
+// Part 2 — per-blade channel groups: exact GAM latencies from one merged commit,
+// per-member ValidMask verdicts, and the loser-tree merge order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
-#include <memory>
-#include <string>
 #include <vector>
 
-#include "src/baselines/fastswap.h"
 #include "src/baselines/gam.h"
 #include "src/baselines/mind_system.h"
+#include "src/common/histogram.h"
 #include "src/common/rng.h"
 #include "src/core/access_channel.h"
 #include "src/core/channel_group.h"
-#include "src/workload/generators.h"
-#include "src/workload/replay.h"
-#include "tests/replay_conformance.h"
 
 namespace mind {
 namespace {
 
-// --- Part 1: engine-level conformance across systems -------------------------
-
-struct ConformanceCase {
-  std::string name;
-  SystemFactory make_system;
-  WorkloadSpec spec;
-  // The channel fast path must actually engage (not merely match by draining
-  // everything).
-  bool expect_parallel_hits = true;
-};
-
-RackConfig ConformanceRackConfig() {
-  RackConfig c;
-  c.num_compute_blades = 4;
-  c.num_memory_blades = 4;
-  c.memory_blade_capacity = 2ull << 30;
-  c.compute_cache_bytes = 8ull << 20;  // Small cache: real LRU evictions during replay.
-  c.directory_slots = 2048;            // Small directory: capacity evictions + merges.
-  c.splitting.epoch_length = 2 * kMillisecond;
-  return c;
-}
-
-GamConfig ConformanceGamConfig() {
-  GamConfig c;
-  c.num_compute_blades = 4;
-  c.num_memory_blades = 4;
-  c.compute_cache_bytes = 8ull << 20;
-  return c;
-}
-
-WorkloadSpec CoherenceSpec(int blades, int threads_per_blade) {
-  WorkloadSpec spec = MemcachedASpec(blades, threads_per_blade,
-                                     /*accesses_per_thread=*/3000);
-  spec.shared_pages = 4096;
-  return spec;
-}
-
-std::vector<ConformanceCase> ConformanceCases() {
-  std::vector<ConformanceCase> cases;
-  cases.push_back(ConformanceCase{
-      "MindTso",
-      [] { return std::make_unique<MindSystem>(ConformanceRackConfig()); },
-      CoherenceSpec(4, 2)});
-  {
-    RackConfig pso = ConformanceRackConfig();
-    pso.consistency = ConsistencyModel::kPso;
-    cases.push_back(ConformanceCase{
-        "MindPso", [pso] { return std::make_unique<MindSystem>(pso); },
-        CoherenceSpec(4, 2)});
-  }
-  // GAM with one thread per blade and cache-resident per-blade working sets: each blade's
-  // one-member group replays the lock queue exactly, and sparse shared writes fire real
-  // cross-blade invalidations.
-  {
-    WorkloadSpec spec;
-    spec.name = "gam-blade-resident";
-    spec.num_blades = 4;
-    spec.threads_per_blade = 1;
-    spec.private_pages_per_thread = 1024;  // Fits the 2048-frame conformance cache.
-    spec.private_pattern = Pattern::kSequential;
-    spec.private_write_fraction = 0.5;
-    spec.shared_pages = 512;
-    spec.shared_access_fraction = 0.05;
-    spec.shared_write_fraction = 0.2;
-    spec.accesses_per_thread = 5000;
-    cases.push_back(ConformanceCase{
-        "GamSoleThreadBlades",
-        [] { return std::make_unique<GamSystem>(ConformanceGamConfig()); }, spec});
-  }
-  // GAM streaming far past the cache (TF shape on an 8 MB cache): nearly every op is a
-  // miss, so this pins down bit-identity when the adaptive drain carries ~the whole
-  // trace. Channel engagement is not asserted — there are no runs worth batching.
-  cases.push_back(ConformanceCase{
-      "GamStreamingMisses",
-      [] { return std::make_unique<GamSystem>(ConformanceGamConfig()); },
-      TfSpec(4, /*threads_per_blade=*/1, /*accesses_per_thread=*/4000),
-      /*expect_parallel_hits=*/false});
-  // GAM with intra-blade contention: submit-time latencies are lower bounds; group
-  // commits finalize them exactly inside the merged batch.
-  cases.push_back(ConformanceCase{
-      "GamContendedBlades",
-      [] { return std::make_unique<GamSystem>(ConformanceGamConfig()); },
-      CoherenceSpec(4, 2)});
-  {
-    // FastSwap, cache-resident: two threads share the swap cache, hits dominate after
-    // warmup, and the same-blade (clock, thread) merge interleaves their runs.
-    FastSwapConfig fs;
-    fs.num_memory_blades = 4;
-    fs.compute_cache_bytes = 4ull << 20;  // 1024 frames.
-    WorkloadSpec spec;
-    spec.name = "fastswap-resident";
-    spec.num_blades = 1;
-    spec.threads_per_blade = 2;
-    spec.private_pages_per_thread = 400;
-    spec.private_pattern = Pattern::kUniform;
-    spec.private_write_fraction = 0.5;
-    spec.accesses_per_thread = 5000;
-    cases.push_back(ConformanceCase{
-        "FastSwapResident", [fs] { return std::make_unique<FastSwapSystem>(fs); }, spec});
-    // FastSwap, thrashing: working set ~1.5x the cache, so faults, LRU evictions and
-    // dirty write-backs dominate — identity only, engagement depends on the drain policy.
-    WorkloadSpec thrash = spec;
-    thrash.name = "fastswap-thrash";
-    thrash.private_pages_per_thread = 800;
-    cases.push_back(ConformanceCase{
-        "FastSwapThrashing", [fs] { return std::make_unique<FastSwapSystem>(fs); },
-        thrash, /*expect_parallel_hits=*/false});
-  }
-  {
-    // MIND with 10 threads per blade, the figure benches' thread count: more members than
-    // kGroupMergeLinearScanMax, so group commits merge their lanes through the loser tree.
-    // Private working sets fit the cache; sparse shared writes cut rounds short.
-    WorkloadSpec spec;
-    spec.name = "mind-ten-threads";
-    spec.num_blades = 4;
-    spec.threads_per_blade = 10;
-    spec.private_pages_per_thread = 150;
-    spec.private_pattern = Pattern::kUniform;
-    spec.private_write_fraction = 0.5;
-    spec.shared_pages = 512;
-    spec.shared_access_fraction = 0.002;
-    spec.shared_write_fraction = 0.2;
-    spec.accesses_per_thread = 5000;
-    spec.think_time = 200;
-    spec.seed = 7;
-    cases.push_back(ConformanceCase{
-        "MindTenThreadsPerBlade",
-        [] { return std::make_unique<MindSystem>(ConformanceRackConfig()); }, spec});
-  }
-  return cases;
-}
-
-class AccessChannelConformance : public ::testing::TestWithParam<ConformanceCase> {};
-
-TEST_P(AccessChannelConformance, BitIdenticalToPerOpOracle) {
-  const ConformanceCase& c = GetParam();
-  const WorkloadTraces traces = GenerateTraces(c.spec);
-  const Conformance result = ExpectEngineMatchesOracle(c.make_system, traces);
-  ASSERT_GT(result.oracle.total_ops, 0u);
-  if (c.expect_parallel_hits) {
-    EXPECT_GT(result.accounting.parallel_hits, 0u) << "channel fast path never engaged";
-  }
-  EXPECT_EQ(result.accounting.grouped_ops, result.accounting.parallel_hits)
-      << "a channel op committed outside its blade's group";
-}
-
-INSTANTIATE_TEST_SUITE_P(AllSystems, AccessChannelConformance,
-                         ::testing::ValuesIn(ConformanceCases()),
-                         [](const ::testing::TestParamInfo<ConformanceCase>& info) {
-                           return info.param.name;
-                         });
-
-// --- Part 2: per-region validity stamps --------------------------------------
+// --- Part 1: per-region validity stamps --------------------------------------
 
 // MIND: a run submitted over a private 2MB region of blade 0 survives a cross-blade
 // invalidation wave that strips a *shared* region of blade 0, and dies only when a wave
@@ -323,7 +165,7 @@ TEST(AccessChannelRegionStamps, GamPrivateRunSurvivesSharedWave) {
   EXPECT_EQ(group->ValidMask() & 1u, 0u);
 }
 
-// --- Part 3: per-blade channel groups ----------------------------------------
+// --- Part 2: per-blade channel groups ----------------------------------------
 
 // GAM under intra-blade contention: per-thread Submit can only lower-bound hit latencies,
 // but one group commit replays the merged (clock, thread) lock

@@ -76,18 +76,6 @@ TEST(DramCache, InvalidateRangeSeparatesDirtyFromClean) {
   EXPECT_NE(c.Lookup(20), nullptr);   // Out of range untouched.
 }
 
-TEST(DramCache, DowngradeFlushesButKeepsResident) {
-  DramCache c(8, false);
-  (void)c.Insert(5, true);
-  c.MarkDirty(5);
-  auto down = c.DowngradeRange(5, 6);
-  ASSERT_EQ(down.flushed.size(), 1u);
-  auto* f = c.Lookup(5);
-  ASSERT_NE(f, nullptr);  // Still cached...
-  EXPECT_FALSE(f->writable);  // ...but read-only and clean.
-  EXPECT_FALSE(f->dirty);
-}
-
 TEST(DramCache, StoreDataRoundTrip) {
   DramCache c(2, /*store_data=*/true);
   PageData data{};

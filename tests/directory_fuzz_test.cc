@@ -27,7 +27,6 @@ class DirectoryFuzzTest : public ::testing::TestWithParam<FuzzCase> {
 
   void CheckAgainstReference(CacheDirectory& dir) {
     ASSERT_EQ(dir.entry_count(), reference_.size());
-    ASSERT_EQ(dir.slots().used(), reference_.size());
     // No overlap and exact geometry for every reference interval.
     VirtAddr prev_end = 0;
     for (const auto& [base, size] : reference_) {

@@ -1,4 +1,4 @@
-// Unit tests for the in-network cache directory (§4.3, §6.3): SRAM slot accounting, region
+// Unit tests for the in-network cache directory (§4.3, §6.3): the SRAM slot budget, region
 // lookup, split/merge mechanics and capacity eviction.
 #include <gtest/gtest.h>
 
@@ -9,27 +9,16 @@
 namespace mind {
 namespace {
 
-TEST(Sram, AllocateFreeCycle) {
-  SramSlotStore s(2);
-  auto a = s.Allocate(0x1000);
-  auto b = s.Allocate(0x2000);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_NE(*a, *b);
-  EXPECT_EQ(s.Allocate(0x3000).status().code(), ErrorCode::kResourceExhausted);
-  ASSERT_TRUE(s.Free(0x1000).ok());
-  EXPECT_TRUE(s.Allocate(0x3000).ok());
-  EXPECT_EQ(s.used(), 2u);
-  EXPECT_EQ(s.high_water(), 2u);
-}
-
-TEST(Sram, RekeyPreservesSlot) {
-  SramSlotStore s(4);
-  auto slot = s.Allocate(0x1000);
-  ASSERT_TRUE(slot.ok());
-  ASSERT_TRUE(s.Rekey(0x1000, 0x9000).ok());
-  EXPECT_FALSE(s.SlotOf(0x1000).has_value());
-  EXPECT_EQ(s.SlotOf(0x9000).value(), *slot);
+TEST(Directory, AllocateFreeCycle) {
+  CacheDirectory d(2);
+  ASSERT_TRUE(d.Create(0x1000, 12).ok());
+  ASSERT_TRUE(d.Create(0x2000, 12).ok());
+  EXPECT_EQ(d.Create(0x3000, 12).status().code(), ErrorCode::kResourceExhausted);
+  ASSERT_TRUE(d.Remove(0x1000).ok());
+  EXPECT_EQ(d.high_water(), 2u);  // The high water outlives the entry.
+  EXPECT_TRUE(d.Create(0x3000, 12).ok());
+  EXPECT_EQ(d.entry_count(), 2u);
+  EXPECT_EQ(d.high_water(), 2u);
 }
 
 TEST(Directory, CreateAndLookup) {
@@ -170,7 +159,6 @@ TEST(Directory, SplitThenMergeRoundTripsSlots) {
   ASSERT_TRUE(d.MergeWithBuddy(0x10000, 21).ok());
   EXPECT_EQ(d.entry_count(), 1u);
   EXPECT_EQ(d.Lookup(0x10000)->size(), 0x4000u);
-  EXPECT_EQ(d.slots().used(), 1u);
 }
 
 TEST(Directory, RemoveRangeTakesStraddlersAndSparesNeighbours) {
@@ -189,7 +177,7 @@ TEST(Directory, RemoveRangeTakesStraddlersAndSparesNeighbours) {
   std::vector<VirtAddr> left;
   d.ForEach([&](DirectoryEntry& e) { left.push_back(e.base); });
   EXPECT_EQ(left, (std::vector<VirtAddr>{0x0, 0x20000}));
-  EXPECT_EQ(d.slots().used(), 2u);
+  EXPECT_EQ(d.entry_count(), 2u);
   EXPECT_EQ(d.epoch_false_invalidations(), 101u);  // The removed entry's count went too.
 
   // A predecessor that ends exactly at the begin does not straddle it.

@@ -1,7 +1,7 @@
 // LRU-order parity test for the flat-hash DramCache: a reference model built exactly the
 // way the seed implementation was (ordered std::map of frames + std::list recency list) is
 // driven in lockstep with the real cache through randomized insert/lookup/upgrade/dirty/
-// invalidate/downgrade sequences. Eviction order, the dirty write-back set, range
+// invalidate sequences. Eviction order, the dirty write-back set, range
 // invalidation results and occupancy must be identical at every step — the refactor must
 // be observationally indistinguishable from the seed semantics.
 #include <gtest/gtest.h>
@@ -94,18 +94,6 @@ class RefCache {
     return r;
   }
 
-  RangeResult DowngradeRange(uint64_t begin, uint64_t end) {
-    RangeResult r;
-    for (auto it = frames_.lower_bound(begin); it != frames_.end() && it->first < end; ++it) {
-      if (it->second.dirty) {
-        r.flushed.push_back(it->first);
-        it->second.dirty = false;
-      }
-      it->second.writable = false;
-    }
-    return r;
-  }
-
   uint64_t CountRange(uint64_t begin, uint64_t end) const {
     uint64_t n = 0;
     for (auto it = frames_.lower_bound(begin); it != frames_.end() && it->first < end; ++it) {
@@ -176,15 +164,6 @@ TEST_P(DramCacheParityTest, FlatCacheMatchesSeedSemantics) {
       for (size_t i = 0; i < got.flushed.size(); ++i) {
         ASSERT_EQ(got.flushed[i].page, want.flushed[i]) << "flush order at step " << step;
         ASSERT_TRUE(got.flushed[i].dirty);
-      }
-    } else if (roll < 0.92) {
-      const uint64_t span = 1 + rng.NextBelow(600);
-      const uint64_t begin = rng.NextBelow(kPageSpace);
-      auto got = cache.DowngradeRange(begin, begin + span);
-      auto want = ref.DowngradeRange(begin, begin + span);
-      ASSERT_EQ(got.flushed.size(), want.flushed.size()) << "step " << step;
-      for (size_t i = 0; i < got.flushed.size(); ++i) {
-        ASSERT_EQ(got.flushed[i].page, want.flushed[i]);
       }
     } else {
       const uint64_t span = 1 + rng.NextBelow(600);

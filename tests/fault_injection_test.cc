@@ -1,202 +1,18 @@
-// FaultPlane end-to-end tests (§4.4): the fault conformance matrix (an identical fault
-// seed/schedule must produce bit-identical reports on the per-op oracle of
-// tests/replay_conformance.h and channel replay, for MIND, GAM and FastSwap, at every
-// loss rate), the reset path after a blade death (no deadlock, directory entry gone,
-// cached copies flushed, clean re-fault), scheduled blade drain/failover under live
-// replay, stall windows, and the FaultCounters block algebra. Reliability-tracker unit
-// tests live in net_test.cc.
+// FaultPlane end-to-end tests (§4.4) at rack level: the reset path after a blade death
+// (no deadlock, directory entry gone, cached copies flushed, clean re-fault), stall
+// windows, graceful and scheduled blade drains, and the FaultCounters block algebra. That
+// channel replay under a fault plan is bit-identical to per-op replay on every system is
+// checked by the seeded conformance fuzzer, tests/replay_fuzz_test.cc. Reliability-tracker
+// unit tests live in net_test.cc.
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <memory>
 #include <vector>
 
-#include "src/baselines/fastswap.h"
-#include "src/baselines/gam.h"
-#include "src/baselines/mind_system.h"
 #include "src/core/mind.h"
-#include "src/workload/generators.h"
-#include "src/workload/replay.h"
-#include "tests/replay_conformance.h"
 
 namespace mind {
 namespace {
-
-// --- Shared helpers ------------------------------------------------------------------------
-
-RackConfig FaultRackConfig(double loss) {
-  RackConfig c;
-  c.num_compute_blades = 4;
-  c.num_memory_blades = 4;
-  c.memory_blade_capacity = 2ull << 30;
-  c.compute_cache_bytes = 8ull << 20;  // Small cache: real LRU evictions during replay.
-  c.directory_slots = 2048;            // Small directory: capacity evictions + merges.
-  c.splitting.epoch_length = 2 * kMillisecond;
-  c.fault.reliability.loss_probability = loss;
-  return c;
-}
-
-GamConfig FaultGamConfig(double loss) {
-  GamConfig c;
-  c.num_compute_blades = 4;
-  c.num_memory_blades = 4;
-  c.compute_cache_bytes = 8ull << 20;
-  c.fault.reliability.loss_probability = loss;
-  return c;
-}
-
-FastSwapConfig FaultFastSwapConfig(double loss) {
-  FastSwapConfig c;
-  c.num_memory_blades = 4;
-  c.compute_cache_bytes = 4ull << 20;  // 1024 frames: real faults and evictions.
-  c.fault.reliability.loss_probability = loss;
-  return c;
-}
-
-WorkloadSpec CoherenceSpec(int blades) {
-  // Zipfian shared table with 50/50 GET/SET: dense invalidation waves and remote fetches —
-  // plenty of message-with-ACK sends for the loss model to bite.
-  WorkloadSpec spec = MemcachedASpec(blades, /*threads_per_blade=*/2,
-                                     /*accesses_per_thread=*/2500);
-  spec.shared_pages = 4096;
-  return spec;
-}
-
-WorkloadSpec SwapSpec() {
-  // Single-blade working set ~1.5x the FastSwap cache: a steady fault/eviction stream.
-  WorkloadSpec spec;
-  spec.name = "fastswap-faulty";
-  spec.num_blades = 1;
-  spec.threads_per_blade = 2;
-  spec.private_pages_per_thread = 800;
-  spec.private_pattern = Pattern::kUniform;
-  spec.private_write_fraction = 0.5;
-  spec.accesses_per_thread = 5000;
-  return spec;
-}
-
-// --- The fault conformance matrix: loss rates x systems, channel replay vs the oracle ------
-
-// Every loss rate must be execution-mode invariant, and the loss model must bite;
-// returns the oracle's report at each rate.
-std::vector<ReplayReport> ExpectEveryLossRateMatchesOracle(
-    const std::function<SystemFactory(double)>& make_at, const WorkloadTraces& traces) {
-  std::vector<ReplayReport> reports;
-  for (const double loss : {0.0, 0.005, 0.05}) {
-    SCOPED_TRACE(loss);
-    const ReplayReport& want =
-        reports.emplace_back(ExpectEngineMatchesOracle(make_at(loss), traces).oracle);
-    EXPECT_GT(want.total_ops, 0u);
-    if (loss == 0.0) {
-      EXPECT_TRUE(want.fault == FaultCounters{});  // Loss-free stays fault-silent.
-    } else {
-      EXPECT_GT(want.fault.timeouts, 0u);  // The loss model actually bit.
-    }
-  }
-  return reports;
-}
-
-TEST(FaultConformance, MindBitIdenticalAtEveryLossRate) {
-  ExpectEveryLossRateMatchesOracle(
-      [](double loss) -> SystemFactory {
-        return [loss] { return std::make_unique<MindSystem>(FaultRackConfig(loss)); };
-      },
-      GenerateTraces(CoherenceSpec(4)));
-}
-
-TEST(FaultConformance, GamBitIdenticalAtEveryLossRate) {
-  ExpectEveryLossRateMatchesOracle(
-      [](double loss) -> SystemFactory {
-        return [loss] { return std::make_unique<GamSystem>(FaultGamConfig(loss)); };
-      },
-      GenerateTraces(CoherenceSpec(4)));
-}
-
-TEST(FaultConformance, FastSwapBitIdenticalAtEveryLossRate) {
-  const std::vector<ReplayReport> reports = ExpectEveryLossRateMatchesOracle(
-      [](double loss) -> SystemFactory {
-        return [loss] { return std::make_unique<FastSwapSystem>(FaultFastSwapConfig(loss)); };
-      },
-      GenerateTraces(SwapSpec()));
-  for (const ReplayReport& want : reports) {
-    // FastSwap never resets: the kernel retries, so exhaustion only delays the fetch.
-    EXPECT_EQ(want.fault.resets_triggered, 0u);
-  }
-}
-
-TEST(FaultConformance, MindBladeDeathScheduleIsModeInvariant) {
-  const WorkloadTraces traces = GenerateTraces(CoherenceSpec(4));
-  // Probe the fault-free makespan, then kill blade 1 halfway through the replay.
-  MindSystem fault_free(FaultRackConfig(0.0));
-  const SimTime makespan = PerOpLoop(&fault_free, traces).makespan;
-  ASSERT_GT(makespan, 0u);
-  RackConfig config = FaultRackConfig(0.0);
-  config.fault.death.blade = 1;
-  config.fault.death.at = makespan / 2;
-  auto make = [config] { return std::make_unique<MindSystem>(config); };
-  const ReplayReport want = ExpectEngineMatchesOracle(make, traces).oracle;
-  // Waves targeting the dead blade exhaust their budgets deterministically (no RNG draw)
-  // and reset their regions — the replay must survive and stay bit-identical.
-  EXPECT_GT(want.fault.resets_triggered, 0u);
-  EXPECT_GT(want.fault.timeouts, 0u);
-  EXPECT_GT(want.fault.pages_flushed_by_reset, 0u);
-}
-
-TEST(FaultConformance, MindScheduledDrainIsModeInvariant) {
-  // Coherence-dense traffic drains mid-replay. Blade-resident private working sets drain
-  // three quarters in, once warm: channel runs then commit up to the drain's clock, so
-  // only the engine's horizon clamp at NextScheduledFaultAt() keeps them from committing
-  // hits past it that per-op replay would take after the drain.
-  WorkloadSpec resident;
-  resident.name = "blade-resident";
-  resident.num_blades = 4;
-  resident.private_pages_per_thread = 256;
-  resident.accesses_per_thread = 6000;
-  struct Case {
-    WorkloadSpec spec;
-    SimTime quarters;  // The drain's clock, in quarters of the fault-free makespan.
-    bool channels_commit;
-  };
-  for (const Case& c : {Case{CoherenceSpec(4), 2, false}, Case{resident, 3, true}}) {
-    SCOPED_TRACE(c.spec.name);
-    const WorkloadTraces traces = GenerateTraces(c.spec);
-    MindSystem fault_free(FaultRackConfig(0.0));
-    const SimTime makespan = PerOpLoop(&fault_free, traces).makespan;
-    ASSERT_GT(makespan, 0u);
-    RackConfig config = FaultRackConfig(0.0);
-    config.fault.drains.push_back(FaultPlaneConfig::BladeDrain{
-        /*blade=*/0, /*dst=*/1, /*at=*/makespan * c.quarters / 4});
-    auto make = [config] { return std::make_unique<MindSystem>(config); };
-    const Conformance result = ExpectEngineMatchesOracle(make, traces);
-    // The drain completed mid-replay and actually moved memory off the blade.
-    EXPECT_EQ(result.oracle.fault.drains_completed, 1u);
-    EXPECT_GT(result.oracle.fault.drain_pages_migrated, 0u);
-    if (c.channels_commit) {
-      EXPECT_GT(result.accounting.parallel_hits, 0u);
-    }
-  }
-}
-
-TEST(FaultConformance, MindFullFaultStormIsModeInvariant) {
-  // Everything at once: seeded loss, a mid-replay blade death, a scheduled drain and a
-  // stall window — the worst-case schedule must still be an execution-strategy invariant.
-  const WorkloadTraces traces = GenerateTraces(CoherenceSpec(4));
-  MindSystem fault_free(FaultRackConfig(0.0));
-  const SimTime makespan = PerOpLoop(&fault_free, traces).makespan;
-  ASSERT_GT(makespan, 0u);
-  RackConfig config = FaultRackConfig(0.005);
-  config.fault.death.blade = 2;
-  config.fault.death.at = (makespan * 3) / 4;
-  config.fault.drains.push_back(
-      FaultPlaneConfig::BladeDrain{/*blade=*/1, /*dst=*/3, /*at=*/makespan / 2});
-  config.fault.stalls.push_back(FaultPlaneConfig::StallWindow{
-      /*blade=*/3, /*from=*/makespan / 4, /*until=*/makespan / 2,
-      /*delay=*/20 * kMicrosecond});
-  auto make = [config] { return std::make_unique<MindSystem>(config); };
-  const ReplayReport want = ExpectEngineMatchesOracle(make, traces).oracle;
-  EXPECT_GT(want.fault.timeouts, 0u);
-  EXPECT_EQ(want.fault.drains_completed, 1u);
-}
 
 // --- The reset path after a blade death (§4.4), at rack level ------------------------------
 

@@ -1,7 +1,8 @@
 // Unit tests for the src/obs/ machinery itself: TraceSink ring-buffer overflow,
 // TraceScope merge order and digest algebra, Histogram::Summary, the MetricsRegistry
 // (upsert, sampling bounds, text/JSON export) and the PhaseProfiler storage discipline.
-// End-to-end determinism of traced replay lives in trace_determinism_test.cc.
+// End-to-end determinism of traced replay is checked by the traced draws of
+// replay_fuzz_test.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -7,9 +7,9 @@
 //      fault an arrived prefetch covers is traced useful.
 //   4. Invalidation safety: a wave that lands between issue and arrival discards the
 //      stale in-flight copy, and guesses never evict directory entries.
-//   5. kNone conformance: with the default policy, channel replay is bit-identical to
-//      the per-op oracle (tests/replay_conformance.h) for every system.
-//   6. The shared pipeline's fabric-pressure throttle (PrefetchUnit, stand-in host).
+//   5. The shared pipeline's fabric-pressure throttle (PrefetchUnit, stand-in host).
+// That channel replay is bit-identical to per-op replay under every policy is checked by
+// the seeded conformance fuzzer, tests/replay_fuzz_test.cc.
 #include <gtest/gtest.h>
 
 #include <initializer_list>
@@ -30,7 +30,6 @@
 #include "src/prefetch/prefetch_unit.h"
 #include "src/workload/generators.h"
 #include "src/workload/replay.h"
-#include "tests/replay_conformance.h"
 
 namespace mind {
 namespace {
@@ -587,45 +586,7 @@ TEST(PrefetchInvalidation, GuessesNeverEvictDirectoryEntries) {
   EXPECT_EQ(rack.stats().invalidations_sent, 0u);
 }
 
-// --- Part 5: kNone conformance — bit-identical to the per-op oracle ------------
-
-TEST(PrefetchNoneConformance, AllSystemsBitIdenticalToOracle) {
-  WorkloadSpec spec = MemcachedASpec(4, 2, /*accesses_per_thread=*/2000);
-  spec.shared_pages = 4096;
-  const WorkloadTraces traces = GenerateTraces(spec);
-
-  const auto check = [](const WorkloadTraces& traces, const SystemFactory& make_system) {
-    const Conformance result = ExpectEngineMatchesOracle(make_system, traces);
-    ASSERT_GT(result.oracle.total_ops, 0u);
-    EXPECT_EQ(result.oracle.prefetch.issued, 0u);
-    EXPECT_EQ(result.oracle.prefetch.useful, 0u);
-  };
-
-  {
-    SCOPED_TRACE("MIND");
-    RackConfig cfg = SmallRack(4);
-    cfg.directory_slots = 2048;
-    check(traces, [cfg] { return std::make_unique<MindSystem>(cfg); });
-  }
-  {
-    SCOPED_TRACE("GAM");
-    GamConfig cfg;
-    cfg.num_compute_blades = 4;
-    cfg.num_memory_blades = 2;
-    cfg.compute_cache_bytes = 8ull << 20;
-    check(traces, [cfg] { return std::make_unique<GamSystem>(cfg); });
-  }
-  {
-    SCOPED_TRACE("FastSwap");
-    WorkloadSpec fs_spec = spec;
-    fs_spec.num_blades = 1;
-    FastSwapConfig cfg;
-    cfg.compute_cache_bytes = 8ull << 20;
-    check(GenerateTraces(fs_spec), [cfg] { return std::make_unique<FastSwapSystem>(cfg); });
-  }
-}
-
-// --- Part 6: the shared pipeline's fabric-pressure throttle -------------------
+// --- Part 5: the shared pipeline's fabric-pressure throttle -------------------
 
 // Stand-in for a system: every candidate is admitted and lands a microsecond after
 // issue; the trigger page's port utilization is whatever the test sets.

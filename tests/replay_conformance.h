@@ -8,19 +8,26 @@
 // here, where comparing the engine with itself could not.
 //
 // ExpectReportsIdentical compares every ReplayReport field, and the semantic byte stream
-// when both runs were traced. Every test binary that includes this header carries the
-// ctest label `conformance` (CMakeLists.txt).
+// when both runs were traced. ExpectEngineMatchesOracle runs one case both ways and also
+// compares the systems' final `system/` metrics trees. Every test binary that includes
+// this header carries the ctest label `conformance` (CMakeLists.txt).
 #ifndef MIND_TESTS_REPLAY_CONFORMANCE_H_
 #define MIND_TESTS_REPLAY_CONFORMANCE_H_
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/baselines/memory_system.h"
+#include "src/obs/metrics_registry.h"
 #include "src/obs/trace_scope.h"
 #include "src/workload/replay.h"
 #include "src/workload/trace.h"
@@ -144,46 +151,137 @@ inline void ExpectReportsIdentical(const ReplayReport& want, const ReplayReport&
   }
 }
 
+// The metric names under "system/" in `reg`, in the registry's (sorted) order.
+inline std::vector<std::string> SystemMetricNames(const MetricsRegistry& reg) {
+  std::ostringstream text;
+  reg.ExportText(text);
+  std::istringstream lines(text.str());
+  std::vector<std::string> names;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.starts_with("system/")) {
+      names.push_back(line.substr(0, line.find(' ')));
+    }
+  }
+  return names;
+}
+
+// Expects the two registries' `system/` trees to hold the same names with bit-identical
+// values, except the two counters the engine books itself for channel-committed hits
+// (the system's own count covers only drained ops).
+inline void ExpectSystemTreesIdentical(const MetricsRegistry& want, const MetricsRegistry& got) {
+  const std::vector<std::string> names = SystemMetricNames(want);
+  ASSERT_FALSE(names.empty()) << "the oracle collected no system metrics";
+  ASSERT_EQ(names, SystemMetricNames(got));
+  for (const std::string& name : names) {
+    if (name == "system/counters/total_accesses" || name == "system/counters/local_hits") {
+      continue;
+    }
+    const MetricsRegistry::Entry& w = *want.Find(name);
+    const MetricsRegistry::Entry& g = *got.Find(name);
+    EXPECT_TRUE(w.kind == g.kind && w.counter == g.counter &&
+                std::bit_cast<uint64_t>(w.gauge) == std::bit_cast<uint64_t>(g.gauge))
+        << name << ": oracle " << w.counter << "/" << w.gauge << ", engine " << g.counter
+        << "/" << g.gauge;
+  }
+}
+
 // What a conformance case leaves to check beyond equality.
 struct Conformance {
-  ReplayReport oracle;     // PerOpLoop's report.
-  ShardReport accounting;  // The engine's channel vs drain split.
+  ReplayReport oracle;             // PerOpLoop's report.
+  MetricsRegistry oracle_metrics;  // The oracle system's CollectMetrics after the run.
+  ShardReport accounting;          // The engine's channel vs drain split.
+  size_t max_group_lanes = 0;      // Widest group commit of a traced engine run.
+  size_t samples = 0;              // Sampler calls per run (0 unsampled).
 };
 
 // Replays `traces` through PerOpLoop on one fresh system from `make` and through
-// ReplayEngine on another, both traced when `trace`, and expects identical results.
-// A traced case must emit semantic events, or comparing them would prove nothing, and
-// the engine must have finalized its trace scope.
+// ReplayEngine with `options` on another, and expects identical reports and identical
+// final `system/` metrics trees. `options.prefetch` is applied to the oracle's system as
+// ReplayEngine::Setup applies it. A traced case must emit semantic events, or comparing
+// them would prove nothing, and its report must also equal an untraced oracle's: tracing
+// only observes. A profiled case must record both profiler lanes. A nonzero
+// `sample_interval` puts a sampler on both runs that records (clock, accesses so far);
+// it must fire at the same points, and the engine then commits nothing on channels.
 inline Conformance ExpectEngineMatchesOracle(const SystemFactory& make,
                                              const WorkloadTraces& traces,
-                                             bool trace = false) {
+                                             const ReplayOptions& options = {},
+                                             SimTime sample_interval = 0) {
+  using Samples = std::vector<std::pair<SimTime, uint64_t>>;
+  const auto sampler_for = [sample_interval](MemorySystem* sys, Samples* out) {
+    return sample_interval == 0 ? ReplayEngine::Sampler()
+                                : [sys, out](SimTime now) {
+                                    out->emplace_back(now, sys->counters().total_accesses);
+                                  };
+  };
+  const auto run_oracle = [&](TraceScope* scope, Samples* samples, MetricsRegistry* metrics) {
+    auto sys = make();
+    if (options.prefetch != PrefetchPolicy::kNone) {
+      EXPECT_TRUE(sys->SetPrefetchPolicy(options.prefetch));
+    }
+    const ReplayReport report = PerOpLoop(sys.get(), traces, scope,
+                                          sampler_for(sys.get(), samples), sample_interval);
+    if (metrics != nullptr) {
+      sys->CollectMetrics(metrics, "system");
+    }
+    return report;
+  };
+
   Conformance out;
   TraceScope oracle_trace;
-  auto oracle_sys = make();
-  out.oracle = PerOpLoop(oracle_sys.get(), traces, trace ? &oracle_trace : nullptr);
-  EXPECT_TRUE(!trace || oracle_trace.semantic_events() > 0) << "the traced run emitted nothing";
+  Samples want_samples;
+  out.oracle = run_oracle(options.trace ? &oracle_trace : nullptr, &want_samples,
+                          &out.oracle_metrics);
+  if (options.trace) {
+    EXPECT_GT(oracle_trace.semantic_events(), 0u) << "the traced run emitted nothing";
+    Samples untraced_samples;
+    ExpectReportsIdentical(run_oracle(nullptr, &untraced_samples, nullptr), out.oracle);
+  }
 
   auto sys = make();
-  ReplayOptions opts;
-  opts.trace = trace;
-  ReplayEngine engine(sys.get(), &traces, opts);
+  ReplayEngine engine(sys.get(), &traces, options);
   const Status setup = engine.Setup();
   EXPECT_TRUE(setup.ok()) << setup.ToString();
   if (!setup.ok()) {
     return out;
   }
-  const ReplayReport got = engine.Run();
-  ExpectReportsIdentical(out.oracle, got, trace ? &oracle_trace : nullptr,
+  Samples got_samples;
+  const ReplayReport got =
+      sample_interval == 0 ? engine.Run()
+                           : engine.Run(sampler_for(sys.get(), &got_samples), sample_interval);
+  ExpectReportsIdentical(out.oracle, got, options.trace ? &oracle_trace : nullptr,
                          engine.trace_scope());
-  EXPECT_TRUE(!trace || (engine.trace_scope() != nullptr && engine.trace_scope()->finalized()))
-      << "the engine did not finalize its trace";
-  EXPECT_EQ(engine.shard_reports().size(), 1u);
-  if (engine.shard_reports().empty()) {
-    return out;
-  }
+  ExpectSystemTreesIdentical(out.oracle_metrics, *engine.metrics());
+  EXPECT_EQ(got_samples, want_samples);
+  out.samples = want_samples.size();
   out.accounting = engine.shard_reports()[0];
   EXPECT_EQ(out.accounting.parallel_hits + out.accounting.drained_ops, got.total_ops)
       << "an op was neither committed on a channel nor drained";
+  EXPECT_EQ(out.accounting.grouped_ops, out.accounting.parallel_hits)
+      << "a channel op committed outside its blade's group";
+  if (sample_interval != 0) {
+    EXPECT_EQ(out.accounting.parallel_hits, 0u) << "a sampled run opened channels";
+  }
+  const TraceScope* engine_trace = engine.trace_scope();
+  EXPECT_EQ(engine_trace != nullptr && engine_trace->finalized(), options.trace)
+      << "the engine's finalized trace does not follow options.trace";
+  if (engine_trace != nullptr) {
+    for (const TraceEvent& e : engine_trace->merged()) {
+      if (e.kind == TraceEventKind::kGroupCommit) {
+        out.max_group_lanes = std::max<size_t>(out.max_group_lanes, e.b);
+      }
+    }
+  }
+  const PhaseProfiler* prof = engine.profiler();
+  EXPECT_EQ(prof != nullptr, options.profile);
+  if (prof != nullptr) {
+    for (const size_t lane : {PhaseProfiler::kChannelLane, prof->serial_lane()}) {
+      uint64_t recorded = 0;
+      for (const uint64_t count : prof->lane(lane).count) {
+        recorded += count;
+      }
+      EXPECT_GT(recorded, 0u) << "profiler lane " << lane << " recorded nothing";
+    }
+  }
   return out;
 }
 

@@ -1,16 +1,15 @@
-// Determinism tests for the channel-based replay engine: channel replay must produce
-// results bit-identical to the per-op oracle of tests/replay_conformance.h (every op
-// through MemorySystem::Access in global (clock, thread) order): same makespan, same
-// counter block, same latency histogram (every bucket), same throughput. The epoch-horizon
-// merge design makes this a hard invariant, not a tolerance. Cross-system conformance of
-// the AccessChannel contract itself (MIND, GAM, FastSwap) lives in access_channel_test.cc.
+// Targeted replay-engine tests against the per-op oracle of tests/replay_conformance.h:
+// systems that opt out of channels or groups serialize every op, a sampler observes
+// exactly what per-op replay observes, a zero sample interval disables sampling, and a
+// wave from one blade kills a peer blade's submitted runs. The seeded conformance fuzzer
+// (tests/replay_fuzz_test.cc) covers bit-identity across systems and configurations;
+// the counter-block algebra the report relies on is tested at the end.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <utility>
 #include <vector>
 
-#include "src/baselines/gam.h"
 #include "src/baselines/mind_system.h"
 #include "src/workload/generators.h"
 #include "src/workload/replay.h"
@@ -31,20 +30,10 @@ RackConfig TestRackConfig(int blades) {
   return c;
 }
 
-WorkloadSpec CoherenceHeavySpec(int blades) {
-  // Memcached/YCSB-A flavor: zipfian shared table with 50/50 GET/SET plus hot metadata —
-  // dense invalidation waves, upgrades and directory splits crossing blades.
-  WorkloadSpec spec = MemcachedASpec(blades, /*threads_per_blade=*/2,
-                                     /*accesses_per_thread=*/4000);
-  spec.shared_pages = 4096;
-  return spec;
-}
-
 WorkloadSpec HitHeavySpec(int blades) {
   // Blade-resident flavor: per-thread working sets that fit the 2048-frame test cache —
   // after warmup >80% of ops are blade-local hit runs, the case the channel rounds
-  // accelerate. (The TF preset streams far past this cache and is covered as the
-  // miss-dominant identity case in access_channel_test.cc.)
+  // accelerate.
   WorkloadSpec spec;
   spec.name = "blade-resident";
   spec.num_blades = blades;
@@ -56,38 +45,6 @@ WorkloadSpec HitHeavySpec(int blades) {
   spec.think_time = 200;
   spec.seed = 7;
   return spec;
-}
-
-// Expects channel replay of `traces` on a MIND rack to match the per-op oracle.
-Conformance ExpectMindMatchesOracle(const WorkloadTraces& traces, const RackConfig& config) {
-  return ExpectEngineMatchesOracle([&] { return std::make_unique<MindSystem>(config); },
-                                   traces);
-}
-
-TEST(ShardedReplay, BitIdenticalCoherenceHeavy) {
-  const WorkloadTraces traces = GenerateTraces(CoherenceHeavySpec(4));
-  const Conformance result = ExpectMindMatchesOracle(traces, TestRackConfig(4));
-  ASSERT_GT(result.oracle.total_ops, 0u);
-  ASSERT_GT(result.oracle.counters.invalidations, 0u);  // The workload must cross blades.
-}
-
-TEST(ShardedReplay, BitIdenticalHitHeavy) {
-  const WorkloadTraces traces = GenerateTraces(HitHeavySpec(8));
-  const Conformance result = ExpectMindMatchesOracle(traces, TestRackConfig(8));
-  // The channel fast path must actually engage.
-  EXPECT_GT(result.accounting.parallel_hits, 0u);
-}
-
-TEST(ShardedReplay, BitIdenticalUnderPso) {
-  RackConfig config = TestRackConfig(4);
-  config.consistency = ConsistencyModel::kPso;
-  ExpectMindMatchesOracle(GenerateTraces(CoherenceHeavySpec(4)), config);
-}
-
-TEST(ShardedReplay, BitIdenticalWithStoredPayloads) {
-  RackConfig config = TestRackConfig(2);
-  config.store_data = true;  // Payloads flow through the per-blade slab arenas.
-  ExpectMindMatchesOracle(GenerateTraces(CoherenceHeavySpec(2)), config);
 }
 
 // Forwards every MemorySystem call but inherits the default (null) OpenChannelGroup —
@@ -230,7 +187,9 @@ WorkloadTraces CrossBladeWaveTraces() {
 }
 
 TEST(ShardedReplay, CrossBladeWaveInvalidatesPeerRuns) {
-  const Conformance result = ExpectMindMatchesOracle(CrossBladeWaveTraces(), TestRackConfig(2));
+  const RackConfig config = TestRackConfig(2);
+  const Conformance result = ExpectEngineMatchesOracle(
+      [&] { return std::make_unique<MindSystem>(config); }, CrossBladeWaveTraces());
   // The waves actually cross blades.
   ASSERT_GT(result.oracle.counters.invalidations, 0u);
 }

@@ -64,17 +64,6 @@ TEST(FifoResource, IdleGapResets) {
   EXPECT_EQ(g2.wait, 0u);
 }
 
-TEST(FifoResource, BlockUntilExtendsHorizon) {
-  FifoResource r;
-  r.BlockUntil(500);
-  const auto g = r.Acquire(100, 10);
-  EXPECT_EQ(g.start, 500u);
-  EXPECT_EQ(g.wait, 400u);
-  // BlockUntil never shrinks the horizon.
-  r.BlockUntil(10);
-  EXPECT_EQ(r.busy_until(), 510u);
-}
-
 TEST(FifoResource, AccountsTotals) {
   FifoResource r;
   (void)r.Acquire(0, 10);
@@ -82,14 +71,6 @@ TEST(FifoResource, AccountsTotals) {
   EXPECT_EQ(r.jobs(), 2u);
   EXPECT_EQ(r.total_busy(), 20u);
   EXPECT_EQ(r.total_wait(), 10u);  // Second job waited 10.
-}
-
-TEST(ResourceMap, IndependentPerKey) {
-  ResourceMap<uint64_t> m;
-  (void)m.Get(1).Acquire(0, 100);
-  const auto g = m.Get(2).Acquire(0, 100);
-  EXPECT_EQ(g.wait, 0u);  // Key 2 unaffected by key 1's queue.
-  EXPECT_EQ(m.size(), 2u);
 }
 
 }  // namespace

@@ -6,18 +6,14 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <memory>
 #include <set>
-#include <utility>
 #include <vector>
 
 #include "src/baselines/fastswap.h"
-#include "src/baselines/gam.h"
 #include "src/baselines/mind_system.h"
 #include "src/core/access.h"
 #include "src/workload/generators.h"
 #include "src/workload/replay.h"
-#include "tests/replay_conformance.h"
 
 namespace mind {
 namespace {
@@ -341,82 +337,6 @@ TEST(Replay, SetupRejectsMalformedTraces) {
   EXPECT_EQ(engine.AddressOf(0, 0), reference.AddressOf(0, 0));
   EXPECT_EQ(engine.AddressOf(1, 7), reference.AddressOf(1, 7));
   EXPECT_EQ(engine.Run().total_ops, valid.TotalOps());
-}
-
-TEST(Replay, MatchesPerOpLoop) {
-  // Private working sets that fit the cache (channel runs) plus a zipfian shared table
-  // with writes (invalidation waves, upgrades, splitting epochs) on 2 blades x 2 threads.
-  WorkloadSpec spec;
-  spec.name = "oracle-mix";
-  spec.num_blades = 2;
-  spec.threads_per_blade = 2;
-  spec.private_pages_per_thread = 256;
-  spec.private_pattern = Pattern::kUniform;
-  spec.private_write_fraction = 0.5;
-  spec.shared_pages = 512;
-  spec.shared_pattern = Pattern::kZipfian;
-  spec.shared_access_fraction = 0.02;
-  spec.shared_write_fraction = 0.2;
-  spec.accesses_per_thread = 6000;
-  spec.think_time = 200;
-  spec.seed = 3;
-  const WorkloadTraces traces = GenerateTraces(spec);
-
-  RackConfig rack;
-  rack.num_compute_blades = 2;
-  rack.num_memory_blades = 2;
-  rack.memory_blade_capacity = 1ull << 30;
-  rack.compute_cache_bytes = 8ull << 20;
-  rack.directory_slots = 2048;
-  rack.splitting.epoch_length = kMillisecond;
-  RackConfig pso = rack;
-  pso.consistency = ConsistencyModel::kPso;
-  GamConfig gam;
-  gam.num_compute_blades = 2;
-  gam.num_memory_blades = 2;
-  gam.compute_cache_bytes = 8ull << 20;
-
-  const std::vector<std::pair<const char*, SystemFactory>> systems = {
-      {"MindTso", [&] { return std::make_unique<MindSystem>(rack); }},
-      {"MindPso", [&] { return std::make_unique<MindSystem>(pso); }},
-      {"Gam", [&] { return std::make_unique<GamSystem>(gam); }},
-  };
-  // The sampler column records the op count at every sample point: a sampler opens no
-  // channels, so it must fire before the same op as on the oracle.
-  using Samples = std::vector<std::pair<SimTime, uint64_t>>;
-  const auto recorder = [](MemorySystem* sys, Samples* out) {
-    return [sys, out](SimTime now) { out->emplace_back(now, sys->counters().total_accesses); };
-  };
-  constexpr SimTime kInterval = 100 * kMicrosecond;
-  for (const auto& [name, make] : systems) {
-    SCOPED_TRACE(name);
-    auto loop_sys = make();
-    Samples want_samples;
-    const ReplayReport want = PerOpLoop(loop_sys.get(), traces, nullptr,
-                                        recorder(loop_sys.get(), &want_samples), kInterval);
-    ASSERT_EQ(want.total_ops, traces.TotalOps());
-    ASSERT_GT(want.counters.invalidations, 0u);
-    ASSERT_GT(want_samples.size(), 1u);
-    for (const bool with_sampler : {false, true}) {
-      SCOPED_TRACE(with_sampler ? "sampler" : "channels");
-      auto sys = make();
-      ReplayEngine engine(sys.get(), &traces);
-      ASSERT_TRUE(engine.Setup().ok());
-      Samples got_samples;
-      ReplayEngine::Sampler sampler;
-      if (with_sampler) {
-        sampler = recorder(sys.get(), &got_samples);
-      }
-      ExpectReportsIdentical(want, engine.Run(sampler, kInterval));
-      if (with_sampler) {
-        EXPECT_EQ(got_samples, want_samples);
-        EXPECT_EQ(engine.shard_reports()[0].parallel_hits, 0u);
-      } else {
-        // The channel rounds actually engaged.
-        EXPECT_GT(engine.shard_reports()[0].parallel_hits, 0u);
-      }
-    }
-  }
 }
 
 // Parameterized smoke replay over every paper workload preset on MIND.
